@@ -7,15 +7,7 @@ import argparse
 import sys
 import time
 
-from groupcover import (
-    abelian_invariants_finite,
-    abelianisation,
-    build_catalog,
-    default_catalog_spec,
-    is_fa_finite,
-    verify_finite_theorems,
-    weight_bruteforce,
-)
+from groupcover import build_catalog, default_catalog_spec, verify_finite_theorems
 
 
 def main():
@@ -34,11 +26,11 @@ def main():
     start = time.monotonic()
     failures = 0
     for g in groups:
-        inv = abelian_invariants_finite(abelianisation(g))
-        fa = is_fa_finite(g).verdict
-        w = weight_bruteforce(g)
         rep = verify_finite_theorems(g, nfa_range=nfa_range)
         status = "ok" if rep.passed else "FAIL " + ",".join(rep.failing())
+        inv = rep.details["abelian_invariants"]
+        fa = rep.details["fa_verdict"]
+        w = rep.details.get("weight", "-")
         print(
             f"{g.name:>10} {g.order:>5} {inv.describe():>14} "
             f"{str(fa):>5} {w:>3}  {status}"

@@ -138,25 +138,28 @@ def build_entry(family: str, params: tuple[int, ...], cap=None) -> FiniteGroup:
         raise ParseError(
             f"family {family} takes {_FAMILY_ARITY[family]} parameters, got {len(params)}"
         )
-    if family == "C":
-        n = params[0]
-        cap_value = DEFAULT_CAPS.order if cap is None else cap
-        if n > cap_value:
-            raise ClosureExceedsCap(f"C{n} exceeds cap {cap_value}")
-        return cyclic_group(n)
-    if family == "CxC":
-        return cyclic_product(*params, cap=cap)
-    if family == "E":
-        return elementary_group(*params, cap=cap)
-    if family == "D":
-        return dihedral_group(params[0], cap=cap)
-    if family == "S":
-        return symmetric_group(params[0], cap=cap)
-    if family == "A":
-        return alternating_group(params[0], cap=cap)
-    if family == "Q8":
-        return quaternion_group(cap=cap)
-    return special_linear_group(params[0], cap=cap)
+    try:
+        if family == "C":
+            n = params[0]
+            cap_value = DEFAULT_CAPS.order if cap is None else cap
+            if n > cap_value:
+                raise ClosureExceedsCap(f"C{n} exceeds cap {cap_value}")
+            return cyclic_group(n)
+        if family == "CxC":
+            return cyclic_product(*params, cap=cap)
+        if family == "E":
+            return elementary_group(*params, cap=cap)
+        if family == "D":
+            return dihedral_group(params[0], cap=cap)
+        if family == "S":
+            return symmetric_group(params[0], cap=cap)
+        if family == "A":
+            return alternating_group(params[0], cap=cap)
+        if family == "Q8":
+            return quaternion_group(cap=cap)
+        return special_linear_group(params[0], cap=cap)
+    except ValueError as exc:
+        raise ParseError(f"bad parameters for {family} {params}: {exc}") from None
 
 
 def build_catalog(spec: CatalogSpec | None = None, cap=None) -> list[FiniteGroup]:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .catalog import (
@@ -49,12 +48,10 @@ class RunConfig:
     command: str
     output_format: str = "text"
     caps: Caps = DEFAULT_CAPS
-    jobs: int = 1
     options: dict = field(default_factory=dict)
 
 
-def _parse_caps(tokens, base: Caps) -> Caps:
-    values = {"order": base.order, "normal": base.normal, "weight": base.weight}
+def _parse_caps(tokens, values: dict) -> dict:
     for token in tokens or ():
         key, _, raw = token.partition("=")
         if key not in values or not raw:
@@ -63,13 +60,16 @@ def _parse_caps(tokens, base: Caps) -> Caps:
             values[key] = int(raw)
         except ValueError:
             raise ParseError(f"bad --caps value {token!r}") from None
-    return Caps(**values)
+    return values
 
 
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ParseError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"config file {path} must hold a JSON object")
     return data
@@ -79,14 +79,14 @@ def _build_run_config(args) -> RunConfig:
     file_conf = _load_config_file(getattr(args, "config", None))
     output_format = args.format or file_conf.get("format") or "text"
     caps_conf = file_conf.get("caps", {})
-    base = Caps(
-        order=caps_conf.get("order", DEFAULT_CAPS.order),
-        normal=caps_conf.get("normal", DEFAULT_CAPS.normal),
-        weight=caps_conf.get("weight", DEFAULT_CAPS.weight),
-    )
-    caps = _parse_caps(getattr(args, "caps", None), base)
-    jobs = getattr(args, "jobs", None) or file_conf.get("jobs", 1)
-    return RunConfig(args.command, output_format, caps, jobs)
+    if not isinstance(caps_conf, dict):
+        raise ParseError("config key 'caps' must hold a JSON object")
+    base = {key: caps_conf.get(key, value) for key, value in asdict(DEFAULT_CAPS).items()}
+    try:
+        caps = Caps(**_parse_caps(getattr(args, "caps", None), base))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad caps: {exc}") from None
+    return RunConfig(args.command, output_format, caps)
 
 
 def _emit(payload: dict, conf: RunConfig, text_lines) -> None:
@@ -237,16 +237,12 @@ def cmd_verify_all(args) -> int:
         )
     nfa_range = tuple(range(1, args.nfa_max + 1))
 
-    def run(group):
-        return verify_finite_theorems(
-            group, nfa_range=nfa_range, cap=conf.caps.normal, weight_cap=conf.caps.weight
+    reports = [
+        verify_finite_theorems(
+            g, nfa_range=nfa_range, cap=conf.caps.normal, weight_cap=conf.caps.weight
         )
-
-    if conf.jobs > 1:
-        with ThreadPoolExecutor(max_workers=conf.jobs) as pool:
-            reports = list(pool.map(run, groups))
-    else:
-        reports = [run(g) for g in groups]
+        for g in groups
+    ]
 
     mismatches = []
     lines = []
@@ -286,7 +282,13 @@ def _add_common(sub):
         help="override caps, e.g. --caps order=256 normal=64 weight=64",
     )
     sub.add_argument("--config", help="JSON config file (flags win)")
-    sub.add_argument("--jobs", type=int, default=None)
+
+
+def _positive_int(text) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -299,7 +301,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classify a presentation")
     p.add_argument("presentation", help="presentation file")
     p.add_argument("--hint", choices=HINTS, default=None)
-    p.add_argument("--nfa", type=int, default=None, metavar="N")
+    p.add_argument("--nfa", type=_positive_int, default=None, metavar="N")
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -312,7 +314,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=None,
         help="treat the group argument as a file of this format",
     )
-    p.add_argument("--nfa", type=int, default=None, metavar="N")
+    p.add_argument("--nfa", type=_positive_int, default=None, metavar="N")
     p.add_argument("--weight", action="store_true")
     p.add_argument("--verify", action="store_true")
     _add_common(p)

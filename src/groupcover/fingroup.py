@@ -113,10 +113,7 @@ class ElementSet:
 
     @property
     def mask(self) -> int:
-        m = 0
-        for x in self.members:
-            m |= 1 << x
-        return m
+        return _mask(self.members)
 
     def to_hex(self) -> str:
         return hex(self.mask)
@@ -407,6 +404,8 @@ def _mask(members):
 
 
 def _normal_subgroup_sets(group, cap):
+    """(all normal subgroups, maximal proper ones) as member sets, each
+    sorted by (size, mask); computed once per group."""
     if group.order > cap:
         raise OrderCapExceeded(
             f"|G| = {group.order} exceeds normal-subgroup cap {cap}"
@@ -415,54 +414,60 @@ def _normal_subgroup_sets(group, cap):
     if cached is not None:
         return cached
     table = group.table
+    full = (1 << group.order) - 1
     # every normal subgroup is the join of the normal closures of the
     # conjugacy classes it contains, and the join of two normal subgroups is
     # their product set; so close the class-closures under products
-    base = []
-    base_masks = []
-    seen_base = set()
+    base = {}
     for cls in conjugacy_classes(group):
         members = frozenset(_closure_members(table, cls))
-        m = _mask(members)
-        if m not in seen_base:
-            seen_base.add(m)
-            base.append(members)
-            base_masks.append(m)
+        base.setdefault(_mask(members), members)
+    # a proper N is maximal exactly when every strict join N.B with a class
+    # closure B is the whole group, and the enumeration forms all of those
     found = {}
-    stack = list(base)
+    maximal = []
+    stack = list(base.items())
     while stack:
-        s = stack.pop()
-        m = _mask(s)
+        m, s = stack.pop()
         if m in found:
             continue
         found[m] = s
-        for a, am in zip(base, base_masks):
-            if am & ~m:
-                stack.append(frozenset(table[x][y] for x in s for y in a))
-    result = tuple(sorted(found.values(), key=lambda s: (len(s), _mask(s))))
+        is_maximal = m != full
+        for bm, b in base.items():
+            if bm & ~m:
+                joined = frozenset(table[x][y] for x in s for y in b)
+                jm = _mask(joined)
+                if jm != full:
+                    is_maximal = False
+                if jm not in found:
+                    stack.append((jm, joined))
+        if is_maximal:
+            maximal.append((m, s))
+    result = (_by_size_and_mask(found.items()), _by_size_and_mask(maximal))
     group._cache["normal_sets"] = result
     return result
+
+
+def _by_size_and_mask(pairs):
+    return tuple(s for _, s in sorted(pairs, key=lambda p: (len(p[1]), p[0])))
 
 
 def normal_subgroups(group, cap=None):
     """All normal subgroups, including {e} and G, sorted by (size, mask)."""
     cap = DEFAULT_CAPS.normal if cap is None else cap
-    return [ElementSet(group, s) for s in _normal_subgroup_sets(group, cap)]
+    return [ElementSet(group, s) for s in _normal_subgroup_sets(group, cap)[0]]
 
 
 def maximal_normal_subgroups(group, cap=None):
     """Proper normal subgroups maximal under inclusion (the quotient by each
-    is simple)."""
+    is simple), sorted by (size, mask).
+
+    Read from the lattice enumeration, which marks a proper N maximal when
+    every join of N with a conjugacy-class closure outside it is G."""
     cap = DEFAULT_CAPS.normal if cap is None else cap
     if group.order == 1:
         raise TrivialGroup("the trivial group has no proper normal subgroups")
-    sets = _normal_subgroup_sets(group, cap)
-    proper = [(s, _mask(s)) for s in sets if len(s) < group.order]
-    maximal = []
-    for s, m in proper:
-        if not any(m != m2 and m & ~m2 == 0 for _, m2 in proper):
-            maximal.append(s)
-    return [ElementSet(group, s) for s in maximal]
+    return [ElementSet(group, s) for s in _normal_subgroup_sets(group, cap)[1]]
 
 
 def quotient(group, nset, name=None):
@@ -568,53 +573,34 @@ def weight_bruteforce(group, cap=None):
 
 def weight_witness(group, cap=None):
     """(weight, witness tuple); the witness is the lexicographically first
-    tuple of conjugacy-class representatives attaining the weight."""
+    tuple of conjugacy-class representatives attaining the weight.
+
+    A set normally generates G exactly when no maximal normal subgroup
+    contains it, so the weight is the size of a minimum hitting set: each
+    representative r hits the maximal subgroups that avoid r (their list
+    comes from the lattice enumeration), and a tuple works when together
+    its entries hit them all.  Representatives that hit nothing, or the same
+    subgroups as a smaller one, are never in the first witness and are
+    dropped.
+    """
     cap = DEFAULT_CAPS.weight if cap is None else cap
     if group.order > cap:
         raise OrderCapExceeded(f"|G| = {group.order} exceeds weight cap {cap}")
     if group.order == 1:
         return 0, ()
-    table = group.table
-    full = (1 << group.order) - 1
-    reps = [cls[0] for cls in conjugacy_classes(group) if cls != (0,)]
-    # normal closure of a tuple = join of the single-element closures, and
-    # distinct representatives with equal closures are interchangeable, so
-    # keep only the first representative per closure
-    closure_sets = {}
-    chosen = []
-    single = {}
-    for r in sorted(reps):
-        members = normal_closure(group, (r,)).members
-        m = _mask(members)
-        if m not in closure_sets:
-            closure_sets[m] = members
-            chosen.append(r)
-            single[r] = m
-    join_cache = {}
-
-    def join(m1, m2):
-        if m2 & ~m1 == 0:
-            return m1
-        key = (m1, m2)
-        got = join_cache.get(key)
-        if got is None:
-            s1, s2 = closure_sets[m1], closure_sets[m2]
-            merged = frozenset(table[x][y] for x in s1 for y in s2)
-            got = _mask(merged)
-            closure_sets.setdefault(got, merged)
-            join_cache[key] = got
-        return got
-
-    for k in range(1, len(chosen) + 1):
-        for combo in combinations(chosen, k):
-            m = single[combo[0]]
-            redundant = False
-            for r in combo[1:]:
-                if single[r] & ~m == 0:
-                    redundant = True
-                    break
-                m = join(m, single[r])
-            if not redundant and m == full:
-                return k, combo
-    # unreachable for a genuine group: the join of all class closures is G
-    raise NotAGroup("class closures do not join to the whole table")
+    maximal = _normal_subgroup_sets(group, cap)[1]
+    full = (1 << len(maximal)) - 1
+    first_rep = {}  # avoid mask -> smallest representative with it
+    for cls in conjugacy_classes(group):  # ascending representatives
+        m = _mask(i for i, sub in enumerate(maximal) if cls[0] not in sub)
+        if m:
+            first_rep.setdefault(m, cls[0])
+    for k in range(1, len(first_rep) + 1):
+        for combo in combinations(first_rep.items(), k):
+            hit = 0
+            for m, _ in combo:
+                hit |= m
+            if hit == full:
+                return k, tuple(r for _, r in combo)
+    # unreachable for a genuine group: each maximal subgroup misses a class
+    raise NotAGroup("class representatives do not normally generate the table")

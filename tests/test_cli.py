@@ -190,13 +190,6 @@ def test_verify_all_trivial_only(capsys):
     assert payload["groups_checked"] == 1
 
 
-def test_verify_all_jobs(capsys):
-    code, payload = run_json(capsys, "verify-all", "--max-order", "8",
-                             "--jobs", "4")
-    assert code == 0
-    assert payload["mismatches"] == []
-
-
 def test_verify_all_custom_catalog(capsys, tmp_path):
     spec = tmp_path / "cat.spec"
     spec.write_text("# tiny catalog\nC 6\nCxC 2 2\nQ8\n")
@@ -254,3 +247,37 @@ def test_caps_from_config_file(capsys, tmp_path):
     assert main(["finite", "C 20", "--config", str(conf)]) == 3
     # explicit flag overrides the config value
     assert main(["finite", "C 20", "--config", str(conf), "--caps", "normal=64"]) == 0
+
+
+# ---------------------------------------------------------------------------
+# bad input ends in exit 2, never in a traceback
+
+BAD_INPUT_ARGV = [
+    ("finite", "C 4", "--config", "{bad_json}"),
+    ("finite", "C 4", "--caps", "order=0"),
+    ("finite", "C 4", "--config", "{zero_cap}"),
+    ("finite", "C 4", "--nfa", "0"),
+    ("finite", "C 4", "--nfa", "-1"),
+    ("analyze", "{klein}", "--nfa", "0"),
+    ("finite", "C 0"),
+    ("finite", "E 2 0"),
+    ("finite", "E 4 2"),
+    ("finite", "D 2"),
+    ("finite", "S 1"),
+    ("finite", "A 2"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT_ARGV, ids=" ".join)
+def test_bad_input_exit_2(capsys, tmp_path, klein_file, argv):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"format": ')
+    zero_cap = tmp_path / "zero_cap.json"
+    zero_cap.write_text(json.dumps({"caps": {"normal": 0}}))
+    files = {"bad_json": bad_json, "zero_cap": zero_cap, "klein": klein_file}
+    try:
+        code = main([arg.format(**files) for arg in argv])
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -17,6 +17,7 @@ from groupcover import (
     cyclic_group,
     derived_subgroup,
     direct_product,
+    group_from_spec,
     maximal_normal_subgroups,
     normal_closure,
     normal_subgroups,
@@ -364,7 +365,9 @@ def test_maximal_normal_trivial_group_raises():
 def test_maximal_equals_maximal_filter_and_simple_quotient(catalog):
     # cross-check the two characterisations: inclusion-maximal among proper
     # normals, and simple quotient
-    for group in catalog[:30]:
+    products = ("prod(E 3 2, E 3 2)", "prod(D 4, Q8)", "prod(A 4, E 2 3)")
+    groups = [g for g in catalog if g.order <= 64] + [group_from_spec(s) for s in products]
+    for group in groups:
         if group.order == 1:
             continue
         normals = normal_subgroups(group)
@@ -488,6 +491,28 @@ def test_weight_klein(klein):
 def test_weight_matches_naive_scan(klein, s3, q8, d4, c6, e8):
     for group in (klein, s3, q8, d4, c6, e8, cyclic_group(1), alternating_group(4)):
         assert weight_bruteforce(group) == naive_weight(group)
+
+
+def closure_weight_witness(group):
+    """Reference (weight, witness): the first tuple of ascending class
+    representatives, shortest first, whose normal closure is the group."""
+    if group.order == 1:
+        return 0, ()
+    reps = [cls[0] for cls in conjugacy_classes(group)[1:]]
+    for k in range(1, len(reps) + 1):
+        for combo in combinations(reps, k):
+            if len(normal_closure(group, combo)) == group.order:
+                return k, combo
+    raise AssertionError("unreachable")
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["E 2 2", "Q8", "D 4", "A 4", "E 2 3", "prod(E 3 2, E 2 2)", "prod(C 2, S 4)"],
+)
+def test_weight_witness_matches_closure_search(spec):
+    group = group_from_spec(spec)
+    assert weight_witness(group) == closure_weight_witness(group)
 
 
 def test_weight_cap():
