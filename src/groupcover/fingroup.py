@@ -10,7 +10,6 @@ generator order, so constructions are reproducible.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -33,9 +32,9 @@ class FiniteGroup:
     """Finite group given by its full multiplication table.
 
     validate:
-      "full"      identity/Latin/inverse checks plus associativity
-                  (triple loop up to ``naive_limit``, generator-based
-                  associativity test beyond; both are complete checks)
+      "full"      identity/Latin/inverse checks plus associativity, checked
+                  as x(gy) = (xg)y for x, y in G and g in a generating set
+                  of the table (Light's test, complete at every order)
       "structure" identity/Latin/inverse checks only (for tables that are
                   associative by construction)
       "none"      trust the table entirely (fault-injection aid)
@@ -43,16 +42,16 @@ class FiniteGroup:
 
     __slots__ = ("name", "order", "table", "inverse", "_cache")
 
-    def __init__(self, name, table, validate="structure", naive_limit=256):
+    def __init__(self, name, table, validate="structure"):
         self.name = str(name)
-        self.table = tuple(tuple(int(x) for x in row) for row in table)
+        self.table = tuple(tuple(map(int, row)) for row in table)
         self.order = len(self.table)
         if self.order == 0:
             raise NotAGroup("empty table")
         if validate != "none":
             _check_structure(self.table)
         if validate == "full":
-            _check_associativity(self.table, naive_limit)
+            _check_associativity(self.table)
         self.inverse = _inverse_table(self.table)
         self._cache = {}
 
@@ -148,79 +147,57 @@ def _check_structure(table):
             raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
         if set(row) != ids:
             raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if {table[i][j] for i in range(n)} != ids:
+    for j, col in enumerate(zip(*table)):
+        if set(col) != ids:
             raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
-    for x in range(n):
-        if table[0][x] != x or table[x][0] != x:
+    for x, (right, left) in enumerate(zip(table[0], (row[0] for row in table))):
+        if right != x or left != x:
             raise NotAGroup(f"element 0 is not an identity against {x}")
 
 
-def _check_associativity(table, naive_limit):
+def _check_associativity(table):
+    """Light's test: x(gy) = (xg)y for every g in a generating set of the
+    table.  The g that pass are closed under products, so passing for a
+    generating set means associativity on every triple."""
     n = len(table)
-    if n <= naive_limit:
-        for a in range(n):
-            ta = table[a]
-            for b in range(n):
-                tab = table[ta[b]]
-                tb = table[b]
-                for c in range(n):
-                    if tab[c] != ta[tb[c]]:
-                        raise NotAGroup(f"associativity fails on triple ({a},{b},{c})")
-        return
-    # generator-based test: associativity on all triples with a generator in
-    # the middle implies associativity everywhere
-    gens = _greedy_generators(table)
-    for g in gens:
+    for g in _greedy_generators(table):
         tg = table[g]
         for x in range(n):
-            txg = table[table[x][g]]
             tx = table[x]
-            for y in range(n):
-                if txg[y] != tx[tg[y]]:
-                    raise NotAGroup(f"associativity fails on triple ({x},{g},{y})")
+            txg = tuple(table[tx[g]])
+            if tuple(map(tx.__getitem__, tg)) != txg:
+                y = next(y for y in range(n) if txg[y] != tx[tg[y]])
+                raise NotAGroup(f"associativity fails on triple ({x},{g},{y})")
 
 
 def _greedy_generators(table):
+    """Ascending elements, each the least one not yet reached by
+    right-multiplying by the earlier ones; together they generate the table
+    under products."""
     n = len(table)
     gens = []
     known = {0}
     for x in range(n):
-        if x in known:
-            continue
-        gens.append(x)
-        known.add(x)
-        frontier = list(known)
-        while frontier:
-            a = frontier.pop()
-            for b in tuple(known):
-                for y in (table[a][b], table[b][a]):
-                    if y not in known:
-                        known.add(y)
-                        frontier.append(y)
-        if len(known) == n:
-            break
+        if x not in known:
+            gens.append(x)
+            known = _closure_members(table, gens)
+            if len(known) == n:
+                break
     return gens
 
 
 def _inverse_table(table):
-    n = len(table)
-    inv = [None] * n
-    for x in range(n):
-        row = table[x]
-        for y in range(n):
-            if row[y] == 0:
-                inv[x] = y
-                break
-        if inv[x] is None:
-            raise NotAGroup(f"element {x} has no right inverse")
-    return tuple(inv)
+    try:
+        return tuple(row.index(0) for row in table)
+    except ValueError:
+        x = next(x for x, row in enumerate(table) if 0 not in row)
+        raise NotAGroup(f"element {x} has no right inverse") from None
 
 
-def validate_group(group, naive_limit=64):
+def validate_group(group):
     """Re-run the full group-axiom check on an existing instance."""
     _check_structure(group.table)
-    _check_associativity(group.table, naive_limit)
+    _check_associativity(group.table)
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +220,13 @@ def build_from_permutations(degree, generators, cap=None, name=None):
     def compose(p, q):
         return tuple(p[i] for i in q)
 
-    elems = _bfs_closure(identity, gens, compose, cap)
-    table = _table_from_elements(elems, compose)
+    table = _closure_table(identity, gens, compose, cap)
     return FiniteGroup(name or f"perm{degree}", table, validate="structure")
 
 
 def build_from_cayley_table(table, name="table"):
-    """Validated group from a raw multiplication table (O(n^3) check for
-    n <= 256, generator-based complete check beyond)."""
+    """Validated group from a raw multiplication table (Latin square,
+    identity, and the generator-based complete associativity check)."""
     return FiniteGroup(name, table, validate="full")
 
 
@@ -277,31 +253,39 @@ def build_from_matrix_generators(p, d, generators, cap=None, name=None):
             for i in range(d)
         )
 
-    elems = _bfs_closure(identity, gens, matmul, cap)
-    table = _table_from_elements(elems, matmul)
+    table = _closure_table(identity, gens, matmul, cap)
     return FiniteGroup(name or f"mat({p},{d})", table, validate="structure")
 
 
-def _bfs_closure(identity, gens, op, cap):
-    elems = [identity]
+def _closure_table(identity, gens, op, cap):
+    """Multiplication table of the closure of `gens`, elements numbered in
+    BFS order from the identity.
+
+    The BFS computes x*g for every element x and generator g; those ids are
+    kept as `right[k][x]`, with each new element's BFS parent and generator
+    (a Schreier vector).  Column b is then column parent(b) mapped through
+    `right[gen(b)]`, since a*b = (a*parent(b))*gen(b): n*|gens| calls of
+    `op` instead of n^2.
+    """
+    elems = [identity]  # also the BFS queue
     index = {identity: 0}
-    queue = deque([identity])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = op(x, g)
-            if y not in index:
+    tree = [None]  # (parent id, generator position) per element
+    right = [[] for _ in gens]
+    for x, elem in enumerate(elems):
+        for k, g in enumerate(gens):
+            y = op(elem, g)
+            j = index.get(y)
+            if j is None:
                 if len(elems) >= cap:
                     raise ClosureExceedsCap(f"closure exceeds cap {cap}")
-                index[y] = len(elems)
+                j = index[y] = len(elems)
                 elems.append(y)
-                queue.append(y)
-    return elems
-
-
-def _table_from_elements(elems, op):
-    index = {e: i for i, e in enumerate(elems)}
-    return [[index[op(a, b)] for b in elems] for a in elems]
+                tree.append((x, k))
+            right[k].append(j)
+    cols = [range(len(elems))]
+    for parent, k in tree[1:]:
+        cols.append(list(map(right[k].__getitem__, cols[parent])))
+    return list(zip(*cols))
 
 
 def _det_mod_p(mat, p):
@@ -330,12 +314,10 @@ def direct_product(g, h, cap=None):
     if n > cap:
         raise ClosureExceedsCap(f"product order {n} exceeds cap {cap}")
     hn = h.order
-    gt, ht = g.table, h.table
-    table = [
-        [gt[a1][a2] * hn + ht[b1][b2] for a2 in range(g.order) for b2 in range(hn)]
-        for a1 in range(g.order)
-        for b1 in range(hn)
-    ]
+    table = []
+    for grow in g.table:
+        scaled = [x * hn for x in grow]
+        table.extend([x + y for x in scaled for y in hrow] for hrow in h.table)
     return FiniteGroup(f"{g.name}x{h.name}", table, validate="structure")
 
 

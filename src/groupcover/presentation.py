@@ -12,7 +12,9 @@ Grammar (whitespace insignificant, ``1`` is the empty word)::
                   | '(' word ')' ('^' int)?
     int          := '-'? digit+
 
-``[u, v]`` expands to u v u^-1 v^-1 and ``u = v`` to u v^-1.
+``[u, v]`` expands to u v u^-1 v^-1 and ``u = v`` to u v^-1.  A word or a
+power ``(u)^N`` longer than ``MAX_WORD_SYLLABLES`` syllables is a syntax
+error; powers are checked before they are expanded.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from .words import (
 )
 
 NAME_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+MAX_WORD_SYLLABLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -182,10 +186,16 @@ class _Parser:
             self.next()
             return ()
         terms = []
+        size = 0
         while True:
             kind, value, pos = self.peek()
             if kind == "name" or (kind == "punct" and value in "(["):
                 terms.append(self.parse_term())
+                size += len(terms[-1])
+                if size > MAX_WORD_SYLLABLES:
+                    raise PresentationSyntaxError(
+                        f"word exceeds {MAX_WORD_SYLLABLES} syllables", pos
+                    )
             else:
                 break
         if not terms:
@@ -208,7 +218,14 @@ class _Parser:
         if kind == "punct" and value == "(":
             w = self.parse_word()
             self.expect(")")
-            return word_power(w, self._maybe_exponent())
+            n = self._maybe_exponent()
+            if len(w) * abs(n) > MAX_WORD_SYLLABLES:
+                raise PresentationSyntaxError(
+                    f"power of a {len(w)}-syllable word by {n} exceeds "
+                    f"{MAX_WORD_SYLLABLES} syllables",
+                    self.tokens[self.i - 1][2],
+                )
+            return word_power(w, n)
         raise PresentationSyntaxError("expected a term", pos)
 
     def _maybe_exponent(self) -> int:

@@ -46,13 +46,20 @@ def evaluate_word(group: FiniteGroup, images, word: Word) -> int:
 
 
 def evaluate_word_direct(group: FiniteGroup, images, word: Word) -> int:
-    """Letter-by-letter evaluation (no modular shortcut); the independent
-    re-verification route."""
+    """Evaluation by square-and-multiply on the table and inverse alone (no
+    element orders, no modular shortcut); the independent re-verification
+    route, logarithmic in each exponent."""
+    t = group.table
     acc = 0
     for g, e in word:
         x = images[g] if e > 0 else group.inverse[images[g]]
-        for _ in range(abs(e)):
-            acc = group.table[acc][x]
+        k = abs(e)
+        while k:
+            if k & 1:
+                acc = t[acc][x]
+            k >>= 1
+            if k:
+                x = t[x][x]
     return acc
 
 

@@ -265,6 +265,7 @@ BAD_INPUT_ARGV = [
     ("finite", "D 2"),
     ("finite", "S 1"),
     ("finite", "A 2"),
+    ("witness", "{klein}", "(a b)^1000000000", "--bound", "4"),
 ]
 
 

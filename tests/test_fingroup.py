@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from itertools import combinations
 
 import hypothesis.strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 
 from groupcover import (
     ElementSet,
+    build_catalog,
     abelian_invariants_finite,
     abelianisation,
     alternating_group,
@@ -38,6 +40,8 @@ from groupcover.errors import (
     SingularGenerator,
     TrivialGroup,
 )
+from groupcover import fingroup
+from groupcover.catalog import load_group
 from groupcover.fingroup import FiniteGroup, _check_associativity
 
 XOR_TABLE = [[i ^ j for j in range(4)] for i in range(4)]
@@ -72,6 +76,77 @@ def test_permutation_invalid():
 def test_permutation_cap():
     with pytest.raises(ClosureExceedsCap):
         build_from_permutations(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], cap=100)
+
+
+def pairwise_closure_table(identity, gens, op, cap):
+    """Referee for the Schreier-vector table: BFS closure, then every pair
+    of elements composed and looked up (n^2 calls of `op`)."""
+    elems = [identity]
+    index = {identity: 0}
+    queue = deque([identity])
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = op(x, g)
+            if y not in index:
+                if len(elems) >= cap:
+                    raise ClosureExceedsCap(f"closure exceeds cap {cap}")
+                index[y] = len(elems)
+                elems.append(y)
+                queue.append(y)
+    return [tuple(index[op(a, b)] for b in elems) for a in elems]
+
+
+@pytest.fixture()
+def refereed(monkeypatch):
+    """Every table built from generators, and every cap hit, is compared
+    with the pairwise referee; returns the list of orders checked."""
+    checked = []
+    fast = fingroup._closure_table
+
+    def both(identity, gens, op, cap):
+        try:
+            table = fast(identity, gens, op, cap)
+        except ClosureExceedsCap:
+            with pytest.raises(ClosureExceedsCap):
+                pairwise_closure_table(identity, gens, op, cap)
+            raise
+        assert table == pairwise_closure_table(identity, gens, op, cap)
+        checked.append(len(table))
+        return table
+
+    monkeypatch.setattr(fingroup, "_closure_table", both)
+    return checked
+
+
+def test_closure_table_matches_pairwise_referee(refereed, tmp_path):
+    build_catalog()
+    assert len(refereed) > 20  # D n, S n, A n, Q8, SL 3 and SL 5
+    for spec in ("S 6", "A 6", "SL 7", "D 95", "D 256"):
+        group_from_spec(spec, cap=1024)
+    path = tmp_path / "d5x.perm"
+    path.write_text("(0 1 2 3 4)\n(1 4)(2 3)\n(5 6 7)\n")
+    assert load_group(path, "permutations").order == 30
+    assert sorted(refereed[-6:]) == [30, 190, 336, 360, 512, 720]
+
+
+@pytest.mark.parametrize(
+    "kind,gens,order",
+    [
+        ("perm", [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], 120),
+        ("mat", [((1, 1), (0, 1)), ((0, -1), (1, 0))], 120),
+    ],
+)
+def test_closure_cap_same_as_referee(refereed, kind, gens, order):
+    def build(cap):
+        if kind == "perm":
+            return build_from_permutations(5, gens, cap=cap)
+        return build_from_matrix_generators(5, 2, gens, cap=cap)
+
+    for cap in (1, order // 2, order - 1):
+        with pytest.raises(ClosureExceedsCap):
+            build(cap)
+    assert build(order).order == order
 
 
 def test_cayley_trivial():
@@ -145,14 +220,80 @@ def test_cayley_rejects_nonassociative():
         build_from_cayley_table(loop)
 
 
+def naive_is_group_table(table):
+    """Referee for `build_from_cayley_table`: Latin square with 0 as a
+    two-sided identity, associativity checked on every triple."""
+    n = len(table)
+    ids = set(range(n))
+    if any(len(row) != n or set(row) != ids for row in table):
+        return False
+    if any({row[j] for row in table} != ids for j in range(n)):
+        return False
+    if any(table[0][x] != x or table[x][0] != x for x in range(n)):
+        return False
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def relabel(table, perm):
+    """The table with element x renamed perm[x]."""
+    inv = [0] * len(perm)
+    for x, y in enumerate(perm):
+        inv[y] = x
+    return [[perm[table[inv[a]][inv[b]]] for b in range(len(perm))] for a in range(len(perm))]
+
+
+def table_product(left, right):
+    m = len(right)
+    return [
+        [left[a1][a2] * m + right[b1][b2] for a2 in range(len(left)) for b2 in range(m)]
+        for a1 in range(len(left))
+        for b1 in range(m)
+    ]
+
+
 def test_generator_associativity_test_agrees_with_naive():
-    # force the generator-based path with naive_limit=0
     loop = nonassociative_loop()
-    with pytest.raises(NotAGroup):
-        _check_associativity(loop, 0)
-    for table in (XOR_TABLE, [[(i + j) % 6 for j in range(6)] for i in range(6)]):
-        _check_associativity(table, 0)
-        _check_associativity(table, 256)
+    assert not naive_is_group_table(loop)
+    with pytest.raises(NotAGroup, match="associativity fails on triple"):
+        _check_associativity(loop)
+    cyclic6 = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    for table in (XOR_TABLE, cyclic6, table_product(XOR_TABLE, cyclic6)):
+        assert naive_is_group_table(table)
+        _check_associativity(table)
+    loop_c2 = table_product(loop, [[0, 1], [1, 0]])
+    assert not naive_is_group_table(loop_c2)
+    with pytest.raises(NotAGroup, match="associativity"):
+        _check_associativity(loop_c2)
+
+
+SMALL_TABLES = [g.table for g in build_catalog() if g.order <= 24]
+LOOP_TABLES = [
+    nonassociative_loop(),
+    table_product(nonassociative_loop(), [[0, 1], [1, 0]]),
+    table_product([[0, 1, 2], [1, 2, 0], [2, 0, 1]], nonassociative_loop()),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cayley_check_accepts_exactly_what_referee_accepts(data):
+    table = data.draw(st.one_of(st.sampled_from(SMALL_TABLES), st.sampled_from(LOOP_TABLES)))
+    n = len(table)
+    keep_identity = data.draw(st.booleans())
+    rest = data.draw(st.permutations(range(1 if keep_identity else 0, n)))
+    perm = ([0] if keep_identity else []) + list(rest)
+    relabelled = relabel(table, perm)
+    try:
+        build_from_cayley_table(relabelled)
+        accepted = True
+    except NotAGroup:
+        accepted = False
+    assert accepted == naive_is_group_table(relabelled)
 
 
 def test_matrix_sl25(sl25):

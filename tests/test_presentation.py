@@ -16,6 +16,7 @@ from groupcover.errors import (
     PresentationSyntaxError,
     UnknownGenerator,
 )
+from groupcover import presentation
 from groupcover.presentation import simplify_trivial_relators
 from tests.conftest import HIGMAN_TEXT, HNN_TEXT, K235_TEXT
 
@@ -89,6 +90,23 @@ def test_parse_errors_carry_position():
         parse_presentation("a | a >")
     with pytest.raises(PresentationSyntaxError):
         parse_presentation("< a | a > junk")
+
+
+def test_parse_bounds_expansion_before_expanding(monkeypatch):
+    # a power far past the limit is rejected before anything is expanded
+    with pytest.raises(PresentationSyntaxError, match="exceeds 1000000") as err:
+        parse_presentation("< a, b | (a b)^-1000000000 >")
+    assert err.value.position == 15
+    monkeypatch.setattr(presentation, "MAX_WORD_SYLLABLES", 1000)
+    assert len(parse_presentation("< a, b | (a b)^500 >").relators[0]) == 1000
+    for text, position in (
+        ("< a, b | (a b)^501 >", 15),
+        ("< a, b | a (a b)^400 (b a)^400 >", 21),
+        ("< a, b | [[[[[[[[[[a, b], b], b], b], b], b], b], b], b], b] >", 10),
+    ):
+        with pytest.raises(PresentationSyntaxError, match="exceeds 1000") as err:
+            parse_presentation(text)
+        assert err.value.position == position
 
 
 def test_parse_unknown_generator():

@@ -1,4 +1,8 @@
+import time
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from groupcover import (
     cyclic_group,
@@ -11,6 +15,7 @@ from groupcover import (
     parse_presentation,
     parse_word_text,
     quaternion_group,
+    special_linear_group,
     symmetric_group,
     verify_witness,
     witness_targets,
@@ -273,3 +278,31 @@ def test_every_returned_witness_verifies(k235):
         if w is not None:
             assert verify_witness(w)
             assert evaluate_word(w.target, w.images, word) == 0
+
+
+# ---------------------------------------------------------------------------
+# direct word evaluation
+
+
+def test_direct_evaluation_of_huge_exponent_is_fast(s3):
+    g = special_linear_group(5)
+    t0 = time.perf_counter()
+    for e in (10**12, -(10**12), 10**12 + 1):
+        assert evaluate_word_direct(g, (7,), ((0, e),)) == evaluate_word(g, (7,), ((0, e),))
+    assert time.perf_counter() - t0 < 1.0
+    assert evaluate_word_direct(s3, (1,), ((0, 10**12),)) == 0  # order 2 divides it
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["S3", "Q8", "A4", "S4", "SL(2,3)", "A5"]),
+    st.lists(st.integers(0, 119), min_size=2, max_size=2),
+    st.lists(
+        st.tuples(st.integers(0, 1), st.integers(-(10**9), 10**9)),
+        max_size=6,
+    ),
+)
+def test_direct_evaluation_agrees_with_modular(name, images, word):
+    g = by_name(120, name)
+    images = tuple(x % g.order for x in images)
+    assert evaluate_word_direct(g, images, tuple(word)) == evaluate_word(g, images, tuple(word))
