@@ -77,26 +77,44 @@ def _coprime_torsion_pair(pres: Presentation) -> bool:
 def classify_fa(pres: Presentation, hint: str | None = None) -> Verdict:
     """Decide finite annihilation where possible; hints only ever justify a
     NotFA verdict, never an FA one."""
+    return classify_nfa(pres, 1, hint)
+
+
+def classify_nfa(pres: Presentation, n: int, hint: str | None = None) -> Verdict:
+    """n-F-A analogue; F-A is the case n = 1, which alone has the hint-simple
+    rule, separate coprime-torsion rules and its own reason texts."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     _check_hint(hint)
     inv = abelian_invariants(pres)
     _, rank = max_elementary_rank(inv)
     easily = rank >= 2
-    if easily:
-        return Verdict(
+    fa = n == 1
+
+    def verdict(status, rule, reason):
+        return Verdict(status, rule, reason, easily_fa=easily)
+
+    if rank >= n + 1:
+        return verdict(
             FA,
-            "elementary-rank-2",
+            f"elementary-rank-{n + 1}",
             "the abelianisation surjects onto C_p x C_p, and any finitely "
-            "generated group with such a quotient is finitely annihilated",
-            easily_fa=True,
+            "generated group with such a quotient is finitely annihilated"
+            if fa
+            else f"the abelianisation surjects onto a rank-{n + 1} elementary "
+            "p-group, which makes any finitely generated group "
+            f"{n}-finitely-annihilated",
         )
     if pres.is_trivial_presentation:
-        return Verdict(
+        return verdict(
             NOT_FA,
             "trivial-group",
-            "the trivial group is not finitely annihilated by convention",
+            "the trivial group is not "
+            f"{'finitely annihilated' if fa else 'n-finitely-annihilated'} "
+            "by convention",
         )
-    if hint == "simple":
-        return Verdict(
+    if fa and hint == "simple":
+        return verdict(
             NOT_FA,
             "hint-simple",
             "a nontrivial simple group has no proper nontrivial normal "
@@ -104,86 +122,49 @@ def classify_fa(pres: Presentation, hint: str | None = None) -> Verdict:
             "(trusted hint)",
         )
     if hint in _AB_DECIDED_HINTS:
-        return Verdict(
+        return verdict(
             NOT_FA,
             f"hint-{hint}",
             f"within the {hint} class, finite annihilation is equivalent to "
             "a non-cyclic abelianisation, and this abelianisation is cyclic "
-            "(trusted hint)",
+            "(trusted hint)"
+            if fa
+            else f"within the {hint} class, being {n}-finitely-annihilated is "
+            f"equivalent to an abelianisation of weight >= {n + 1}, and this "
+            f"abelianisation has weight {abelian_weight(inv)} (trusted hint)",
         )
-    if _coprime_torsion_pair(pres):
-        return Verdict(
-            NOT_FA,
-            "coprime-torsion-pair",
-            "a free product of two cyclic groups of coprime orders is the "
-            "normal closure of one element, hence not finitely annihilated",
-        )
-    if hint == "two-generator-coprime-torsion":
-        return Verdict(
+    pair = _coprime_torsion_pair(pres)
+    if pair or hint == "two-generator-coprime-torsion":
+        if not fa:
+            return verdict(
+                NOT_FA,
+                "coprime-torsion-not-fa",
+                "the group is not finitely annihilated (coprime torsion "
+                "generators), so it cannot be n-finitely-annihilated for any n",
+            )
+        if pair:
+            return verdict(
+                NOT_FA,
+                "coprime-torsion-pair",
+                "a free product of two cyclic groups of coprime orders is the "
+                "normal closure of one element, hence not finitely annihilated",
+            )
+        return verdict(
             NOT_FA,
             "hint-two-generator-coprime-torsion",
             "a two-generator group whose generators are torsion of coprime "
             "orders is a quotient of a weight-one free product, hence not "
             "finitely annihilated (trusted hint)",
         )
-    return Verdict(
+    return verdict(
         UNKNOWN,
         "cyclic-abelianisation-inconclusive",
         "cyclic abelianisation alone is inconclusive: free products of "
         "three cyclic groups of distinct prime orders are finitely "
-        "annihilated yet have cyclic abelianisation",
-    )
-
-
-def classify_nfa(pres: Presentation, n: int, hint: str | None = None) -> Verdict:
-    """n-F-A analogue; n = 1 coincides with classify_fa by definition."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n == 1:
-        return classify_fa(pres, hint)
-    _check_hint(hint)
-    inv = abelian_invariants(pres)
-    _, rank = max_elementary_rank(inv)
-    easily = rank >= 2
-    if rank >= n + 1:
-        return Verdict(
-            FA,
-            f"elementary-rank-{n + 1}",
-            f"the abelianisation surjects onto a rank-{n + 1} elementary "
-            "p-group, which makes any finitely generated group "
-            f"{n}-finitely-annihilated",
-            easily_fa=easily,
-        )
-    if pres.is_trivial_presentation:
-        return Verdict(
-            NOT_FA,
-            "trivial-group",
-            "the trivial group is not n-finitely-annihilated by convention",
-            easily_fa=easily,
-        )
-    if hint in _AB_DECIDED_HINTS:
-        return Verdict(
-            NOT_FA,
-            f"hint-{hint}",
-            f"within the {hint} class, being {n}-finitely-annihilated is "
-            f"equivalent to an abelianisation of weight >= {n + 1}, and this "
-            f"abelianisation has weight {abelian_weight(inv)} (trusted hint)",
-            easily_fa=easily,
-        )
-    if _coprime_torsion_pair(pres) or hint == "two-generator-coprime-torsion":
-        return Verdict(
-            NOT_FA,
-            "coprime-torsion-not-fa",
-            "the group is not finitely annihilated (coprime torsion "
-            "generators), so it cannot be n-finitely-annihilated for any n",
-            easily_fa=easily,
-        )
-    return Verdict(
-        UNKNOWN,
-        "cyclic-abelianisation-inconclusive",
-        "the abelianisation criterion is only known to decide this inside "
+        "annihilated yet have cyclic abelianisation"
+        if fa
+        else "the abelianisation criterion is only known to decide this inside "
         "the trusted hint classes",
-        easily_fa=easily,
     )
 
 

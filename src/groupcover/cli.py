@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .catalog import (
@@ -25,13 +25,11 @@ from .classify import HINTS, classify_fa, classify_nfa, rho_annihilated_checks
 from .config import DEFAULT_CAPS, Caps
 from .covering import is_fa_finite, is_nfa_finite, verify_finite_theorems
 from .errors import (
-    ClosureExceedsCap,
+    CapExceeded,
     EmptyGeneratorList,
     GroupCoverError,
-    OrderCapExceeded,
     ParseError,
     PresentationSyntaxError,
-    SearchBudgetExceeded,
     UnknownGenerator,
 )
 from .fingroup import weight_bruteforce
@@ -40,15 +38,12 @@ from .witness import fa_scan, find_annihilator
 from .words import render_word
 
 _PARSE_ERRORS = (PresentationSyntaxError, UnknownGenerator, EmptyGeneratorList, ParseError)
-_CAP_ERRORS = (OrderCapExceeded, ClosureExceedsCap, SearchBudgetExceeded)
 
 
 @dataclass
 class RunConfig:
-    command: str
     output_format: str = "text"
     caps: Caps = DEFAULT_CAPS
-    options: dict = field(default_factory=dict)
 
 
 def _parse_caps(tokens, values: dict) -> dict:
@@ -86,7 +81,7 @@ def _build_run_config(args) -> RunConfig:
         caps = Caps(**_parse_caps(getattr(args, "caps", None), base))
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad caps: {exc}") from None
-    return RunConfig(args.command, output_format, caps)
+    return RunConfig(output_format, caps)
 
 
 def _emit(payload: dict, conf: RunConfig, text_lines) -> None:
@@ -114,10 +109,8 @@ def cmd_analyze(args) -> int:
         "presentation": pres.render(),
         "hint": args.hint,
         "property": "F-A",
-        "verdict": verdict.status,
-        "reason": f"{verdict.rule}: {verdict.reason}",
+        **verdict.as_dict(),
         "invariants": {"free_rank": inv.free_rank, "factors": list(inv.factors)},
-        "easily_fa": verdict.easily_fa,
         "perfect": inv.is_trivial,
         "rho": rho.as_dict(),
     }
@@ -365,7 +358,7 @@ def main(argv=None) -> int:
     except _PARSE_ERRORS as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except _CAP_ERRORS as exc:
+    except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

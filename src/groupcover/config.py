@@ -27,5 +27,6 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 # Upper bound on the raw assignment space |H|^k explored per target group
-# during homomorphism search (pruning usually visits far fewer nodes).
+# during homomorphism search (pruning usually visits far fewer nodes), and on
+# the tuples the weight search scans.
 DEFAULT_SEARCH_BUDGET = 10**8

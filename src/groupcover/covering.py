@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .abelian import max_elementary_rank
 from .config import DEFAULT_CAPS
-from .errors import GroupCoverError, TrivialGroup
+from .errors import CapExceeded, GroupCoverError, TrivialGroup
 from .fingroup import (
     ElementSet,
     FiniteGroup,
@@ -26,21 +26,17 @@ from .fingroup import (
     weight_bruteforce,
 )
 
-FA_PROPERTY = "F-A"
-
-
-def _nfa_property(n: int) -> str:
-    return f"{n}-F-A"
-
 
 @dataclass(frozen=True)
 class CoverReport:
     """Outcome of a covering check.
 
     cover lists every maximal normal proper subgroup (even when a smaller
-    subcover suffices); subcover is a greedy subcover when the verdict is
-    true.  uncovered is the minimal witness (an element id, or a sorted
-    n-subset) lying in no listed subgroup when the verdict is false.
+    subcover suffices).  When the verdict is true, subcover holds, for each
+    element or n-subset, the first cover entry that contains it: the same
+    subgroups a greedy pass over cover picks.  uncovered is the minimal
+    witness (an element id, or a sorted n-subset) lying in no listed
+    subgroup when the verdict is false.
     """
 
     group_name: str
@@ -76,76 +72,38 @@ def _maximal_cover(group: FiniteGroup, cap) -> tuple[tuple[ElementSet, ...], lis
     return tuple(maximal), containing
 
 
-def _greedy_element_subcover(group, cover):
-    covered = 0
-    full = (1 << group.order) - 1
-    chosen = []
-    for sub in cover:  # already sorted by descending size, then mask
-        m = sub.mask
-        if m & ~covered:
-            chosen.append(sub)
-            covered |= m
-            if covered == full:
-                break
-    return tuple(chosen)
-
-
 def is_fa_finite(group: FiniteGroup, cap=None) -> CoverReport:
     """Is the group the union of its maximal normal proper subgroups?"""
-    cap = DEFAULT_CAPS.normal if cap is None else cap
-    if group.order == 1:
-        return CoverReport(group.name, FA_PROPERTY, False, (), (0,))
-    cover, containing = _maximal_cover(group, cap)
-    for x in range(group.order):
-        if not containing[x]:
-            return CoverReport(group.name, FA_PROPERTY, False, cover, (x,))
-    return CoverReport(
-        group.name,
-        FA_PROPERTY,
-        True,
-        cover,
-        (),
-        subcover=_greedy_element_subcover(group, cover),
-    )
+    return _covering_check(group, 1, "F-A", cap)
 
 
-def is_nfa_finite(group: FiniteGroup, n: int, cap=None, with_subcover=True) -> CoverReport:
+def is_nfa_finite(group: FiniteGroup, n: int, cap=None) -> CoverReport:
     """Does every n-subset of the group lie in some maximal normal proper
     subgroup?  (A tuple lies in N iff its set of entries does, so subsets
     suffice; subsets of size min(n, |G|) decide all n-tuples.)"""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    return _covering_check(group, n, f"{n}-F-A", cap)
+
+
+def _covering_check(group, n, prop, cap) -> CoverReport:
+    """The one covering loop; F-A is the case n = 1.  Each covered subset
+    marks the lowest index of a subgroup containing it, and those marked
+    subgroups form the subcover."""
     cap = DEFAULT_CAPS.normal if cap is None else cap
-    prop = _nfa_property(n)
     if group.order == 1:
         return CoverReport(group.name, prop, False, (), (0,))
     cover, containing = _maximal_cover(group, cap)
-    k = min(n, group.order)
-    for subset in combinations(range(group.order), k):
-        hit = containing[subset[0]]
-        for x in subset[1:]:
+    first = 0
+    for subset in combinations(range(group.order), min(n, group.order)):
+        hit = -1
+        for x in subset:
             hit &= containing[x]
             if not hit:
-                break
-        if not hit:
-            return CoverReport(group.name, prop, False, cover, subset)
-    subcover = None
-    if with_subcover:
-        subcover = _greedy_subset_subcover(group, cover, k)
+                return CoverReport(group.name, prop, False, cover, subset)
+        first |= hit & -hit
+    subcover = tuple(sub for i, sub in enumerate(cover) if first >> i & 1)
     return CoverReport(group.name, prop, True, cover, (), subcover=subcover)
-
-
-def _greedy_subset_subcover(group, cover, k):
-    remaining = set(combinations(range(group.order), k))
-    chosen = []
-    for sub in cover:
-        mine = {s for s in remaining if all(x in sub.members for x in s)}
-        if mine:
-            chosen.append(sub)
-            remaining -= mine
-        if not remaining:
-            break
-    return tuple(chosen)
 
 
 def fa_witness_finite(group: FiniteGroup, g: int, cap=None) -> ElementSet | None:
@@ -217,6 +175,8 @@ def verify_finite_theorems(
     (e) nontrivial perfect groups have weight exactly 1.
 
     Weight checks are skipped (not failed) when |G| exceeds weight_cap.
+    A cap or budget hit (CapExceeded) propagates, since it decides nothing;
+    any other package error marks its check as failed.
     """
     cap = DEFAULT_CAPS.normal if cap is None else cap
     weight_cap = DEFAULT_CAPS.weight if weight_cap is None else weight_cap
@@ -234,6 +194,8 @@ def verify_finite_theorems(
         gab = abelianisation(group)
         inv = abelian_invariants_finite(gab)
         fa = is_fa_finite(group, cap)
+    except CapExceeded:
+        raise
     except GroupCoverError as exc:
         checks["abelianisation_computable"] = False
         details["abelianisation_computable"] = exc
@@ -246,6 +208,8 @@ def verify_finite_theorems(
     def attempt(name, thunk):
         try:
             checks[name] = bool(thunk())
+        except CapExceeded:
+            raise
         except GroupCoverError as exc:
             checks[name] = False
             details[name] = exc
@@ -259,7 +223,7 @@ def verify_finite_theorems(
     nfa_verdicts = {}
 
     def check_nfa(n):
-        verdict = is_nfa_finite(group, n, cap, with_subcover=False).verdict
+        verdict = is_nfa_finite(group, n, cap).verdict
         nfa_verdicts[n] = verdict
         return verdict == (ab_weight >= n + 1)
 

@@ -5,7 +5,11 @@ class GroupCoverError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ClosureExceedsCap(GroupCoverError):
+class CapExceeded(GroupCoverError):
+    """A cap or work budget stopped a computation before it had an answer."""
+
+
+class ClosureExceedsCap(CapExceeded):
     """Generated closure grew past the configured order cap."""
 
 
@@ -24,7 +28,7 @@ class NotAGroup(GroupCoverError):
     """
 
 
-class OrderCapExceeded(GroupCoverError):
+class OrderCapExceeded(CapExceeded):
     """Group order exceeds the brute-force cap for this operation."""
 
 
@@ -64,8 +68,8 @@ class InvalidHint(GroupCoverError):
     """Unrecognised group-class hint."""
 
 
-class SearchBudgetExceeded(GroupCoverError):
-    """Homomorphism search space exceeds the configured budget."""
+class SearchBudgetExceeded(CapExceeded):
+    """A homomorphism or weight search space exceeds the configured budget."""
 
 
 class ParseError(GroupCoverError):

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .abelian import AbelianInvariants, is_prime, prime_factors
-from .config import DEFAULT_CAPS
+from .config import DEFAULT_CAPS, DEFAULT_SEARCH_BUDGET
 from .errors import (
     ClosureExceedsCap,
     InvalidPermutation,
@@ -23,6 +24,7 @@ from .errors import (
     NotNormal,
     NotPrime,
     OrderCapExceeded,
+    SearchBudgetExceeded,
     SingularGenerator,
     TrivialGroup,
 )
@@ -563,7 +565,8 @@ def weight_witness(group, cap=None):
     comes from the lattice enumeration), and a tuple works when together
     its entries hit them all.  Representatives that hit nothing, or the same
     subgroups as a smaller one, are never in the first witness and are
-    dropped.
+    dropped.  SearchBudgetExceeded is raised before scanning a size whose
+    tuples, added to those already scanned, would pass DEFAULT_SEARCH_BUDGET.
     """
     cap = DEFAULT_CAPS.weight if cap is None else cap
     if group.order > cap:
@@ -577,7 +580,15 @@ def weight_witness(group, cap=None):
         m = _mask(i for i, sub in enumerate(maximal) if cls[0] not in sub)
         if m:
             first_rep.setdefault(m, cls[0])
+    spent = 0  # tuples of the sizes already scanned, none of them a hit
     for k in range(1, len(first_rep) + 1):
+        size = comb(len(first_rep), k)
+        if spent + size > DEFAULT_SEARCH_BUDGET:
+            raise SearchBudgetExceeded(
+                f"weight search spent {spent} tuples below size {k}; the {size} "
+                f"of size {k} would pass the budget of {DEFAULT_SEARCH_BUDGET}"
+            )
+        spent += size
         for combo in combinations(first_rep.items(), k):
             hit = 0
             for m, _ in combo:

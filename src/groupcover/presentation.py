@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .abelian import AbelianInvariants, invariants_from_diagonal
 from .errors import (
@@ -261,9 +262,10 @@ def exponent_matrix(pres: Presentation) -> list[list[int]]:
     return [list(exponent_vector(rel, pres.ngens)) for rel in pres.relators]
 
 
+@lru_cache(maxsize=64)
 def abelian_invariants(pres: Presentation) -> AbelianInvariants:
     """Invariants of the presented group's abelianisation, from the Smith
-    normal form of the exponent matrix."""
+    normal form of the exponent matrix (computed once per presentation)."""
     result = smith_normal_form(exponent_matrix(pres))
     return invariants_from_diagonal(result.diagonal, pres.ngens)
 

@@ -95,7 +95,7 @@ def test_criterion_3_nfa_generalisation(catalog):
         weight_ab = len(ab_factors(g))
         verdicts = {}
         for n in (1, 2, 3):
-            verdicts[n] = is_nfa_finite(g, n, with_subcover=False).verdict
+            verdicts[n] = is_nfa_finite(g, n).verdict
             if verdicts[n] != (weight_ab >= n + 1):
                 mismatches.append((g.name, n))
         if (verdicts[3] and not verdicts[2]) or (verdicts[2] and not verdicts[1]):

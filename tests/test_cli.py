@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from groupcover import fingroup, presentation
 from groupcover.cli import main
 from tests.conftest import HIGMAN_TEXT, K235_TEXT
 
@@ -69,6 +70,17 @@ def test_analyze_with_hint(capsys, tmp_path):
     assert payload["verdict"] == "NotFA"
 
 
+def test_analyze_computes_snf_once(capsys, monkeypatch, klein_file):
+    calls = []
+    smith = presentation.smith_normal_form
+    monkeypatch.setattr(
+        presentation, "smith_normal_form", lambda rows: calls.append(rows) or smith(rows)
+    )
+    presentation.abelian_invariants.cache_clear()
+    assert main(["analyze", klein_file, "--nfa", "2"]) == 0
+    assert len(calls) == 1
+
+
 def test_analyze_parse_error_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.pres"
     path.write_text("< a | a^ >\n")
@@ -123,6 +135,12 @@ def test_finite_nfa(capsys):
 
 def test_finite_cap_exit_3(capsys):
     assert main(["finite", "C 40", "--caps", "normal=16"]) == 3
+
+
+def test_finite_weight_budget_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(fingroup, "DEFAULT_SEARCH_BUDGET", 10)
+    assert main(["finite", "E 2 3", "--weight"]) == 3
+    assert "cap exceeded: weight search" in capsys.readouterr().err
 
 
 def test_finite_from_file(capsys, tmp_path):
@@ -196,6 +214,16 @@ def test_verify_all_custom_catalog(capsys, tmp_path):
     code, payload = run_json(capsys, "verify-all", "--catalog", str(spec))
     assert code == 0
     assert payload["groups_checked"] == 3
+
+
+def test_verify_all_cap_hit_exit_3(capsys):
+    # a cap hit decides nothing, so it is not a theorem mismatch (exit 1)
+    code = main(["verify-all", "--max-order", "12", "--caps", "normal=8"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "cap exceeded" in err
+    assert "mismatch" not in err
+    assert "Traceback" not in err
 
 
 def test_verify_all_corrupted_table_fails(capsys, tmp_path):

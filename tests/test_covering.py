@@ -9,6 +9,7 @@ from groupcover import (
     direct_product,
     elementary_group,
     fa_witness_finite,
+    group_from_spec,
     is_fa_finite,
     is_nfa_finite,
     is_simple_annihilated_finite,
@@ -132,6 +133,39 @@ def test_nfa_subcover_covers_all_subsets(e8):
     assert report.verdict
     for subset in combinations(range(e8.order), 2):
         assert any(set(subset) <= sub.members for sub in report.subcover)
+
+
+def greedy_subset_subcover(group, cover, k):
+    """Referee: the set-based greedy pass over cover, keeping each subgroup
+    that contains a k-subset no earlier kept subgroup contains."""
+    remaining = set(combinations(range(group.order), k))
+    chosen = []
+    for sub in cover:
+        mine = {s for s in remaining if all(x in sub.members for x in s)}
+        if mine:
+            chosen.append(sub)
+            remaining -= mine
+        if not remaining:
+            break
+    return tuple(chosen)
+
+
+def test_subcover_matches_greedy_referee(catalog):
+    # E2^5 (order 32) is one of the catalog groups
+    groups = [g for g in catalog if g.order <= 64]
+    groups += [group_from_spec(s) for s in ("prod(CxC 2 6, Q8)", "prod(E 3 2, E 3 2)")]
+    checked = 0
+    for group in groups:
+        for n in (1, 2, 3):
+            report = is_nfa_finite(group, n)
+            if not report.verdict:
+                assert report.subcover is None
+                continue
+            expected = greedy_subset_subcover(group, report.cover, min(n, group.order))
+            assert report.subcover == expected, (group.name, n)
+            checked += 1
+        assert is_fa_finite(group).subcover == is_nfa_finite(group, 1).subcover
+    assert checked >= 40
 
 
 def test_reports_are_reproducible(klein, q8):

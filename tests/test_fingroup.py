@@ -37,6 +37,7 @@ from groupcover.errors import (
     NotNormal,
     NotPrime,
     OrderCapExceeded,
+    SearchBudgetExceeded,
     SingularGenerator,
     TrivialGroup,
 )
@@ -659,6 +660,15 @@ def test_weight_witness_matches_closure_search(spec):
 def test_weight_cap():
     with pytest.raises(OrderCapExceeded):
         weight_bruteforce(cyclic_group(16), cap=8)
+
+
+def test_weight_search_budget(monkeypatch, klein, e8):
+    monkeypatch.setattr(fingroup, "DEFAULT_SEARCH_BUDGET", 10)
+    # E2^3 has 7 representatives and weight 3: 7 tuples of size 1 fit, the
+    # 21 of size 2 do not
+    with pytest.raises(SearchBudgetExceeded, match="spent 7 tuples below size 2"):
+        weight_witness(e8)
+    assert weight_witness(klein) == (2, (1, 2))  # 3 + 3 tuples
 
 
 def test_weight_at_least_abelianisation_weight(catalog):
