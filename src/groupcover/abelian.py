@@ -102,12 +102,12 @@ def max_elementary_rank(inv: AbelianInvariants) -> tuple[int, int]:
     """
     if not inv.factors:
         return (2, inv.free_rank)
-    # every prime dividing d1 divides all later factors, so the maximum is
-    # attained by primes of d1 and equals free_rank + #factors
-    candidates = prime_factors(inv.factors[0])
-    best_p = candidates[0]
-    best = inv.free_rank + len(inv.factors)
-    return (best_p, best)
+    # a prime of d1 divides every factor, so it attains the maximum; d1 is
+    # factored rather than the last factor, which may be far larger.  max
+    # keeps the first, so the smallest, prime on ties
+    ranks = {p: elementary_p_rank(inv, p) for p in prime_factors(inv.factors[0])}
+    best_p = max(ranks, key=ranks.get)
+    return (best_p, ranks[best_p])
 
 
 def invariants_from_diagonal(diagonal: list[int] | tuple[int, ...], ngens: int) -> AbelianInvariants:

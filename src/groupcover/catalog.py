@@ -8,7 +8,6 @@ bound, and the named groups S3, S4, S5, A4, A5, Q8, SL(2,3), SL(2,5).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,15 +23,18 @@ from .fingroup import (
 )
 
 
-def cyclic_group(n: int, name=None) -> FiniteGroup:
+def cyclic_group(n: int, cap=None) -> FiniteGroup:
+    cap = DEFAULT_CAPS.order if cap is None else cap
     if n < 1:
         raise ValueError("cyclic order must be positive")
+    if n > cap:
+        raise ClosureExceedsCap(f"C{n} exceeds cap {cap}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(name or f"C{n}", table, validate="structure")
+    return FiniteGroup(f"C{n}", table, validate="structure")
 
 
 def cyclic_product(m: int, n: int, cap=None) -> FiniteGroup:
-    return direct_product(cyclic_group(m), cyclic_group(n), cap)
+    return direct_product(cyclic_group(m, cap), cyclic_group(n, cap), cap)
 
 
 def elementary_group(p: int, k: int, cap=None) -> FiniteGroup:
@@ -41,9 +43,9 @@ def elementary_group(p: int, k: int, cap=None) -> FiniteGroup:
         raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("rank must be positive")
-    group = cyclic_group(p)
+    group = cyclic_group(p, cap)
     for _ in range(k - 1):
-        group = direct_product(group, cyclic_group(p), cap)
+        group = direct_product(group, cyclic_group(p, cap), cap)
     return FiniteGroup(f"E{p}^{k}", group.table, validate="structure")
 
 
@@ -140,11 +142,7 @@ def build_entry(family: str, params: tuple[int, ...], cap=None) -> FiniteGroup:
         )
     try:
         if family == "C":
-            n = params[0]
-            cap_value = DEFAULT_CAPS.order if cap is None else cap
-            if n > cap_value:
-                raise ClosureExceedsCap(f"C{n} exceeds cap {cap_value}")
-            return cyclic_group(n)
+            return cyclic_group(params[0], cap)
         if family == "CxC":
             return cyclic_product(*params, cap=cap)
         if family == "E":
@@ -241,9 +239,6 @@ def _split_top_level(text: str) -> tuple[str, str]:
 
 # ---------------------------------------------------------------------------
 # file ingestion
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
 
 def load_group(path, fmt: str, cap=None, validate=True) -> FiniteGroup:
     """Load a group from a file; formats: permutations | cayley | matrix.

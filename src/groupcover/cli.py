@@ -37,7 +37,14 @@ from .presentation import abelian_invariants, parse_presentation, parse_word_tex
 from .witness import fa_scan, find_annihilator
 from .words import render_word
 
-_PARSE_ERRORS = (PresentationSyntaxError, UnknownGenerator, EmptyGeneratorList, ParseError)
+# an input file that is not UTF-8 is malformed input, not an I/O failure
+_PARSE_ERRORS = (
+    PresentationSyntaxError,
+    UnknownGenerator,
+    EmptyGeneratorList,
+    ParseError,
+    UnicodeDecodeError,
+)
 
 
 @dataclass

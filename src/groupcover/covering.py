@@ -223,7 +223,7 @@ def verify_finite_theorems(
     nfa_verdicts = {}
 
     def check_nfa(n):
-        verdict = is_nfa_finite(group, n, cap).verdict
+        verdict = fa.verdict if n == 1 else is_nfa_finite(group, n, cap).verdict
         nfa_verdicts[n] = verdict
         return verdict == (ab_weight >= n + 1)
 

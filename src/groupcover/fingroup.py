@@ -60,9 +60,6 @@ class FiniteGroup:
     def mul(self, a, b):
         return self.table[a][b]
 
-    def inv(self, a):
-        return self.inverse[a]
-
     def conjugate(self, g, x):
         """g x g^-1."""
         return self.table[self.table[g][x]][self.inverse[g]]
@@ -132,9 +129,6 @@ class ElementSet:
         g = self.group
         mem = self.members
         return all(g.conjugate(x, s) in mem for x in range(g.order) for s in mem)
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ outcome is never evidence that no witness exists beyond the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -105,7 +105,6 @@ class Witness:
     word: Word
     target: FiniteGroup
     images: tuple[int, ...]
-    transcript: dict = field(compare=False, default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -137,16 +136,16 @@ def verify_witness(witness: Witness) -> bool:
 
 
 def enumerate_surjections(
-    pres: Presentation, target: FiniteGroup, budget=None
+    pres: Presentation, target: FiniteGroup
 ) -> list[tuple[int, ...]]:
     """All generator-image assignments defining a surjection onto the
-    target, in lexicographic order.
+    target, in lexicographic order, within DEFAULT_SEARCH_BUDGET.
 
     Pruning: a generator appearing in a one-syllable relator g^m can only
     map to elements whose order divides |m|, and each relator is checked as
     soon as all its generators are assigned.
     """
-    budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    budget = DEFAULT_SEARCH_BUDGET
     ngens = pres.ngens
     n = target.order
     if n**ngens > budget:
@@ -197,50 +196,44 @@ def enumerate_surjections(
 
 
 @lru_cache(maxsize=4096)
-def _surjections_cached(pres, target, budget):
-    return tuple(enumerate_surjections(pres, target, budget))
+def _surjections_cached(pres, target):
+    return tuple(enumerate_surjections(pres, target))
 
 
-def _make_witness(pres, word, target, images):
-    transcript = {
-        "relator_images": [
-            evaluate_word_direct(target, images, rel) for rel in pres.relators
-        ],
-        "word_image": evaluate_word_direct(target, images, word),
-        "image_subgroup_size": len(subgroup_closure(target, set(images))),
-    }
-    witness = Witness(pres, word, target, images, transcript)
+def _first_kill(space, word):
+    """The first (target, images) in a sequence of (target, surjections)
+    pairs under which the word evaluates to the identity, or None."""
+    for target, surjections in space:
+        for images in surjections:
+            if evaluate_word(target, images, word) == 0:
+                return target, images
+    return None
+
+
+def find_annihilator(
+    pres: Presentation, word: Word, order_bound: int
+) -> Witness | None:
+    """First witness killing the word, searching targets in (order, name)
+    order; None when no catalog target within the bound admits one."""
+    # lazy, so a target's surjections are searched only once the search
+    # reaches it
+    space = ((t, _surjections_cached(pres, t)) for t in witness_targets(order_bound))
+    found = _first_kill(space, word)
+    if found is None:
+        return None
+    witness = Witness(pres, word, *found)
     if not verify_witness(witness):
         raise AssertionError(
-            f"internal error: witness onto {target.name} failed re-verification"
+            f"internal error: witness onto {witness.target.name} failed re-verification"
         )
     return witness
 
 
-def find_annihilator(
-    pres: Presentation, word: Word, order_bound: int, budget=None, targets=None
-) -> Witness | None:
-    """First witness killing the word, searching targets in (order, name)
-    order; None when no catalog target within the bound admits one."""
-    budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    if targets is None:
-        targets = witness_targets(order_bound)
-    else:
-        targets = tuple(t for t in targets if t.order <= order_bound)
-    for target in targets:
-        for images in _surjections_cached(pres, target, budget):
-            if evaluate_word(target, images, word) == 0:
-                return _make_witness(pres, word, target, images)
-    return None
-
-
-def nontrivial_quotient_exists(
-    pres: Presentation, order_bound: int, budget=None
-) -> Witness | None:
+def nontrivial_quotient_exists(pres: Presentation, order_bound: int) -> Witness | None:
     """First surjection onto any nontrivial catalog group within the bound
     (reported with the empty word); None means none was found *within the
     searched catalog and bound*, not that none exists."""
-    return find_annihilator(pres, EMPTY_WORD, order_bound, budget)
+    return find_annihilator(pres, EMPTY_WORD, order_bound)
 
 
 WITNESSED = "witnessed"
@@ -295,35 +288,20 @@ class ScanReport:
 
 
 def fa_scan(
-    pres: Presentation,
-    max_word_length: int,
-    order_bound: int,
-    hint=None,
-    budget=None,
+    pres: Presentation, max_word_length: int, order_bound: int, hint=None
 ) -> ScanReport:
     """Run find_annihilator over every freely reduced word up to the given
     length (shortlex order).  Unwitnessed words are candidates only: when
     classification already says the group is F-A they are flagged as
     "bound too small" rather than failures, and otherwise the scan draws no
     conclusion."""
-    budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     verdict = classify_fa(pres, hint)
-    targets = witness_targets(order_bound)
-    cached = [(t, _surjections_cached(pres, t, budget)) for t in targets]
+    space = [(t, _surjections_cached(pres, t)) for t in witness_targets(order_bound)]
     entries = []
     for word in reduced_words(pres.ngens, max_word_length):
-        found = None
-        for target, assignments in cached:
-            for images in assignments:
-                if evaluate_word(target, images, word) == 0:
-                    found = (target, images)
-                    break
-            if found:
-                break
+        found = _first_kill(space, word)
         if found:
-            entries.append(
-                ScanEntry(word, WITNESSED, found[0].name, found[0].order)
-            )
+            entries.append(ScanEntry(word, WITNESSED, found[0].name, found[0].order))
         elif verdict.status == FA:
             entries.append(ScanEntry(word, BOUND_TOO_SMALL))
         else:

@@ -2,6 +2,7 @@ import pytest
 
 from groupcover import (
     build_catalog,
+    cyclic_group,
     default_catalog_spec,
     group_from_spec,
     load_group,
@@ -56,6 +57,11 @@ def test_catalog_cap():
     spec = CatalogSpec((("SL", (7,)),))
     with pytest.raises(ClosureExceedsCap):
         build_catalog(spec, cap=128)
+
+
+def test_cyclic_group_cap():
+    with pytest.raises(ClosureExceedsCap):
+        cyclic_group(3000, cap=1024)
 
 
 def test_parse_catalog_spec_text():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -141,6 +142,20 @@ def test_finite_weight_budget_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(fingroup, "DEFAULT_SEARCH_BUDGET", 10)
     assert main(["finite", "E 2 3", "--weight"]) == 3
     assert "cap exceeded: weight search" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["CxC 2 3000", "E 3001 2"])
+def test_finite_cyclic_factor_cap_exit_3(capsys, spec):
+    # the cap refuses the cyclic factor before its n x n table is built
+    tracemalloc.start()
+    try:
+        code = main(["finite", spec])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "cap exceeded: C300" in capsys.readouterr().err
+    assert peak < 16 * 2**20
 
 
 def test_finite_from_file(capsys, tmp_path):
@@ -294,6 +309,13 @@ BAD_INPUT_ARGV = [
     ("finite", "S 1"),
     ("finite", "A 2"),
     ("witness", "{klein}", "(a b)^1000000000", "--bound", "4"),
+    ("analyze", "{non_utf8}"),
+    ("witness", "{non_utf8}", "a", "--bound", "4"),
+    ("scan", "{non_utf8}", "--bound", "4"),
+    ("finite", "{non_utf8}", "--from", "cayley"),
+    ("finite", "{non_utf8}", "--from", "permutations"),
+    ("finite", "{non_utf8}", "--from", "matrix"),
+    ("verify-all", "--catalog", "{non_utf8}"),
 ]
 
 
@@ -303,7 +325,14 @@ def test_bad_input_exit_2(capsys, tmp_path, klein_file, argv):
     bad_json.write_text('{"format": ')
     zero_cap = tmp_path / "zero_cap.json"
     zero_cap.write_text(json.dumps({"caps": {"normal": 0}}))
-    files = {"bad_json": bad_json, "zero_cap": zero_cap, "klein": klein_file}
+    non_utf8 = tmp_path / "non_utf8.txt"
+    non_utf8.write_bytes(b"\xff\xfe< a | a^2 >\n")
+    files = {
+        "bad_json": bad_json,
+        "zero_cap": zero_cap,
+        "klein": klein_file,
+        "non_utf8": non_utf8,
+    }
     try:
         code = main([arg.format(**files) for arg in argv])
     except SystemExit as exc:  # argparse rejects the value itself

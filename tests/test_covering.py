@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from groupcover import abelian, covering
 from groupcover import (
     abelian_invariants_finite,
     abelianisation,
@@ -265,6 +266,30 @@ def test_verify_catalog(catalog):
     for group in catalog:
         report = verify_finite_theorems(group)
         assert report.passed, (group.name, report.failing())
+
+
+def test_verify_runs_each_covering_once(monkeypatch, klein):
+    # the F-A check is the n = 1 covering, so nfa_range (1, 2, 3) adds two
+    calls = []
+    check = covering._covering_check
+
+    def counting(group, n, prop, cap):
+        calls.append(n)
+        return check(group, n, prop, cap)
+
+    monkeypatch.setattr(covering, "_covering_check", counting)
+    report = verify_finite_theorems(klein, nfa_range=(1, 2, 3))
+    assert report.passed, report.failing()
+    assert calls == [1, 2, 3]
+
+
+def test_verify_elementary_rank_check_computes_ranks(monkeypatch, klein):
+    # the elementary-quotient check must read the p-ranks, not restate the
+    # invariant-factor count that the noncyclic check compares
+    monkeypatch.setattr(abelian, "elementary_p_rank", lambda inv, p: 0)
+    report = verify_finite_theorems(klein)
+    assert not report.checks["fa_iff_rank2_elementary_quotient"]
+    assert report.checks["fa_iff_noncyclic_abelianisation"]
 
 
 def test_verify_detects_corrupt_table():

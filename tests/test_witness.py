@@ -20,6 +20,7 @@ from groupcover import (
     verify_witness,
     witness_targets,
 )
+from groupcover import witness
 from groupcover.errors import SearchBudgetExceeded
 from groupcover.witness import evaluate_word, evaluate_word_direct
 from groupcover.words import exponent_vector, reduced_words
@@ -66,10 +67,11 @@ def test_surjections_trivial_presentation():
     assert enumerate_surjections(p, by_name(2, "C2")) == []
 
 
-def test_surjections_budget():
+def test_surjections_budget(monkeypatch):
+    monkeypatch.setattr(witness, "DEFAULT_SEARCH_BUDGET", 10**5)
     p = pres("< a, b, c, d, e | >")
     with pytest.raises(SearchBudgetExceeded):
-        enumerate_surjections(p, by_name(24, "S4"), budget=10**5)
+        enumerate_surjections(p, by_name(24, "S4"))
 
 
 def test_surjection_count_free_group_onto_c2():
@@ -110,11 +112,33 @@ def test_annihilator_json_shape(k235):
     }
 
 
-def test_witness_transcript(k235):
-    w = find_annihilator(k235, parse_word_text("x", k235), 5)
-    assert w.transcript["relator_images"] == [0, 0, 0]
-    assert w.transcript["word_image"] == 0
-    assert w.transcript["image_subgroup_size"] == 3
+def record_surjection_searches(monkeypatch):
+    """Names of the targets the search asks for surjections onto, in order."""
+    searched = []
+    cached = witness._surjections_cached
+
+    def recording(pres, target):
+        searched.append(target.name)
+        return cached(pres, target)
+
+    monkeypatch.setattr(witness, "_surjections_cached", recording)
+    return searched
+
+
+def test_annihilator_stops_at_first_target(monkeypatch, k235):
+    # targets are searched lazily: y dies in C2, so no larger target is
+    # enumerated even with a bound of 120
+    searched = record_surjection_searches(monkeypatch)
+    w = find_annihilator(k235, parse_word_text("y", k235), 120)
+    assert w.target.name == "C2"
+    assert searched == ["C2"]
+
+
+def test_scan_searches_each_target_once(monkeypatch, k235):
+    searched = record_surjection_searches(monkeypatch)
+    report = fa_scan(k235, 2, 5)
+    assert len(report.entries) == 37
+    assert searched == [t.name for t in witness_targets(5)]
 
 
 # ---------------------------------------------------------------------------
