@@ -23,12 +23,28 @@ from .fingroup import (
 )
 
 
+def _refuse_over_cap(name: str, order: int, cap: int) -> None:
+    """Refuse a family member by its closed-form order, before anything is
+    allocated or tested for primality."""
+    if order > cap:
+        raise ClosureExceedsCap(f"{name} exceeds cap {cap}")
+
+
+def _factorial_past(n: int, bound: int) -> int:
+    """n!, or the first partial product of it that passes `bound`."""
+    product = 1
+    for k in range(2, n + 1):
+        product *= k
+        if product > bound:
+            break
+    return product
+
+
 def cyclic_group(n: int, cap=None) -> FiniteGroup:
     cap = DEFAULT_CAPS.order if cap is None else cap
     if n < 1:
         raise ValueError("cyclic order must be positive")
-    if n > cap:
-        raise ClosureExceedsCap(f"C{n} exceeds cap {cap}")
+    _refuse_over_cap(f"C{n}", n, cap)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(f"C{n}", table, validate="structure")
 
@@ -39,11 +55,11 @@ def cyclic_product(m: int, n: int, cap=None) -> FiniteGroup:
 
 def elementary_group(p: int, k: int, cap=None) -> FiniteGroup:
     """Direct product of k copies of C_p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if k < 1:
         raise ValueError("rank must be positive")
-    group = cyclic_group(p, cap)
+    group = cyclic_group(p, cap)  # the cap bounds p before the primality test
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     for _ in range(k - 1):
         group = direct_product(group, cyclic_group(p, cap), cap)
     return FiniteGroup(f"E{p}^{k}", group.table, validate="structure")
@@ -51,29 +67,32 @@ def elementary_group(p: int, k: int, cap=None) -> FiniteGroup:
 
 def dihedral_group(n: int, cap=None) -> FiniteGroup:
     """Symmetries of a regular n-gon (order 2n), n >= 3."""
+    cap = DEFAULT_CAPS.order if cap is None else cap
     if n < 3:
         raise ValueError("dihedral groups need n >= 3 here")
+    _refuse_over_cap(f"D{n}", 2 * n, cap)
     rotation = tuple((i + 1) % n for i in range(n))
     reflection = tuple((n - i) % n for i in range(n))
-    g = build_from_permutations(n, [rotation, reflection], cap, name=f"D{n}")
-    return g
+    return build_from_permutations(n, [rotation, reflection], cap, name=f"D{n}")
 
 
 def symmetric_group(n: int, cap=None) -> FiniteGroup:
+    cap = DEFAULT_CAPS.order if cap is None else cap
     if n < 2:
         raise ValueError("symmetric groups need n >= 2 here")
+    _refuse_over_cap(f"S{n}", _factorial_past(n, cap), cap)
     transposition = tuple([1, 0] + list(range(2, n)))
     cycle = tuple((i + 1) % n for i in range(n))
     return build_from_permutations(n, [transposition, cycle], cap, name=f"S{n}")
 
 
 def alternating_group(n: int, cap=None) -> FiniteGroup:
+    cap = DEFAULT_CAPS.order if cap is None else cap
     if n < 3:
         raise ValueError("alternating groups need n >= 3 here")
+    _refuse_over_cap(f"A{n}", _factorial_past(n, 2 * cap) // 2, cap)
     three_cycle = tuple([1, 2, 0] + list(range(3, n)))
-    if n == 3:
-        gens = [three_cycle]
-    elif n % 2 == 1:
+    if n % 2 == 1:  # for n = 3 the n-cycle repeats the 3-cycle
         gens = [three_cycle, tuple((i + 1) % n for i in range(n))]
     else:
         # an (n-1)-cycle on the points 1..n-1, fixing 0
@@ -91,6 +110,8 @@ def quaternion_group(cap=None) -> FiniteGroup:
 
 def special_linear_group(p: int, cap=None) -> FiniteGroup:
     """SL(2, p), of order p(p^2 - 1)."""
+    cap = DEFAULT_CAPS.order if cap is None else cap
+    _refuse_over_cap(f"SL(2,{p})", p * (p * p - 1), cap)
     gens = [((1, 1), (0, 1)), ((0, -1), (1, 0))]
     return build_from_matrix_generators(p, 2, gens, cap, name=f"SL(2,{p})")
 
@@ -102,7 +123,17 @@ class CatalogSpec:
     entries: tuple[tuple[str, tuple[int, ...]], ...]
 
 
-_FAMILY_ARITY = {"C": 1, "CxC": 2, "E": 2, "D": 1, "S": 1, "A": 1, "Q8": 0, "SL": 1}
+# family -> (parameter count, builder); every builder takes the order cap
+_FAMILIES = {
+    "C": (1, cyclic_group),
+    "CxC": (2, cyclic_product),
+    "E": (2, elementary_group),
+    "D": (1, dihedral_group),
+    "S": (1, symmetric_group),
+    "A": (1, alternating_group),
+    "Q8": (0, quaternion_group),
+    "SL": (1, special_linear_group),
+}
 
 
 def default_catalog_spec(order_bound: int = 32) -> CatalogSpec:
@@ -133,29 +164,28 @@ def default_catalog_spec(order_bound: int = 32) -> CatalogSpec:
     return CatalogSpec(tuple(entries))
 
 
-def build_entry(family: str, params: tuple[int, ...], cap=None) -> FiniteGroup:
-    if family not in _FAMILY_ARITY:
-        raise ParseError(f"unknown family {family!r}")
-    if len(params) != _FAMILY_ARITY[family]:
-        raise ParseError(
-            f"family {family} takes {_FAMILY_ARITY[family]} parameters, got {len(params)}"
-        )
+def _parse_entry(family: str, params, line=None) -> tuple[str, tuple[int, ...]]:
+    """Check a `family param...` entry: a known family, integer parameters,
+    and as many of them as the family takes.  `line` numbers a catalog file
+    line in the error."""
+    if family not in _FAMILIES:
+        raise ParseError(f"unknown family {family!r}", line)
     try:
-        if family == "C":
-            return cyclic_group(params[0], cap)
-        if family == "CxC":
-            return cyclic_product(*params, cap=cap)
-        if family == "E":
-            return elementary_group(*params, cap=cap)
-        if family == "D":
-            return dihedral_group(params[0], cap=cap)
-        if family == "S":
-            return symmetric_group(params[0], cap=cap)
-        if family == "A":
-            return alternating_group(params[0], cap=cap)
-        if family == "Q8":
-            return quaternion_group(cap=cap)
-        return special_linear_group(params[0], cap=cap)
+        ints = tuple(int(x) for x in params)
+    except ValueError:
+        text = " ".join(map(str, (family, *params)))
+        raise ParseError(f"non-integer parameter in {text!r}", line) from None
+    arity = _FAMILIES[family][0]
+    if len(ints) != arity:
+        raise ParseError(f"family {family} takes {arity} parameters, got {len(ints)}", line)
+    return family, ints
+
+
+def build_entry(family: str, params, cap=None) -> FiniteGroup:
+    """One family member; `params` are integers or their decimal strings."""
+    family, params = _parse_entry(family, params)
+    try:
+        return _FAMILIES[family][1](*params, cap=cap)
     except ValueError as exc:
         raise ParseError(f"bad parameters for {family} {params}: {exc}") from None
 
@@ -178,23 +208,9 @@ def build_catalog(spec: CatalogSpec | None = None, cap=None) -> list[FiniteGroup
 def parse_catalog_spec(text: str) -> CatalogSpec:
     """Line-oriented ``family param...`` entries; '#' starts a comment."""
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        family = parts[0]
-        if family not in _FAMILY_ARITY:
-            raise ParseError(f"unknown family {family!r}", lineno)
-        try:
-            params = tuple(int(x) for x in parts[1:])
-        except ValueError:
-            raise ParseError(f"non-integer parameter in {line!r}", lineno) from None
-        if len(params) != _FAMILY_ARITY[family]:
-            raise ParseError(
-                f"family {family} takes {_FAMILY_ARITY[family]} parameters", lineno
-            )
-        entries.append((family, params))
+    for lineno, line in _content_lines(text):
+        family, *params = line.split()
+        entries.append(_parse_entry(family, params, lineno))
     return CatalogSpec(tuple(entries))
 
 
@@ -215,14 +231,7 @@ def group_from_spec(text: str, cap=None) -> FiniteGroup:
     parts = text.replace(",", " ").split()
     if not parts:
         raise ParseError("empty group spec")
-    family = parts[0]
-    if family not in _FAMILY_ARITY:
-        raise ParseError(f"unknown family {family!r} in spec {text!r}")
-    try:
-        params = tuple(int(x) for x in parts[1:])
-    except ValueError:
-        raise ParseError(f"non-integer parameter in spec {text!r}") from None
-    return build_entry(family, params, cap)
+    return build_entry(parts[0], parts[1:], cap)
 
 
 def _split_top_level(text: str) -> tuple[str, str]:
@@ -266,8 +275,10 @@ def _content_lines(text):
 
 
 def _load_permutations(text, name, cap):
-    gens = []
-    degree = 0
+    """Cycle-notation generators, one per line.  The points named are
+    numbered 0, 1, ... in sorted order, so the degree is the number of
+    points named, not the largest label; relabelling conjugates every
+    generator by the same bijection, which leaves the table unchanged."""
     parsed = []
     for lineno, line in _content_lines(text):
         cycles = []
@@ -289,16 +300,17 @@ def _load_permutations(text, name, cap):
             if len(set(points)) != len(points) or any(p < 0 for p in points):
                 raise ParseError(f"bad cycle {rest[: close + 1]!r}", lineno)
             cycles.append(points)
-            if points:
-                degree = max(degree, max(points) + 1)
             rest = rest[close + 1 :]
-        parsed.append((lineno, cycles))
-    degree = max(degree, 1)
-    for lineno, cycles in parsed:
+        parsed.append(cycles)
+    labels = sorted({p for cycles in parsed for cycle in cycles for p in cycle})
+    number = {p: i for i, p in enumerate(labels)}
+    degree = max(len(labels), 1)
+    gens = []
+    for cycles in parsed:
         perm = list(range(degree))
         for cycle in cycles:
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                perm[a] = b
+                perm[number[a]] = number[b]
         gens.append(tuple(perm))
     return build_from_permutations(degree, gens, cap, name=name)
 
@@ -329,36 +341,32 @@ def _load_cayley(text, name, validate):
 
 
 def _load_matrix(text, name, cap):
-    lines = text.splitlines()
-    header = None
-    blocks: list[list[tuple[int, list[int]]]] = [[]]
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            if blocks[-1]:
-                blocks.append([])
-            continue
-        if header is None:
-            header = (lineno, line)
-            continue
+    """Header `p d`, then the generators as blocks of d rows; a blank or
+    comment-only line ends a block."""
+    lines = list(_content_lines(text))
+    if not lines:
+        raise ParseError("empty matrix file")
+    (header_no, header), rows = lines[0], lines[1:]
+    blocks: list[list[tuple[int, list[int]]]] = []
+    prev = header_no
+    for lineno, line in rows:
         try:
             row = [int(x) for x in line.split()]
         except ValueError:
             raise ParseError(f"non-integer entry in {line!r}", lineno) from None
+        if not blocks or lineno != prev + 1:
+            blocks.append([])
         blocks[-1].append((lineno, row))
-    if header is None:
-        raise ParseError("empty matrix file")
-    parts = header[1].split()
+        prev = lineno
+    parts = header.split()
     if len(parts) != 2:
-        raise ParseError("header must be 'p d'", header[0])
+        raise ParseError("header must be 'p d'", header_no)
     try:
         p, d = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ParseError("header must be 'p d'", header[0]) from None
+        raise ParseError("header must be 'p d'", header_no) from None
     matrices = []
     for block in blocks:
-        if not block:
-            continue
         if len(block) != d:
             raise ParseError(f"matrix block has {len(block)} rows, expected {d}", block[0][0])
         mat = []

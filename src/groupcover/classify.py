@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .abelian import abelian_weight, max_elementary_rank
+from .abelian import abelian_weight
 from .errors import InvalidHint
 from .presentation import Presentation, abelian_invariants
 
@@ -87,7 +87,9 @@ def classify_nfa(pres: Presentation, n: int, hint: str | None = None) -> Verdict
         raise ValueError(f"n must be positive, got {n}")
     _check_hint(hint)
     inv = abelian_invariants(pres)
-    _, rank = max_elementary_rank(inv)
+    # the largest elementary p-rank of an abelian group is its weight, so
+    # this needs no factoring
+    rank = abelian_weight(inv)
     easily = rank >= 2
     fa = n == 1
 
@@ -131,7 +133,7 @@ def classify_nfa(pres: Presentation, n: int, hint: str | None = None) -> Verdict
             if fa
             else f"within the {hint} class, being {n}-finitely-annihilated is "
             f"equivalent to an abelianisation of weight >= {n + 1}, and this "
-            f"abelianisation has weight {abelian_weight(inv)} (trusted hint)",
+            f"abelianisation has weight {rank} (trusted hint)",
         )
     pair = _coprime_torsion_pair(pres)
     if pair or hint == "two-generator-coprime-torsion":
@@ -185,7 +187,7 @@ class RhoChecks:
 
 def rho_annihilated_checks(pres: Presentation) -> RhoChecks:
     inv = abelian_invariants(pres)
-    _, rank = max_elementary_rank(inv)
+    rank = abelian_weight(inv)
     easily = rank >= 2
     if rank >= 2:
         abelian_a = Verdict(

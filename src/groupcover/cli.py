@@ -37,13 +37,17 @@ from .presentation import abelian_invariants, parse_presentation, parse_word_tex
 from .witness import fa_scan, find_annihilator
 from .words import render_word
 
-# an input file that is not UTF-8 is malformed input, not an I/O failure
+# an input file that is not UTF-8 is malformed input, not an I/O failure;
+# so is nesting deeper than the recursion limit, since only the two
+# recursive-descent parsers (presentation._Parser and
+# catalog.group_from_spec) recurse as deep as their input nests
 _PARSE_ERRORS = (
     PresentationSyntaxError,
     UnknownGenerator,
     EmptyGeneratorList,
     ParseError,
     UnicodeDecodeError,
+    RecursionError,
 )
 
 

@@ -28,6 +28,7 @@ from .errors import (
     SingularGenerator,
     TrivialGroup,
 )
+from .snf import mat_det
 
 
 class FiniteGroup:
@@ -238,7 +239,7 @@ def build_from_matrix_generators(p, d, generators, cap=None, name=None):
         mat = tuple(tuple(int(x) % p for x in row) for row in mat)
         if len(mat) != d or any(len(row) != d for row in mat):
             raise SingularGenerator(f"matrix is not {d}x{d}")
-        if _det_mod_p(mat, p) == 0:
+        if mat_det([list(row) for row in mat]) % p == 0:
             raise SingularGenerator(f"matrix {mat} is singular mod {p}")
         gens.append(mat)
     identity = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
@@ -282,25 +283,6 @@ def _closure_table(identity, gens, op, cap):
     for parent, k in tree[1:]:
         cols.append(list(map(right[k].__getitem__, cols[parent])))
     return list(zip(*cols))
-
-
-def _det_mod_p(mat, p):
-    m = [list(row) for row in mat]
-    d = len(m)
-    det = 1
-    for k in range(d):
-        piv = next((i for i in range(k, d) if m[i][k] % p != 0), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det = det * m[k][k] % p
-        inv = pow(m[k][k], -1, p)
-        for i in range(k + 1, d):
-            f = m[i][k] * inv % p
-            m[i] = [(x - f * y) % p for x, y in zip(m[i], m[k])]
-    return det % p
 
 
 def direct_product(g, h, cap=None):

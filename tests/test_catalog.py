@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from groupcover import (
@@ -8,7 +10,7 @@ from groupcover import (
     load_group,
     validate_group,
 )
-from groupcover.catalog import CatalogSpec, parse_catalog_spec
+from groupcover.catalog import _FAMILIES, CatalogSpec, build_entry, parse_catalog_spec
 from groupcover.errors import ClosureExceedsCap, NotAGroup, ParseError
 
 
@@ -64,6 +66,62 @@ def test_cyclic_group_cap():
         cyclic_group(3000, cap=1024)
 
 
+@pytest.mark.parametrize(
+    "spec, order", [("S 6", 720), ("A 6", 360), ("D 5", 10), ("SL 5", 120), ("E 3 2", 9)]
+)
+def test_family_order_cap_boundary(spec, order):
+    # a group of order exactly the cap builds; one below it is refused
+    assert group_from_spec(spec, cap=order).order == order
+    with pytest.raises(ClosureExceedsCap):
+        group_from_spec(spec, cap=order - 1)
+
+
+FAMILY_PARAMS = {
+    "C": (5,),
+    "CxC": (2, 3),
+    "E": (2, 2),
+    "D": (4,),
+    "S": (3,),
+    "A": (4,),
+    "Q8": (),
+    "SL": (3,),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_family_routes_agree(family):
+    params = FAMILY_PARAMS[family]  # a family missing here fails with KeyError
+    text = " ".join(map(str, (family, *params)))
+    by_spec = group_from_spec(text)
+    (by_catalog,) = build_catalog(parse_catalog_spec(text))
+    by_entry = build_entry(family, params)
+    assert by_spec.name == by_catalog.name == by_entry.name
+    assert by_spec.table == by_catalog.table == by_entry.table
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("X 3", "unknown family 'X'"),
+        ("C 2 3", "family C takes 1 parameters, got 2"),
+        ("Q8 1", "family Q8 takes 0 parameters, got 1"),
+        ("C x", "non-integer parameter in 'C x'"),
+    ],
+)
+def test_family_errors_on_every_route(text, message):
+    family, *params = text.split()
+    with pytest.raises(ParseError) as err:
+        group_from_spec(text)
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as err:
+        build_entry(family, params)
+    assert str(err.value) == message
+    with pytest.raises(ParseError) as err:
+        parse_catalog_spec("C 2\n" + text)
+    assert str(err.value) == f"{message} (line 2)"
+    assert err.value.line == 2
+
+
 def test_parse_catalog_spec_text():
     spec = parse_catalog_spec(
         """
@@ -113,6 +171,28 @@ def test_load_permutations_disjoint_cycles(tmp_path):
     path.write_text("(0 1)(2 3)\n(0 2)(1 3)\n")
     g = load_group(path, "permutations")
     assert g.order == 4
+
+
+def test_load_permutations_numbers_named_points(tmp_path):
+    sparse = tmp_path / "sparse.perms"
+    sparse.write_text("(3 10 20)\n(10 99)\n")
+    dense = tmp_path / "dense.perms"
+    dense.write_text("(0 1 2)\n(1 3)\n")
+    assert load_group(sparse, "permutations").table == load_group(dense, "permutations").table
+
+
+def test_load_permutations_huge_label(tmp_path):
+    # the degree is the number of points named, not the largest label + 1
+    path = tmp_path / "far.perms"
+    path.write_text("(0 1000000000)\n")
+    tracemalloc.start()
+    try:
+        g = load_group(path, "permutations")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 2
+    assert peak < 2**20
 
 
 def test_load_permutations_malformed(tmp_path):

@@ -1,9 +1,10 @@
 import json
+import signal
 import tracemalloc
 
 import pytest
 
-from groupcover import fingroup, presentation
+from groupcover import abelian, fingroup, presentation
 from groupcover.cli import main
 from tests.conftest import HIGMAN_TEXT, K235_TEXT
 
@@ -52,6 +53,40 @@ def test_analyze_k235(capsys, k235_file):
     assert payload["verdict"] == "Unknown"
     assert payload["easily_fa"] is False
     assert payload["invariants"] == {"free_rank": 0, "factors": [30]}
+
+
+class _TooSlow(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv", [("analyze", "--nfa", "2"), ("scan", "--bound", "4")], ids=" ".join
+)
+def test_classification_does_not_factor(capsys, monkeypatch, klein_file, argv):
+    # the elementary rank the verdicts need is the abelianisation weight
+    def refuse(n):
+        raise _TooSlow("classification factored an invariant factor")
+
+    monkeypatch.setattr(abelian, "prime_factors", refuse)
+    assert main([argv[0], klein_file, *argv[1:]]) == 0
+
+
+def test_analyze_huge_cyclic_abelianisation(capsys, tmp_path):
+    path = tmp_path / "big.pres"
+    path.write_text("< a | a^1000000000000000003 >\n")
+
+    def stop(signum, frame):
+        raise _TooSlow("analyze ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        code, payload = run_json(capsys, "analyze", str(path), "--nfa", "2")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert payload["invariants"] == {"free_rank": 0, "factors": [10**18 + 3]}
 
 
 def test_analyze_higman(capsys, higman_file):
@@ -144,9 +179,23 @@ def test_finite_weight_budget_exit_3(capsys, monkeypatch):
     assert "cap exceeded: weight search" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["CxC 2 3000", "E 3001 2"])
+# spec -> the group the cap refuses by its closed-form order
+CAP_REFUSED = {
+    "CxC 2 3000": "C3000",
+    "E 3001 2": "C3001",
+    "E 3000 2": "C3000",
+    "D 1000000": "D1000000",
+    "S 1000000": "S1000000",
+    "A 3000000": "A3000000",
+    "SL 1000000000000000003": "SL(2,1000000000000000003)",
+    "E 1000000000000000003 2": "C1000000000000000003",
+}
+
+
+@pytest.mark.parametrize("spec", CAP_REFUSED)
 def test_finite_cyclic_factor_cap_exit_3(capsys, spec):
-    # the cap refuses the cyclic factor before its n x n table is built
+    # the cap refuses the group before a table or permutation is built or
+    # a primality test is run
     tracemalloc.start()
     try:
         code = main(["finite", spec])
@@ -154,7 +203,7 @@ def test_finite_cyclic_factor_cap_exit_3(capsys, spec):
     finally:
         tracemalloc.stop()
     assert code == 3
-    assert "cap exceeded: C300" in capsys.readouterr().err
+    assert f"cap exceeded: {CAP_REFUSED[spec]} exceeds cap 1024" in capsys.readouterr().err
     assert peak < 16 * 2**20
 
 
@@ -316,6 +365,9 @@ BAD_INPUT_ARGV = [
     ("finite", "{non_utf8}", "--from", "permutations"),
     ("finite", "{non_utf8}", "--from", "matrix"),
     ("verify-all", "--catalog", "{non_utf8}"),
+    ("analyze", "{deep_parens}"),
+    ("analyze", "{deep_commutators}"),
+    ("finite", "{deep_prod}"),
 ]
 
 
@@ -327,14 +379,25 @@ def test_bad_input_exit_2(capsys, tmp_path, klein_file, argv):
     zero_cap.write_text(json.dumps({"caps": {"normal": 0}}))
     non_utf8 = tmp_path / "non_utf8.txt"
     non_utf8.write_bytes(b"\xff\xfe< a | a^2 >\n")
-    files = {
+    # nesting 3000 deep passes the recursion limit of either parser
+    deep_parens = tmp_path / "deep_parens.pres"
+    deep_parens.write_text("< a | " + "(" * 3000 + "a" + ")" * 3000 + " >\n")
+    deep_commutators = tmp_path / "deep_commutators.pres"
+    deep_commutators.write_text("< a, b | " + "[a," * 3000 + "b" + "]" * 3000 + " >\n")
+    deep_prod = "C 1"
+    for _ in range(3000):
+        deep_prod = f"prod(C 1, {deep_prod})"
+    inputs = {
         "bad_json": bad_json,
         "zero_cap": zero_cap,
         "klein": klein_file,
         "non_utf8": non_utf8,
+        "deep_parens": deep_parens,
+        "deep_commutators": deep_commutators,
+        "deep_prod": deep_prod,
     }
     try:
-        code = main([arg.format(**files) for arg in argv])
+        code = main([arg.format(**inputs) for arg in argv])
     except SystemExit as exc:  # argparse rejects the value itself
         code = exc.code
     assert code == 2

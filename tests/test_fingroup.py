@@ -317,6 +317,10 @@ def test_matrix_trivial():
 def test_matrix_errors():
     with pytest.raises(SingularGenerator):
         build_from_matrix_generators(5, 2, [((1, 1), (2, 2))])
+    # both have determinant 3: invertible over Q, singular mod 3
+    for mat in (((1, 0), (0, 3)), ((2, 1), (1, 2))):
+        with pytest.raises(SingularGenerator):
+            build_from_matrix_generators(3, 2, [mat])
     with pytest.raises(NotPrime):
         build_from_matrix_generators(4, 2, [((1, 0), (0, 1))])
 
