@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotPrime
+from .errors import NotPrime, SearchBudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,38 @@ class AbelianInvariants:
         return " x ".join(parts) if parts else "1"
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises SearchBudgetExceeded at or above
+    MILLER_RABIN_EXACT_BELOW, where these bases no longer decide."""
+    if n >= MILLER_RABIN_EXACT_BELOW:
+        raise SearchBudgetExceeded(
+            f"primality of {n} is not decided below {MILLER_RABIN_EXACT_BELOW}"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -8,6 +8,7 @@ bound, and the named groups S3, S4, S5, A4, A5, Q8, SL(2,3), SL(2,5).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -219,31 +220,72 @@ def parse_catalog_spec(text: str) -> CatalogSpec:
 # | prod(spec, spec)
 
 def group_from_spec(text: str, cap=None) -> FiniteGroup:
-    text = text.strip()
-    if text.startswith("prod"):
-        inner = text[4:].strip()
-        if not (inner.startswith("(") and inner.endswith(")")):
-            raise ParseError(f"malformed prod spec {text!r}")
-        left, right = _split_top_level(inner[1:-1])
-        return direct_product(
-            group_from_spec(left, cap), group_from_spec(right, cap), cap
-        )
-    parts = text.replace(",", " ").split()
-    if not parts:
-        raise ParseError("empty group spec")
-    return build_entry(parts[0], parts[1:], cap)
+    """Parse the whole spec first, so that a malformed spec is a ParseError
+    before any group is built, then build it."""
+    tree, _ = _parse_spec(text, 0, "")
+    return _build_spec(tree, cap)
 
 
-def _split_top_level(text: str) -> tuple[str, str]:
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return text[:i], text[i + 1 :]
-    raise ParseError(f"expected a top-level comma in {text!r}")
+_SPACE = re.compile(r"\s*")
+# a left operand's leaf ends at its comma; a right operand's leaf (or a
+# top-level one) runs to the closing parenthesis (or the end), and its
+# commas separate parameters
+_LEAF = {",": re.compile(r"[^(),]*"), ")": re.compile(r"[^()]*"), "": re.compile(r"[^()]*")}
+
+
+def _parse_spec(text: str, pos: int, stop: str):
+    """One left-to-right descent: the spec at text[pos:] up to the character
+    `stop` ("" for the end of the text), as a tree of ("prod", left, right)
+    nodes over (family, params) leaves, and the position of `stop`."""
+    pos = _SPACE.match(text, pos).end()
+    if text.startswith("prod", pos):
+        pos = _SPACE.match(text, pos + 4).end()
+        if not text.startswith("(", pos):
+            raise ParseError(f"malformed prod spec: expected '(' at offset {pos}")
+        left, pos = _parse_spec(text, pos + 1, ",")
+        right, pos = _parse_spec(text, pos + 1, ")")
+        tree = ("prod", left, right)
+        pos = _SPACE.match(text, pos + 1).end()
+    else:
+        end = _LEAF[stop].match(text, pos).end()
+        parts = text[pos:end].replace(",", " ").split()
+        if not parts:
+            raise ParseError("empty group spec")
+        tree = _parse_entry(parts[0], parts[1:])
+        pos = end
+    if text.startswith(stop, pos) if stop else pos == len(text):
+        return tree, pos
+    expected = f"{stop!r}" if stop else "the end of the spec"
+    raise ParseError(f"malformed prod spec: expected {expected} at offset {pos}")
+
+
+def _build_spec(tree, cap) -> FiniteGroup:
+    """The product of the tree's leaves, built left to right.
+
+    A direct product of direct products is the direct product of the
+    leaves, with the same element ids (mixed radix) and the same name, and
+    a trivial factor changes neither.  So each nontrivial leaf is multiplied
+    into the product as soon as it is built: at most log2(cap) products,
+    however deep the nesting, and no table for an intermediate node.
+    """
+    product = None
+    names = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node[0] == "prod":
+            stack += (node[2], node[1])
+            continue
+        group = build_entry(*node, cap)
+        names.append(group.name)
+        if product is None or product.order == 1:
+            product = group
+        elif group.order > 1:
+            product = direct_product(product, group, cap)
+    name = "x".join(names)
+    if product.name == name:
+        return product
+    return FiniteGroup(name, product.table, validate="structure")
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +407,9 @@ def _load_matrix(text, name, cap):
         p, d = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError("header must be 'p d'", header_no) from None
+    if not blocks:
+        # without this, the header alone could ask for a huge identity matrix
+        raise ParseError("matrix file has no generator block", header_no)
     matrices = []
     for block in blocks:
         if len(block) != d:

@@ -211,6 +211,9 @@ def cmd_scan(args) -> int:
     conf = _build_run_config(args)
     pres = _read_presentation(args.presentation)
     report = fa_scan(pres, args.max_length, args.bound, hint=args.hint)
+    if conf.output_format == "json":
+        print(report.as_json())
+        return 0
     unwitnessed = report.unwitnessed
     lines = [
         f"scanned {len(report.entries)} words of length <= {args.max_length} "
@@ -221,7 +224,7 @@ def cmd_scan(args) -> int:
         lines.append(
             f"  {render_word(entry.word, pres.generators)}: {entry.status}"
         )
-    _emit(report.as_dict(), conf, lines)
+    print("\n".join(lines))
     return 0
 
 
@@ -288,11 +291,17 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON config file (flags win)")
 
 
-def _positive_int(text) -> int:
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
+def _int_at_least(least: int):
+    """argparse type: an integer no smaller than `least`."""
+
+    def parse(text) -> int:
+        value = int(text)  # argparse reports a ValueError as an invalid value
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its invalid-value message
+    return parse
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -305,7 +314,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="classify a presentation")
     p.add_argument("presentation", help="presentation file")
     p.add_argument("--hint", choices=HINTS, default=None)
-    p.add_argument("--nfa", type=_positive_int, default=None, metavar="N")
+    p.add_argument("--nfa", type=_int_at_least(1), default=None, metavar="N")
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -318,7 +327,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=None,
         help="treat the group argument as a file of this format",
     )
-    p.add_argument("--nfa", type=_positive_int, default=None, metavar="N")
+    p.add_argument("--nfa", type=_int_at_least(1), default=None, metavar="N")
     p.add_argument("--weight", action="store_true")
     p.add_argument("--verify", action="store_true")
     _add_common(p)
@@ -333,7 +342,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="witness-scan all short words of a presentation")
     p.add_argument("presentation", help="presentation file")
-    p.add_argument("--max-length", type=int, default=3)
+    p.add_argument("--max-length", type=_int_at_least(0), default=3)
     p.add_argument("--bound", type=int, required=True, metavar="B")
     p.add_argument("--hint", choices=HINTS, default=None)
     _add_common(p)

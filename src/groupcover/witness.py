@@ -9,6 +9,7 @@ outcome is never evidence that no witness exists beyond the bound.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -27,7 +28,7 @@ from .config import DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
 from .fingroup import FiniteGroup, subgroup_closure
 from .presentation import Presentation
-from .words import EMPTY_WORD, Word, max_generator, reduced_words, render_word
+from .words import EMPTY_WORD, Word, max_generator, render_word
 
 MAX_WITNESS_BOUND = 128
 
@@ -286,26 +287,155 @@ class ScanReport:
             ],
         }
 
+    def as_json(self) -> str:
+        """Exactly ``json.dumps(self.as_dict(), indent=2, sort_keys=True)``,
+        written directly: the text of an entry before its word depends only
+        on its status and target, so it is built once per distinct pair."""
+        gens = self.presentation.generators
+        heads: dict[tuple, str] = {}
+        words = []
+        for e in self.entries:
+            key = (e.status, e.target_name, e.target_order)
+            head = heads.get(key)
+            if head is None:
+                if e.target_name:
+                    target = (
+                        "{\n        \"name\": " + json.dumps(e.target_name)
+                        + ",\n        \"order\": " + json.dumps(e.target_order)
+                        + "\n      }"
+                    )
+                else:
+                    target = "null"
+                head = heads[key] = (
+                    "    {\n      \"status\": " + json.dumps(e.status)
+                    + ",\n      \"target\": " + target + ",\n      \"word\": "
+                )
+            words.append(head + json.dumps(render_word(e.word, gens)) + "\n    }")
+        listing = "[\n" + ",\n".join(words) + "\n  ]" if words else "[]"
+        return (
+            "{\n  \"classify_status\": " + json.dumps(self.classify_status)
+            + ",\n  \"max_word_length\": " + json.dumps(self.max_word_length)
+            + ",\n  \"order_bound\": " + json.dumps(self.order_bound)
+            + ",\n  \"presentation\": " + json.dumps(self.presentation.render())
+            + ",\n  \"words\": " + listing + "\n}"
+        )
+
 
 def fa_scan(
     pres: Presentation, max_word_length: int, order_bound: int, hint=None
 ) -> ScanReport:
-    """Run find_annihilator over every freely reduced word up to the given
-    length (shortlex order).  Unwitnessed words are candidates only: when
-    classification already says the group is F-A they are flagged as
+    """Run the annihilator search over every freely reduced word up to the
+    given length (shortlex order).  Unwitnessed words are candidates only:
+    when classification already says the group is F-A they are flagged as
     "bound too small" rather than failures, and otherwise the scan draws no
-    conclusion."""
+    conclusion.
+
+    The freely reduced words form a tree under appending a letter, walked
+    once depth first in alphabet order; within one length that order is
+    shortlex.  Each node on the path keeps, per target block, the images of
+    its word under every surjection onto that target in search order, so a
+    child costs one table lookup per surjection and its first kill is the
+    first block holding the identity.  Blocks and node values are built
+    only when a word reaches them: a target's surjections are fetched when
+    the first word survives every earlier target.
+    """
     verdict = classify_fa(pres, hint)
-    space = [(t, _surjections_cached(pres, t)) for t in witness_targets(order_bound)]
-    entries = []
-    for word in reduced_words(pres.ngens, max_word_length):
-        found = _first_kill(space, word)
-        if found:
-            entries.append(ScanEntry(word, WITNESSED, found[0].name, found[0].order))
-        elif verdict.status == FA:
-            entries.append(ScanEntry(word, BOUND_TOO_SMALL))
+    unkilled = BOUND_TOO_SMALL if verdict.status == FA else UNWITNESSED
+    pending = iter(witness_targets(order_bound))
+    # per target with at least one surjection: (target, table, per-letter
+    # images, identity values); letter 2g is g, letter 2g + 1 its inverse
+    blocks = []
+
+    def reach_next_block() -> bool:
+        for target in pending:
+            surjections = _surjections_cached(pres, target)
+            if surjections:
+                letter_images = []
+                for g in range(pres.ngens):
+                    column = [images[g] for images in surjections]
+                    letter_images += [column, [target.inverse[x] for x in column]]
+                blocks.append((target, target.table, letter_images, [0] * len(surjections)))
+                return True
+        return False
+
+    # the path from the root: letters[d] is the last letter of the word at
+    # depth d, values[d] its value lists for a prefix of the blocks (every
+    # ancestor holds at least as many blocks as the node below it)
+    letters = [-1]
+    words = [EMPTY_WORD]
+    values: list[list[list[int]]] = [[]]
+    next_letter = [0]
+
+    def extend(depth: int, i: int) -> list[int]:
+        # values of block i for the node at `depth` and each ancestor that
+        # lacks them, from the deepest ancestor that has them downwards
+        k = depth
+        while k and len(values[k - 1]) == i:
+            k -= 1
+        _, table, letter_images, identity = blocks[i]
+        if k == 0:
+            values[0].append(identity)
+            k = 1
+        for j in range(k, depth + 1):
+            values[j].append(
+                [table[v][x] for v, x in zip(values[j - 1][i], letter_images[letters[j]])]
+            )
+        return values[depth][i]
+
+    def entry(depth: int) -> ScanEntry:
+        # the node was just pushed: it holds values for blocks 0..i-1 at
+        # the top of each round
+        own = values[depth]
+        parent = values[depth - 1] if depth else ()
+        letter = letters[depth]
+        i = 0
+        while True:
+            if i < len(parent):  # the common case: one step from the parent
+                _, table, letter_images, _ = blocks[i]
+                row = [table[v][x] for v, x in zip(parent[i], letter_images[letter])]
+                own.append(row)
+            elif i < len(blocks) or reach_next_block():
+                row = extend(depth, i)
+            else:
+                return ScanEntry(words[depth], unkilled)
+            if 0 in row:
+                target = blocks[i][0]
+                return ScanEntry(words[depth], WITNESSED, target.name, target.order)
+            i += 1
+
+    by_length: list[list[ScanEntry]] = [[entry(0)]]
+    nletters = 2 * pres.ngens
+    depth = 0
+    while True:
+        letter = next_letter[depth]
+        if depth >= max_word_length or letter == nletters:
+            if depth == 0:
+                break
+            for path in (letters, words, values, next_letter):
+                path.pop()
+            depth -= 1
+            continue
+        next_letter[depth] = letter + 1
+        if letter == letters[depth] ^ 1:  # never follow a letter by its inverse
+            continue
+        word = words[depth]
+        g, sign = letter >> 1, -1 if letter & 1 else 1
+        if word and word[-1][0] == g:
+            word = word[:-1] + ((g, word[-1][1] + sign),)
         else:
-            entries.append(ScanEntry(word, UNWITNESSED))
+            word += ((g, sign),)
+        letters.append(letter)
+        words.append(word)
+        values.append([])
+        next_letter.append(0)
+        depth += 1
+        if depth == len(by_length):
+            by_length.append([])
+        by_length[depth].append(entry(depth))
     return ScanReport(
-        pres, max_word_length, order_bound, verdict.status, tuple(entries)
+        pres,
+        max_word_length,
+        order_bound,
+        verdict.status,
+        tuple(e for level in by_length for e in level),
     )

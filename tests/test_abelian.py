@@ -9,7 +9,8 @@ from groupcover.abelian import (
     max_elementary_rank,
     prime_factors,
 )
-from groupcover.errors import NotPrime
+from groupcover.abelian import MILLER_RABIN_EXACT_BELOW
+from groupcover.errors import NotPrime, SearchBudgetExceeded
 
 
 def test_invariants_validation():
@@ -81,3 +82,25 @@ def test_prime_helpers():
     assert prime_factors(360) == [2, 3, 5]
     assert prime_factors(1) == []
     assert prime_factors(97) == [97]
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _trial_division(n) for n in range(20000))
+
+
+def test_is_prime_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7; to 2..23; and to 2..37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(10**18 + 3)
+    assert is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_past_exact_bound():
+    assert not is_prime(MILLER_RABIN_EXACT_BELOW - 1)  # even
+    with pytest.raises(SearchBudgetExceeded):
+        is_prime(MILLER_RABIN_EXACT_BELOW)

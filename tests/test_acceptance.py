@@ -35,7 +35,7 @@ from groupcover.snf import (
 from groupcover.witness import evaluate_word
 from groupcover.words import exponent_vector, reduced_words
 from tests.conftest import HIGMAN_TEXT, HNN_TEXT, K235_TEXT
-from tests.test_witness import CROSS_FIXTURES
+from tests.test_witness import CROSS_FIXTURES, assert_json_matches
 
 
 def report(criterion, ok, detail=""):
@@ -210,6 +210,7 @@ def test_criterion_6_presentation_pipeline_fixtures():
 def test_criterion_7_witness_completeness_three_primes():
     k235 = parse_presentation(K235_TEXT)
     scan = fa_scan(k235, 6, 5)
+    assert_json_matches(scan)
     expected_total = 1 + sum(6 * 5 ** (k - 1) for k in range(1, 7))
     failures = []
     checked = 0

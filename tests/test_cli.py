@@ -6,7 +6,9 @@ import pytest
 
 from groupcover import abelian, fingroup, presentation
 from groupcover.cli import main
+from groupcover.presentation import parse_presentation
 from tests.conftest import HIGMAN_TEXT, K235_TEXT
+from tests.test_witness import referee_fa_scan
 
 
 @pytest.fixture()
@@ -207,6 +209,54 @@ def test_finite_cyclic_factor_cap_exit_3(capsys, spec):
     assert peak < 16 * 2**20
 
 
+def run_within(seconds, argv):
+    """main(argv), failing the test if it runs past `seconds`."""
+
+    def stop(signum, frame):
+        raise _TooSlow(f"{' '.join(argv)} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_finite_matrix_file_with_huge_prime_header(capsys, tmp_path):
+    # the header's p is tested for primality without trial division; the
+    # generator has order p, so the closure passes the order cap
+    path = tmp_path / "huge.matrix"
+    path.write_text("1000000000000000003 2\n1 1\n0 1\n")
+    assert run_within(5, ["finite", str(path), "--from", "matrix"]) == 3
+    assert "cap exceeded: closure exceeds cap" in capsys.readouterr().err
+
+
+def test_finite_matrix_file_past_exact_primality(capsys, tmp_path):
+    path = tmp_path / "past.matrix"
+    path.write_text(f"{abelian.MILLER_RABIN_EXACT_BELOW} 2\n1 1\n0 1\n")
+    assert run_within(5, ["finite", str(path), "--from", "matrix"]) == 3
+    assert "cap exceeded: primality of" in capsys.readouterr().err
+
+
+def test_finite_deep_left_nested_prod_is_linear(capsys):
+    spec = "C 1"
+    for _ in range(3000):
+        spec = f"prod({spec}, C 1)"
+    assert run_within(0.5, ["finite", spec]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_finite_trivial_factors_cost_nothing(capsys):
+    # each level used to rebuild and revalidate the 720 x 720 table of S6
+    spec = "S 6"
+    for _ in range(600):
+        spec = f"prod(C 1, {spec})"
+    assert run_within(5, ["finite", spec, "--format", "json"]) == 3
+    assert "cap exceeded: |G| = 720 exceeds normal-subgroup cap 128" in capsys.readouterr().err
+
+
 def test_finite_from_file(capsys, tmp_path):
     path = tmp_path / "v4.cayley"
     rows = [[i ^ j for j in range(4)] for i in range(4)]
@@ -253,6 +303,22 @@ def test_scan_k235(capsys, k235_file):
     assert code == 0
     assert len(payload["words"]) == 7
     assert all(w["status"] == "witnessed" for w in payload["words"])
+
+
+def test_scan_json_bytes(capsys, k235_file):
+    assert main(["scan", k235_file, "--max-length", "3", "--bound", "6", "--format", "json"]) == 0
+    report = referee_fa_scan(parse_presentation(K235_TEXT), 3, 6)
+    assert capsys.readouterr().out == json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def test_scan_long_words_do_not_recurse(capsys, tmp_path):
+    # 3000 letters deep: a recursive walk of the word tree would pass the
+    # recursion limit
+    path = tmp_path / "c2.pres"
+    path.write_text("< a | a^2 >\n")
+    assert main(["scan", str(path), "--max-length", "3000", "--bound", "2", "--format", "json"]) == 0
+    report = referee_fa_scan(parse_presentation("< a | a^2 >"), 3000, 2)
+    assert capsys.readouterr().out == json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +434,8 @@ BAD_INPUT_ARGV = [
     ("analyze", "{deep_parens}"),
     ("analyze", "{deep_commutators}"),
     ("finite", "{deep_prod}"),
+    ("scan", "{klein}", "--max-length", "-1", "--bound", "4"),
+    ("finite", "{matrix_no_block}", "--from", "matrix"),
 ]
 
 
@@ -387,7 +455,10 @@ def test_bad_input_exit_2(capsys, tmp_path, klein_file, argv):
     deep_prod = "C 1"
     for _ in range(3000):
         deep_prod = f"prod(C 1, {deep_prod})"
+    matrix_no_block = tmp_path / "no_block.matrix"
+    matrix_no_block.write_text("2 100000\n")
     inputs = {
+        "matrix_no_block": matrix_no_block,
         "bad_json": bad_json,
         "zero_cap": zero_cap,
         "klein": klein_file,

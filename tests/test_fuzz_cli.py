@@ -1,0 +1,150 @@
+"""CLI fuzz gate: random group specs and matrix files, valid or not, end in
+exit 0, 2 or 3 within a few seconds and never in a traceback.
+
+The runs pass `--caps normal=64`.  At the default normal-subgroup cap of 128
+a valid group such as E2^7 takes several seconds to decide (its lattice is
+the cost), which is slow work on good input rather than an unbounded path;
+this gate is about malformed and huge input.
+"""
+
+import contextlib
+import io
+import signal
+
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, given, settings
+
+from groupcover.abelian import MILLER_RABIN_EXACT_BELOW
+from groupcover.cli import main
+
+TIME_LIMIT_S = 5
+CAPS = ("--caps", "normal=64")
+
+
+class _TooSlow(Exception):
+    pass
+
+
+def run_cli(argv):
+    """(exit code, stderr) of main(argv), failing past TIME_LIMIT_S."""
+
+    def stop(signum, frame):
+        raise _TooSlow(f"{argv!r} ran past {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(TIME_LIMIT_S)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a flag value
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(argv):
+    code, err = run_cli(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+
+
+HUGE = st.sampled_from(
+    [10**6, 10**9 + 7, 10**18 + 3, 2**61 - 1, MILLER_RABIN_EXACT_BELOW, 10**40]
+)
+SPACE = st.sampled_from(["", " ", "  ", "\t"])
+ARITY = {"C": 1, "CxC": 2, "E": 2, "D": 1, "S": 1, "A": 1, "Q8": 0, "SL": 1}
+SMALL = st.integers(1, 8)
+PARAM = st.one_of(SMALL, SMALL, SMALL, st.integers(-1, 0), HUGE).map(str)
+
+
+@st.composite
+def leaves(draw):
+    """A family entry, usually well formed; sometimes with a wrong family,
+    parameter count or parameter."""
+    family = draw(st.sampled_from(sorted(ARITY)))
+    params = draw(st.lists(PARAM, min_size=ARITY[family], max_size=ARITY[family]))
+    if draw(st.integers(0, 9)) == 0:
+        family = draw(st.sampled_from(["Z", "", "prod", "c"]))
+    if draw(st.integers(0, 9)) == 0:
+        params = draw(st.lists(PARAM | st.sampled_from(["x", "2.5", "(", ")"]), max_size=3))
+    return " ".join([family, *params])
+
+
+def products(children):
+    return st.builds(
+        lambda a, left, b, right, c: f"prod{a}({left},{b}{right}{c})",
+        SPACE, children, SPACE, children, SPACE,
+    )
+
+
+@st.composite
+def deep_nesting(draw):
+    spec = draw(leaves())
+    left = draw(st.booleans())
+    for _ in range(draw(st.integers(0, 4000))):
+        spec = f"prod({spec}, C 1)" if left else f"prod(C 1, {spec})"
+    return spec
+
+
+@st.composite
+def mangled(draw, specs):
+    """A spec with one character dropped or one inserted."""
+    spec = draw(specs)
+    i = draw(st.integers(0, len(spec)))
+    if draw(st.booleans()):
+        return spec[:i] + spec[i + 1 :]
+    return spec[:i] + draw(st.sampled_from("(),pC ")) + spec[i:]
+
+
+TREES = st.recursive(leaves(), products, max_leaves=5)
+SPECS = st.one_of(TREES, deep_nesting(), mangled(TREES))
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(SPECS)
+def test_fuzz_finite_specs(spec):
+    assert_clean_exit(["finite", spec, *CAPS])
+
+
+MATRIX_P = st.one_of(st.sampled_from([2, 3, 5, 7, 1009]), st.integers(-2, 12), HUGE)
+
+
+@st.composite
+def matrix_files(draw):
+    """A header `p d` and generator blocks of d rows, usually well formed;
+    sometimes with a malformed header, a wrong block shape, a bad entry or
+    no block at all."""
+    p = draw(MATRIX_P)
+    d = draw(st.integers(1, 3))
+    header = f"{p} {d}"
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.sampled_from([f"{p}", f"{p} {d} 1", f"{p} x", f"{p} -1", f"{p} 100000"]))
+    entry = st.integers(-3, 5).map(str)
+    if draw(st.integers(0, 9)) == 0:
+        entry = entry | HUGE.map(str) | st.sampled_from(["a", "1.0"])
+    lines = [header]
+    for _ in range(draw(st.integers(0, 3))):
+        rows, cols = d, d
+        if draw(st.integers(0, 9)) == 0:
+            rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        lines += [" ".join(draw(st.lists(entry, min_size=cols, max_size=cols))) for _ in range(rows)]
+        lines.append(draw(st.sampled_from(["", "# block end"])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(matrix_files())
+def test_fuzz_matrix_files(tmp_path, text):
+    path = tmp_path / "fuzz.matrix"
+    path.write_text(text)
+    assert_clean_exit(["finite", str(path), "--from", "matrix", *CAPS])

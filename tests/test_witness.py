@@ -1,3 +1,5 @@
+import itertools
+import json
 import time
 
 import hypothesis.strategies as st
@@ -21,9 +23,19 @@ from groupcover import (
     witness_targets,
 )
 from groupcover import witness
+from groupcover.classify import FA, classify_fa
 from groupcover.errors import SearchBudgetExceeded
-from groupcover.witness import evaluate_word, evaluate_word_direct
-from groupcover.words import exponent_vector, reduced_words
+from groupcover.presentation import Presentation
+from groupcover.witness import (
+    BOUND_TOO_SMALL,
+    UNWITNESSED,
+    WITNESSED,
+    ScanEntry,
+    ScanReport,
+    evaluate_word,
+    evaluate_word_direct,
+)
+from groupcover.words import exponent_vector, free_reduce, reduced_words
 
 
 def pres(text):
@@ -166,8 +178,108 @@ def test_collapsing_presentation_has_no_quotient():
 # ---------------------------------------------------------------------------
 # scans
 
+
+def referee_fa_scan(pres, max_word_length, order_bound, hint=None):
+    """The scan as one `_first_kill` search per word over `reduced_words`,
+    re-evaluating every word from the identity under every surjection."""
+    verdict = classify_fa(pres, hint)
+    space = [
+        (t, witness._surjections_cached(pres, t)) for t in witness_targets(order_bound)
+    ]
+    entries = []
+    for word in reduced_words(pres.ngens, max_word_length):
+        found = witness._first_kill(space, word)
+        if found:
+            entries.append(ScanEntry(word, WITNESSED, found[0].name, found[0].order))
+        elif verdict.status == FA:
+            entries.append(ScanEntry(word, BOUND_TOO_SMALL))
+        else:
+            entries.append(ScanEntry(word, UNWITNESSED))
+    return ScanReport(pres, max_word_length, order_bound, verdict.status, tuple(entries))
+
+
+def assert_json_matches(report):
+    assert report.as_json() == json.dumps(report.as_dict(), indent=2, sort_keys=True)
+
+
+def checked_scan(pres, max_word_length, order_bound, hint=None):
+    """fa_scan, checked against the referee and its JSON against as_dict."""
+    report = fa_scan(pres, max_word_length, order_bound, hint)
+    assert report == referee_fa_scan(pres, max_word_length, order_bound, hint)
+    assert_json_matches(report)
+    return report
+
+
+PRIME_TRIPLES = list(itertools.combinations((2, 3, 5, 7, 11, 13), 3))
+
+
+@pytest.mark.parametrize("primes", PRIME_TRIPLES, ids=str)
+def test_scan_agrees_with_referee_on_prime_triples(primes):
+    p = pres("< x, y, z | " + ", ".join(f"{g}^{q}" for g, q in zip("xyz", primes)) + " >")
+    checked_scan(p, 4, max(primes))
+
+
+REFEREE_PRESENTATIONS = [
+    "< a | a^2 >",
+    "< a | >",
+    "< | >",
+    "< a, b | >",
+    "< a, b | [a, b] >",
+    "< a, b | a^2, b^2, [a,b] >",
+    "< x, y | x^2, y^3, (x y)^7 >",
+    "< s, r | s^2, r^3, s r s^-1 = r^-1 >",
+    "< i, j | i^4, j^2 = i^2, j i j^-1 = i^-1 >",
+]
+
+
+@pytest.mark.parametrize("text", REFEREE_PRESENTATIONS)
+def test_scan_agrees_with_referee(text):
+    p = pres(text)
+    for length, bound in itertools.product((0, 1, 3), (1, 2, 6, 24)):
+        checked_scan(p, length, bound)
+
+
+def test_scan_agrees_with_referee_when_bound_too_small():
+    # E3^2 is F-A, but no catalog target of order 2 is a quotient of it
+    report = checked_scan(pres("< a, b | a^3, b^3, [a,b] >"), 3, 2)
+    assert {e.status for e in report.entries} == {BOUND_TOO_SMALL}
+    report = checked_scan(pres("< a, b | a^3, b^3, [a,b] >"), 3, 9)
+    assert {e.status for e in report.entries} == {WITNESSED}
+
+
+def test_scan_of_negative_length_is_the_empty_word():
+    report = checked_scan(pres("< a | a^2 >"), -1, 2)
+    assert [e.word for e in report.entries] == [()]
+
+
+def test_scan_report_json_without_entries():
+    # fa_scan always lists the empty word; the writer still matches on none
+    assert_json_matches(ScanReport(pres("< a | >"), 0, 2, "Unknown", ()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.lists(
+                    st.tuples(st.integers(0, n - 1), st.integers(-4, 4)), max_size=5
+                ),
+                max_size=3,
+            ),
+        )
+    ),
+    st.integers(0, 3),
+    st.integers(1, 8),
+)
+def test_scan_agrees_with_referee_on_random_presentations(gens_rels, length, bound):
+    ngens, relators = gens_rels
+    p = Presentation("abc"[:ngens], tuple(free_reduce(r) for r in relators))
+    checked_scan(p, length, bound)
+
 def test_scan_k235_length_one(k235):
-    report = fa_scan(k235, 1, 5)
+    report = checked_scan(k235, 1, 5)
     statuses = {tuple(e.word): e for e in report.entries}
     for text in ("x", "y", "z", "x^-1", "y^-1", "z^-1"):
         word = parse_word_text(text, k235)
@@ -176,7 +288,7 @@ def test_scan_k235_length_one(k235):
 
 def test_scan_c2_presentation():
     p = pres("< a | a^2 >")
-    report = fa_scan(p, 1, 60)
+    report = checked_scan(p, 1, 60)
     by_word = {e.word: e for e in report.entries}
     assert by_word[()].status == "witnessed"
     assert by_word[((0, 1),)].status == "unwitnessed"
@@ -184,7 +296,7 @@ def test_scan_c2_presentation():
 
 
 def test_scan_empty_word_witnessed_when_quotient_exists():
-    report = fa_scan(pres("< a, b | [a,b] >"), 0, 4)
+    report = checked_scan(pres("< a, b | [a,b] >"), 0, 4)
     assert len(report.entries) == 1
     assert report.entries[0].status == "witnessed"
 
@@ -193,18 +305,18 @@ def test_scan_flags_bound_too_small_for_fa_presentations():
     # Klein group, but scanned with a bound of 1: everything is FA yet
     # unwitnessable, so entries say "bound too small" rather than failure
     p = pres("< a, b | a^2, b^2, [a,b] >")
-    report = fa_scan(p, 1, 1)
+    report = checked_scan(p, 1, 1)
     assert report.classify_status == "FA"
     assert all(e.status == "bound too small" for e in report.entries if e.word)
 
 
 def test_scan_word_count(k235):
-    report = fa_scan(k235, 2, 5)
+    report = checked_scan(k235, 2, 5)
     assert len(report.entries) == 1 + 6 + 30
 
 
 def test_scan_report_json(k235):
-    payload = fa_scan(k235, 1, 5).as_dict()
+    payload = checked_scan(k235, 1, 5).as_dict()
     assert payload["classify_status"] == "Unknown"
     assert len(payload["words"]) == 7
     assert all({"word", "status", "target"} <= set(entry) for entry in payload["words"])
@@ -215,7 +327,7 @@ def test_scan_report_json(k235):
 # here at length <= 4)
 
 def test_three_primes_congruence_pattern(k235):
-    report = fa_scan(k235, 4, 5)
+    report = checked_scan(k235, 4, 5)
     for entry in report.entries:
         ex, ey, ez = exponent_vector(entry.word, 3)
         if ex % 2 == 0:
