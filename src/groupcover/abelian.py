@@ -9,6 +9,7 @@ count) is r + k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import NotPrime, SearchBudgetExceeded
 
@@ -40,12 +41,7 @@ class AbelianInvariants:
     @property
     def order(self) -> int | None:
         """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.factors:
-            n *= d
-        return n
+        return None if self.free_rank else prod(self.factors)
 
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"C{d}" for d in self.factors]

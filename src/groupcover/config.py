@@ -30,3 +30,4 @@ DEFAULT_CAPS = Caps()
 # during homomorphism search (pruning usually visits far fewer nodes), and on
 # the tuples the weight search scans.
 DEFAULT_SEARCH_BUDGET = 10**8
+LATTICE_BUDGET = DEFAULT_SEARCH_BUDGET  # coset products per lattice; E2^7 spends 4.3e7

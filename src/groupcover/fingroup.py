@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .abelian import AbelianInvariants, is_prime, prime_factors
-from .config import DEFAULT_CAPS, DEFAULT_SEARCH_BUDGET
+from .config import DEFAULT_CAPS, DEFAULT_SEARCH_BUDGET, LATTICE_BUDGET
 from .errors import (
     ClosureExceedsCap,
     InvalidPermutation,
@@ -363,9 +363,15 @@ def _mask(members):
     return m
 
 
+def _members(m):
+    return [x for x, c in enumerate(reversed(bin(m))) if c == "1"]
+
+
 def _normal_subgroup_sets(group, cap):
     """(all normal subgroups, maximal proper ones) as member sets, each
-    sorted by (size, mask); computed once per group."""
+    sorted by (size, mask); computed once per group.  Subgroups are masks;
+    a join N.B is built one coset yN = Ny at a time, skipping each y of B
+    already inside: |NB| - |N| products, counted against LATTICE_BUDGET."""
     if group.order > cap:
         raise OrderCapExceeded(
             f"|G| = {group.order} exceeds normal-subgroup cap {cap}"
@@ -374,42 +380,54 @@ def _normal_subgroup_sets(group, cap):
     if cached is not None:
         return cached
     table = group.table
+    bit = [1 << x for x in range(group.order)]
     full = (1 << group.order) - 1
     # every normal subgroup is the join of the normal closures of the
     # conjugacy classes it contains, and the join of two normal subgroups is
     # their product set; so close the class-closures under products
     base = {}
     for cls in conjugacy_classes(group):
-        members = frozenset(_closure_members(table, cls))
-        base.setdefault(_mask(members), members)
+        closure = tuple(_closure_members(table, cls))
+        base.setdefault(_mask(closure), closure)
     # a proper N is maximal exactly when every strict join N.B with a class
     # closure B is the whole group, and the enumeration forms all of those
-    found = {}
+    found = set()
     maximal = []
-    stack = list(base.items())
+    stack = list(base)
+    spent = 0
     while stack:
-        m, s = stack.pop()
+        m = stack.pop()
         if m in found:
             continue
-        found[m] = s
+        found.add(m)
+        s = _members(m)
         is_maximal = m != full
         for bm, b in base.items():
             if bm & ~m:
-                joined = frozenset(table[x][y] for x in s for y in b)
-                jm = _mask(joined)
+                jm = m
+                for y in b:
+                    if not jm & bit[y]:
+                        row = table[y]
+                        for x in s:
+                            jm |= bit[row[x]]
+                        spent += len(s)
                 if jm != full:
                     is_maximal = False
                 if jm not in found:
-                    stack.append((jm, joined))
+                    stack.append(jm)
         if is_maximal:
-            maximal.append((m, s))
-    result = (_by_size_and_mask(found.items()), _by_size_and_mask(maximal))
+            maximal.append(m)
+        if spent > LATTICE_BUDGET:
+            raise SearchBudgetExceeded(
+                f"normal-subgroup lattice of {group.name} found {len(found)} subgroups and "
+                f"spent {spent} coset products, past the budget of {LATTICE_BUDGET}"
+            )
+    result = tuple(
+        tuple(frozenset(_members(m)) for m in sorted(ms, key=lambda m: (m.bit_count(), m)))
+        for ms in (found, maximal)
+    )
     group._cache["normal_sets"] = result
     return result
-
-
-def _by_size_and_mask(pairs):
-    return tuple(s for _, s in sorted(pairs, key=lambda p: (len(p[1]), p[0])))
 
 
 def normal_subgroups(group, cap=None):
@@ -494,7 +512,7 @@ def abelian_invariants_finite(group):
 def _p_component_exponents(orders, p, n):
     """Exponent partition (descending) of the p-primary component, read off
     the counts of elements of order dividing p^j."""
-    target = _p_power_part(n, p)
+    target = gcd(n, p ** n.bit_length())  # the p-part of n
     logs = []
     j = 1
     while True:
@@ -516,14 +534,6 @@ def _p_component_exponents(orders, p, n):
     for i in range(1, deltas[0] + 1):
         exps.append(sum(1 for d in deltas if d >= i))
     return exps  # descending
-
-
-def _p_power_part(n, p):
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
 
 
 def weight_bruteforce(group, cap=None):

@@ -31,6 +31,9 @@ from .presentation import Presentation
 from .words import EMPTY_WORD, Word, max_generator, render_word
 
 MAX_WITNESS_BOUND = 128
+# Most words one scan visits.  A scan stays under 1 GiB at this count: a word
+# costs about 1 KiB, and one generator adds 53 KiB per letter of path depth.
+SCAN_WORD_BUDGET = 3 * 10**4
 
 
 def evaluate_word(group: FiniteGroup, images, word: Word) -> int:
@@ -72,18 +75,13 @@ def witness_targets(bound: int) -> tuple[FiniteGroup, ...]:
         raise SearchBudgetExceeded(
             f"witness bound {bound} exceeds the catalog maximum {MAX_WITNESS_BOUND}"
         )
-    groups: list[FiniteGroup] = []
-    for n in range(2, bound + 1):
-        groups.append(cyclic_group(n))
+    groups = [cyclic_group(n) for n in range(2, bound + 1)]
     for p in (2, 3, 5, 7, 11):
         k = 2
         while p**k <= bound:
             groups.append(elementary_group(p, k))
             k += 1
-    n = 3
-    while 2 * n <= bound:
-        groups.append(dihedral_group(n))
-        n += 1
+    groups += [dihedral_group(n) for n in range(3, bound // 2 + 1)]
     for builder, order in (
         (lambda: symmetric_group(3), 6),
         (lambda: symmetric_group(4), 24),
@@ -339,6 +337,16 @@ def fa_scan(
     only when a word reaches them: a target's surjections are fetched when
     the first word survives every earlier target.
     """
+    # 1 + sum over l = 1..L of 2k (2k - 1)^(l - 1) freely reduced words, with L
+    # cut where the count surely passes the budget
+    k, cut = pres.ngens, SCAN_WORD_BUDGET.bit_length() if pres.ngens > 1 else SCAN_WORD_BUDGET
+    length = max(0, min(max_word_length, cut))
+    words = 1 + 2 * k * length if k < 2 else 1 + k * ((2 * k - 1) ** length - 1) // (k - 1)
+    if words > SCAN_WORD_BUDGET:
+        raise SearchBudgetExceeded(
+            f"a scan to length {max_word_length} passes the budget of {SCAN_WORD_BUDGET} "
+            f"words: it visits {words} to length {length}"
+        )
     verdict = classify_fa(pres, hint)
     unkilled = BOUND_TOO_SMALL if verdict.status == FA else UNWITNESSED
     pending = iter(witness_targets(order_bound))

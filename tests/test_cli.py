@@ -181,6 +181,19 @@ def test_finite_weight_budget_exit_3(capsys, monkeypatch):
     assert "cap exceeded: weight search" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [("finite", "E 2 3"), ("verify-all", "--max-order", "8")], ids=" ".join
+)
+def test_lattice_budget_exit_3(capsys, monkeypatch, argv):
+    # E2^3's lattice spends 203 coset products; verify-all reaches it too
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 100)
+    assert main(list(argv)) == 3
+    err = capsys.readouterr().err
+    assert "cap exceeded: normal-subgroup lattice of " in err
+    assert "coset products, past the budget of 100" in err
+    assert "Traceback" not in err
+
+
 # spec -> the group the cap refuses by its closed-form order
 CAP_REFUSED = {
     "CxC 2 3000": "C3000",
@@ -319,6 +332,17 @@ def test_scan_long_words_do_not_recurse(capsys, tmp_path):
     assert main(["scan", str(path), "--max-length", "3000", "--bound", "2", "--format", "json"]) == 0
     report = referee_fa_scan(parse_presentation("< a | a^2 >"), 3000, 2)
     assert capsys.readouterr().out == json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def test_scan_word_budget_exit_3(capsys, tmp_path):
+    # 1 + 2 (3^25 - 1) words: refused from the closed-form count before
+    # the walk (it used to end in a MemoryError traceback)
+    path = tmp_path / "f2.pres"
+    path.write_text("< a, b | >\n")
+    assert run_within(1, ["scan", str(path), "--max-length", "25", "--bound", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "cap exceeded: a scan to length 25 passes the budget of " in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import deque
 from itertools import combinations
 
@@ -530,6 +531,83 @@ def test_maximal_equals_maximal_filter_and_simple_quotient(catalog):
         for s in fast:
             q = quotient(group, s)
             assert len(normal_subgroups(q)) == 2  # simple
+
+
+def referee_normal_subgroup_sets(group):
+    """The lattice enumeration before coset-skipping joins: each join N.B is
+    formed as all |N|.|B| products in a frozenset."""
+    table = group.table
+    full = (1 << group.order) - 1
+    base = {}
+    for cls in conjugacy_classes(group):
+        members = frozenset(fingroup._closure_members(table, cls))
+        base.setdefault(fingroup._mask(members), members)
+    found = {}
+    maximal = []
+    stack = list(base.items())
+    while stack:
+        m, s = stack.pop()
+        if m in found:
+            continue
+        found[m] = s
+        is_maximal = m != full
+        for bm, b in base.items():
+            if bm & ~m:
+                joined = frozenset(table[x][y] for x in s for y in b)
+                jm = fingroup._mask(joined)
+                if jm != full:
+                    is_maximal = False
+                if jm not in found:
+                    stack.append((jm, joined))
+        if is_maximal:
+            maximal.append((m, s))
+
+    def by_size_and_mask(pairs):
+        return tuple(s for _, s in sorted(pairs, key=lambda p: (len(p[1]), p[0])))
+
+    return by_size_and_mask(found.items()), by_size_and_mask(maximal)
+
+
+REFEREE_SPECS = (
+    "E 2 6",
+    "prod(E 3 2, E 3 2)",
+    "prod(CxC 2 6, Q8)",
+    "prod(A 4, E 2 3)",
+    "prod(D 4, Q8)",
+    "prod(S 3, Q8)",
+    "prod(S 5, E 2 2)",
+)
+
+
+def test_lattice_matches_referee():
+    # fresh groups, so that no lattice is read from another test's cache
+    groups = [g for g in build_catalog() if g.order <= 128]
+    groups += [group_from_spec(spec) for spec in REFEREE_SPECS]
+    for group in groups:
+        expected = referee_normal_subgroup_sets(group)
+        assert fingroup._normal_subgroup_sets(group, group.order) == expected, group.name
+
+
+def test_lattice_budget_counts_coset_products(monkeypatch):
+    # E2^3: a normal subgroup N of size s joins the 8 - s class closures
+    # {e, x} outside it, s products each: 7 + 7*6*2 + 7*4*4 = 203
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 203)
+    assert len(normal_subgroups(group_from_spec("E 2 3"))) == 16
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 202)
+    with pytest.raises(SearchBudgetExceeded, match="found 16 subgroups and spent 203 coset products"):
+        normal_subgroups(group_from_spec("E 2 3"))
+
+
+def test_lattice_budget_stops_early(monkeypatch):
+    # E2^6 spends 1 353 555 products on its 2825 normal subgroups
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 1000)
+    with pytest.raises(SearchBudgetExceeded, match="past the budget of 1000") as info:
+        maximal_normal_subgroups(group_from_spec("E 2 6"))
+    message = str(info.value)
+    assert message.startswith("normal-subgroup lattice of E2^6 found ")
+    found, spent = map(int, re.search(r"found (\d+) .* spent (\d+)", message).groups())
+    # one node joins at most 64 - s closures at s products each
+    assert found < 100 and 1000 < spent <= 1000 + 32 * 32
 
 
 # ---------------------------------------------------------------------------

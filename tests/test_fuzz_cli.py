@@ -1,10 +1,12 @@
-"""CLI fuzz gate: random group specs and matrix files, valid or not, end in
-exit 0, 2 or 3 within a few seconds and never in a traceback.
+"""CLI fuzz gate: random group specs, matrix files and scans of random
+presentations, valid or not, end in exit 0, 2 or 3 within a few seconds and
+never in a traceback.
 
-The runs pass `--caps normal=64`.  At the default normal-subgroup cap of 128
-a valid group such as E2^7 takes several seconds to decide (its lattice is
-the cost), which is slow work on good input rather than an unbounded path;
-this gate is about malformed and huge input.
+The `finite` runs pass `--caps normal=64`.  At the default normal-subgroup
+cap of 128 a valid E2^7 takes about 2.2 s to decide (its lattice spends
+4.3 * 10^7 coset products), under half the time limit: too little margin on
+a loaded machine for slow work on good input, and this gate is about
+malformed and huge input.
 """
 
 import contextlib
@@ -148,3 +150,51 @@ def test_fuzz_matrix_files(tmp_path, text):
     path = tmp_path / "fuzz.matrix"
     path.write_text(text)
     assert_clean_exit(["finite", str(path), "--from", "matrix", *CAPS])
+
+
+GENERATORS = ("a", "b", "c")
+
+
+@st.composite
+def presentations(draw):
+    """1-3 generators and up to 3 short relators of powers, commutators and
+    equations; sometimes with one character dropped or replaced."""
+    gens = GENERATORS[: draw(st.integers(1, 3))]
+    power = st.builds(
+        lambda g, e: g if e == 1 else f"{g}^{e}",
+        st.sampled_from(gens), st.integers(-6, 6).filter(bool),
+    )
+    word = st.lists(power, min_size=1, max_size=3).map(" ".join)
+    relator = st.one_of(
+        word,
+        st.builds(lambda u, v: f"[{u}, {v}]", word, word),
+        st.builds(lambda u, v: f"{u} = {v}", word, word),
+        st.builds(lambda u, e: f"({u})^{e}", word, st.integers(-4, 4)),
+    )
+    text = f"< {', '.join(gens)} | {', '.join(draw(st.lists(relator, max_size=3)))} >"
+    if draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(["", "<", "|", ",", "^", "a"])) + text[i + 1 :]
+    return text
+
+
+# Mostly small lengths; up to 10^4 for one generator, which stays within
+# the word budget, and past it for two or three.  Bounds stay small: at bound
+# 128 a one-generator scan to length 10^4 takes about 13 s, which is slow
+# work on good input, not an unbounded path.
+LENGTH = st.one_of(st.integers(0, 6), st.integers(0, 10**4))
+BOUND = st.one_of(st.integers(1, 12), st.sampled_from([-1, 0, 129, 10**9]))
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(presentations(), LENGTH, BOUND, st.sampled_from(["text", "json"]))
+def test_fuzz_scan(tmp_path, text, length, bound, fmt):
+    path = tmp_path / "fuzz.pres"
+    path.write_text(text + "\n")
+    assert_clean_exit(
+        ["scan", str(path), "--max-length", str(length), "--bound", str(bound), "--format", fmt]
+    )

@@ -315,6 +315,29 @@ def test_scan_word_count(k235):
     assert len(report.entries) == 1 + 6 + 30
 
 
+@pytest.mark.parametrize(
+    "text, length",
+    [("< a | a^2 >", 0), ("< a | a^2 >", 7), ("< a, b | >", 3), ("< x, y, z | x^2, y^3, z^5 >", 2)],
+)
+def test_scan_word_budget_is_the_word_count(monkeypatch, text, length):
+    p = pres(text)
+    words = sum(1 for _ in reduced_words(p.ngens, length))
+    monkeypatch.setattr(witness, "SCAN_WORD_BUDGET", words)
+    assert len(fa_scan(p, length, 2).entries) == words
+    monkeypatch.setattr(witness, "SCAN_WORD_BUDGET", words - 1)
+    message = f"budget of {words - 1} words: it visits {words} to length {length}$"
+    with pytest.raises(SearchBudgetExceeded, match=message):
+        fa_scan(p, length, 2)
+
+
+def test_scan_word_budget_huge_length_is_immediate():
+    start = time.perf_counter()
+    for text in ("< a | >", "< a, b | >", "< a, b, c | a^2 >"):
+        with pytest.raises(SearchBudgetExceeded, match="passes the budget"):
+            fa_scan(pres(text), 10**12, 2)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_scan_report_json(k235):
     payload = checked_scan(k235, 1, 5).as_dict()
     assert payload["classify_status"] == "Unknown"
