@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .catalog import (
@@ -22,7 +21,7 @@ from .catalog import (
     parse_catalog_spec,
 )
 from .classify import HINTS, classify_fa, classify_nfa, rho_annihilated_checks
-from .config import DEFAULT_CAPS, Caps
+from .config import Caps
 from .covering import is_fa_finite, is_nfa_finite, verify_finite_theorems
 from .errors import (
     CapExceeded,
@@ -51,52 +50,36 @@ _PARSE_ERRORS = (
 )
 
 
-@dataclass
-class RunConfig:
-    output_format: str = "text"
-    caps: Caps = DEFAULT_CAPS
-
-
-def _parse_caps(tokens, values: dict) -> dict:
-    for token in tokens or ():
-        key, _, raw = token.partition("=")
-        if key not in values or not raw:
-            raise ParseError(f"bad --caps token {token!r}; use order=N normal=N weight=N")
+def _settle_options(args) -> None:
+    """Fill args.format and args.caps from the flags, then the --config
+    file, then the defaults; the file takes only what the flags take."""
+    conf = {}
+    if args.config is not None:
         try:
-            values[key] = int(raw)
+            conf = json.loads(Path(args.config).read_text())
+        except ValueError as exc:
+            raise ParseError(f"config file {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(conf, dict):
+            raise ParseError(f"config file {args.config} must hold a JSON object")
+    for key, value in conf.items():
+        if not {"format": value in ("text", "json"), "caps": isinstance(value, dict)}.get(key):
+            raise ParseError(f"bad config entry {key!r}: {value!r}; use format text|json, caps")
+    args.format = args.format or conf.get("format", "text")
+    caps = dict(conf.get("caps", {}))
+    for token in args.caps or ():
+        key, _, raw = token.partition("=")
+        try:
+            caps[key] = int(raw)
         except ValueError:
-            raise ParseError(f"bad --caps value {token!r}") from None
-    return values
-
-
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
+            raise ParseError(f"bad --caps token {token!r}; use order=N normal=N") from None
     try:
-        data = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ParseError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ParseError(f"config file {path} must hold a JSON object")
-    return data
-
-
-def _build_run_config(args) -> RunConfig:
-    file_conf = _load_config_file(getattr(args, "config", None))
-    output_format = args.format or file_conf.get("format") or "text"
-    caps_conf = file_conf.get("caps", {})
-    if not isinstance(caps_conf, dict):
-        raise ParseError("config key 'caps' must hold a JSON object")
-    base = {key: caps_conf.get(key, value) for key, value in asdict(DEFAULT_CAPS).items()}
-    try:
-        caps = Caps(**_parse_caps(getattr(args, "caps", None), base))
+        args.caps = Caps(**caps)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad caps: {exc}") from None
-    return RunConfig(output_format, caps)
+        raise ParseError(f"bad caps: {exc}; use order=N normal=N") from None
 
 
-def _emit(payload: dict, conf: RunConfig, text_lines) -> None:
-    if conf.output_format == "json":
+def _emit(payload: dict, args, text_lines) -> None:
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -111,7 +94,6 @@ def _read_presentation(path):
 # subcommands
 
 def cmd_analyze(args) -> int:
-    conf = _build_run_config(args)
     pres = _read_presentation(args.presentation)
     verdict = classify_fa(pres, args.hint)
     inv = abelian_invariants(pres)
@@ -138,40 +120,37 @@ def cmd_analyze(args) -> int:
     ]
     if args.nfa is not None:
         lines.append(f"{args.nfa}-F-A verdict: {payload['nfa']['verdict']}")
-    _emit(payload, conf, lines)
+    _emit(payload, args, lines)
     return 0
 
 
-def _resolve_group(args, conf: RunConfig):
+def _resolve_group(args):
     if args.from_format:
-        return load_group(args.group, args.from_format, cap=conf.caps.order)
-    return group_from_spec(args.group, cap=conf.caps.order)
+        return load_group(args.group, args.from_format, cap=args.caps.order)
+    return group_from_spec(args.group, cap=args.caps.order)
 
 
 def cmd_finite(args) -> int:
-    conf = _build_run_config(args)
-    group = _resolve_group(args, conf)
+    group = _resolve_group(args)
     reports = []
     lines = [f"group: {group.name} (order {group.order})"]
-    fa = is_fa_finite(group, conf.caps.normal)
+    fa = is_fa_finite(group, args.caps.normal)
     reports.append(fa.as_dict())
     lines.append(_cover_line(fa))
     if args.nfa is not None:
-        nfa = is_nfa_finite(group, args.nfa, conf.caps.normal)
+        nfa = is_nfa_finite(group, args.nfa, args.caps.normal)
         reports.append(nfa.as_dict())
         lines.append(_cover_line(nfa))
     if args.weight:
-        w = weight_bruteforce(group, conf.caps.weight)
+        w = weight_bruteforce(group, args.caps.normal)
         reports.append({"group": group.name, "weight": w})
         lines.append(f"weight: {w}")
     if args.verify:
-        report = verify_finite_theorems(
-            group, cap=conf.caps.normal, weight_cap=conf.caps.weight
-        )
+        report = verify_finite_theorems(group, cap=args.caps.normal)
         reports.append(report.as_dict())
         status = "pass" if report.passed else f"FAIL ({', '.join(report.failing())})"
         lines.append(f"theorem checks: {status}")
-    _emit({"group": group.name, "order": group.order, "reports": reports}, conf, lines)
+    _emit({"group": group.name, "order": group.order, "reports": reports}, args, lines)
     return 0
 
 
@@ -186,19 +165,18 @@ def _cover_line(report) -> str:
 
 
 def cmd_witness(args) -> int:
-    conf = _build_run_config(args)
     pres = _read_presentation(args.presentation)
     word = parse_word_text(args.word, pres)
     witness = find_annihilator(pres, word, args.bound)
     if witness is None:
         payload = {"witness": None, "bound": args.bound}
-        _emit(payload, conf, [f"none <= {args.bound}"])
+        _emit(payload, args, [f"none <= {args.bound}"])
     else:
         payload = {"witness": witness.as_dict(), "bound": args.bound}
         target = witness.as_dict()["target"]
         _emit(
             payload,
-            conf,
+            args,
             [
                 f"target: {target['name']} (order {target['order']})",
                 f"images: {witness.as_dict()['images']}",
@@ -208,10 +186,9 @@ def cmd_witness(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    conf = _build_run_config(args)
     pres = _read_presentation(args.presentation)
     report = fa_scan(pres, args.max_length, args.bound, hint=args.hint)
-    if conf.output_format == "json":
+    if args.format == "json":
         print(report.as_json())
         return 0
     unwitnessed = report.unwitnessed
@@ -229,25 +206,22 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
-    conf = _build_run_config(args)
     if args.catalog:
         spec = parse_catalog_spec(Path(args.catalog).read_text())
     else:
         spec = default_catalog_spec()
     groups = [
-        g for g in build_catalog(spec, cap=conf.caps.order) if g.order <= args.max_order
+        g for g in build_catalog(spec, cap=args.caps.order) if g.order <= args.max_order
     ]
     for path in args.include or ():
         fmt = args.from_format or "cayley"
         groups.append(
-            load_group(path, fmt, cap=conf.caps.order, validate=not args.no_validate)
+            load_group(path, fmt, cap=args.caps.order, validate=not args.no_validate)
         )
     nfa_range = tuple(range(1, args.nfa_max + 1))
 
     reports = [
-        verify_finite_theorems(
-            g, nfa_range=nfa_range, cap=conf.caps.normal, weight_cap=conf.caps.weight
-        )
+        verify_finite_theorems(g, nfa_range=nfa_range, cap=args.caps.normal)
         for g in groups
     ]
 
@@ -269,7 +243,7 @@ def cmd_verify_all(args) -> int:
         ],
         "reports": [r.as_dict() for r in reports],
     }
-    _emit(payload, conf, lines)
+    _emit(payload, args, lines)
     if mismatches:
         for name, checks in mismatches:
             print(f"mismatch: {name}: {checks}", file=sys.stderr)
@@ -286,7 +260,7 @@ def _add_common(sub):
         "--caps",
         nargs="*",
         metavar="KEY=N",
-        help="override caps, e.g. --caps order=256 normal=64 weight=64",
+        help="override caps, e.g. --caps order=256 normal=64",
     )
     sub.add_argument("--config", help="JSON config file (flags win)")
 
@@ -374,6 +348,7 @@ def main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
+        _settle_options(args)
         return args.func(args)
     except _PARSE_ERRORS as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -10,24 +10,27 @@ class Caps:
     """Order caps guarding the combinatorial searches.
 
     order: largest group the constructors will close.
-    normal: largest group for normal-subgroup enumeration and coverings.
-    weight: largest group for the exact weight search.
+    normal: largest group whose normal-subgroup lattice (and so whose
+        coverings, F-A witnesses and weight) is computed.
     """
 
     order: int = 1024
     normal: int = 128
-    weight: int = 128
 
     def __post_init__(self):
-        for field in ("order", "normal", "weight"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"cap {field!r} must be positive")
+        for field in ("order", "normal"):
+            value = getattr(self, field)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"cap {field!r} must be a positive integer, got {value!r}")
 
 
 DEFAULT_CAPS = Caps()
 
 # Upper bound on the raw assignment space |H|^k explored per target group
-# during homomorphism search (pruning usually visits far fewer nodes), and on
-# the tuples the weight search scans.
+# during homomorphism search (pruning usually visits far fewer nodes), on
+# the tuples the weight search scans and on the subsets a covering check scans.
 DEFAULT_SEARCH_BUDGET = 10**8
 LATTICE_BUDGET = DEFAULT_SEARCH_BUDGET  # coset products per lattice; E2^7 spends 4.3e7
+# Longest entry the Smith normal form may write into A, U or V; dense 20x18
+# inputs stay under 2^11 bits.
+SNF_BIT_BUDGET = 2**14

@@ -10,11 +10,12 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
+from math import comb
 
 from .abelian import max_elementary_rank
-from .config import DEFAULT_CAPS
-from .errors import CapExceeded, GroupCoverError, TrivialGroup
+from .config import DEFAULT_SEARCH_BUDGET
+from .errors import CapExceeded, GroupCoverError, SearchBudgetExceeded, TrivialGroup
 from .fingroup import (
     ElementSet,
     FiniteGroup,
@@ -89,19 +90,26 @@ def is_nfa_finite(group: FiniteGroup, n: int, cap=None) -> CoverReport:
 def _covering_check(group, n, prop, cap) -> CoverReport:
     """The one covering loop; F-A is the case n = 1.  Each covered subset
     marks the lowest index of a subgroup containing it, and those marked
-    subgroups form the subcover."""
-    cap = DEFAULT_CAPS.normal if cap is None else cap
+    subgroups form the subcover.  Only the first DEFAULT_SEARCH_BUDGET
+    subsets are scanned; if all are covered and more remain, that is a
+    SearchBudgetExceeded."""
     if group.order == 1:
         return CoverReport(group.name, prop, False, (), (0,))
     cover, containing = _maximal_cover(group, cap)
+    k = min(n, group.order)
     first = 0
-    for subset in combinations(range(group.order), min(n, group.order)):
+    for subset in islice(combinations(range(group.order), k), DEFAULT_SEARCH_BUDGET):
         hit = -1
         for x in subset:
             hit &= containing[x]
             if not hit:
                 return CoverReport(group.name, prop, False, cover, subset)
         first |= hit & -hit
+    if comb(group.order, k) > DEFAULT_SEARCH_BUDGET:
+        raise SearchBudgetExceeded(
+            f"{prop} check of {group.name} scanned the budget of {DEFAULT_SEARCH_BUDGET} "
+            f"of its {comb(group.order, k)} subsets of size {k}, all covered"
+        )
     subcover = tuple(sub for i, sub in enumerate(cover) if first >> i & 1)
     return CoverReport(group.name, prop, True, cover, (), subcover=subcover)
 
@@ -111,7 +119,6 @@ def fa_witness_finite(group: FiniteGroup, g: int, cap=None) -> ElementSet | None
 
     Ties broken by smallest canonical mask.
     """
-    cap = DEFAULT_CAPS.normal if cap is None else cap
     if group.order == 1:
         raise TrivialGroup("no proper subgroups exist")
     best = None
@@ -125,7 +132,6 @@ def is_simple_annihilated_finite(group: FiniteGroup, cap=None) -> bool:
     """Does every element die in a simple quotient?  For finite groups this
     coincides with being F-A; computed here element by element through
     fa_witness_finite as an independent route."""
-    cap = DEFAULT_CAPS.normal if cap is None else cap
     if group.order == 1:
         return False
     return all(
@@ -162,7 +168,6 @@ def verify_finite_theorems(
     group: FiniteGroup,
     nfa_range=(1, 2, 3),
     cap=None,
-    weight_cap=None,
 ) -> TheoremReport:
     """Cross-check the finite-group theorems on one group:
 
@@ -174,12 +179,9 @@ def verify_finite_theorems(
         and is <= 1 otherwise;
     (e) nontrivial perfect groups have weight exactly 1.
 
-    Weight checks are skipped (not failed) when |G| exceeds weight_cap.
     A cap or budget hit (CapExceeded) propagates, since it decides nothing;
     any other package error marks its check as failed.
     """
-    cap = DEFAULT_CAPS.normal if cap is None else cap
-    weight_cap = DEFAULT_CAPS.weight if weight_cap is None else weight_cap
     report = TheoremReport(group.name)
     checks, details = report.checks, report.details
 
@@ -234,21 +236,19 @@ def verify_finite_theorems(
         nfa_verdicts[b] <= nfa_verdicts[a] for a, b in zip(ordered, ordered[1:])
     )
 
-    if group.order <= weight_cap:
+    def check_weight():
+        w = weight_bruteforce(group, cap)
+        details["weight"] = w
+        if ab_weight >= 2:
+            return w == ab_weight
+        return w <= 1
 
-        def check_weight():
-            w = weight_bruteforce(group, weight_cap)
-            details["weight"] = w
-            if ab_weight >= 2:
-                return w == ab_weight
-            return w <= 1
+    def check_perfect():
+        perfect = len(derived_subgroup(group)) == group.order
+        if perfect and group.order > 1:
+            return details.get("weight") == 1
+        return True
 
-        def check_perfect():
-            perfect = len(derived_subgroup(group)) == group.order
-            if perfect and group.order > 1:
-                return details.get("weight") == 1
-            return True
-
-        attempt("weight_matches_abelianisation", check_weight)
-        attempt("perfect_weight_one", check_perfect)
+    attempt("weight_matches_abelianisation", check_weight)
+    attempt("perfect_weight_one", check_perfect)
     return report

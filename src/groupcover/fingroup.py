@@ -367,11 +367,12 @@ def _members(m):
     return [x for x, c in enumerate(reversed(bin(m))) if c == "1"]
 
 
-def _normal_subgroup_sets(group, cap):
+def _normal_subgroup_sets(group, cap=None):
     """(all normal subgroups, maximal proper ones) as member sets, each
-    sorted by (size, mask); computed once per group.  Subgroups are masks;
+    sorted by (size, mask); computed once per group of order <= cap.  Masks;
     a join N.B is built one coset yN = Ny at a time, skipping each y of B
     already inside: |NB| - |N| products, counted against LATTICE_BUDGET."""
+    cap = DEFAULT_CAPS.normal if cap is None else cap
     if group.order > cap:
         raise OrderCapExceeded(
             f"|G| = {group.order} exceeds normal-subgroup cap {cap}"
@@ -432,7 +433,6 @@ def _normal_subgroup_sets(group, cap):
 
 def normal_subgroups(group, cap=None):
     """All normal subgroups, including {e} and G, sorted by (size, mask)."""
-    cap = DEFAULT_CAPS.normal if cap is None else cap
     return [ElementSet(group, s) for s in _normal_subgroup_sets(group, cap)[0]]
 
 
@@ -442,7 +442,6 @@ def maximal_normal_subgroups(group, cap=None):
 
     Read from the lattice enumeration, which marks a proper N maximal when
     every join of N with a conjugacy-class closure outside it is G."""
-    cap = DEFAULT_CAPS.normal if cap is None else cap
     if group.order == 1:
         raise TrivialGroup("the trivial group has no proper normal subgroups")
     return [ElementSet(group, s) for s in _normal_subgroup_sets(group, cap)[1]]
@@ -554,9 +553,6 @@ def weight_witness(group, cap=None):
     dropped.  SearchBudgetExceeded is raised before scanning a size whose
     tuples, added to those already scanned, would pass DEFAULT_SEARCH_BUDGET.
     """
-    cap = DEFAULT_CAPS.weight if cap is None else cap
-    if group.order > cap:
-        raise OrderCapExceeded(f"|G| = {group.order} exceeds weight cap {cap}")
     if group.order == 1:
         return 0, ()
     maximal = _normal_subgroup_sets(group, cap)[1]

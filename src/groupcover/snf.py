@@ -2,7 +2,9 @@
 
 Matrices are lists of rows of Python ints, so all arithmetic is arbitrary
 precision.  ``smith_normal_form`` returns U, V with U*A*V = D, D diagonal
-with a nonnegative divisibility chain and trailing zeros.
+with a nonnegative divisibility chain and trailing zeros.  Entries of A, U
+and V can still grow on dense inputs past about 20 columns, so an entry
+longer than SNF_BIT_BUDGET bits raises SearchBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -10,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+
+from .config import SNF_BIT_BUDGET
+from .errors import SearchBudgetExceeded
 
 IntMatrix = list[list[int]]
 
@@ -102,6 +107,15 @@ def smith_normal_form(rows: list[list[int]]) -> SnfResult:
         for row in v:
             row[i], row[j] = row[j], row[i]
 
+    def check_bits(*lines):
+        # the entries a row or column operation just wrote
+        bits = max(max(map(abs, line)) for line in lines).bit_length()
+        if bits > SNF_BIT_BUDGET:
+            raise SearchBudgetExceeded(
+                f"Smith normal form of a {m}x{n} matrix wrote a {bits}-bit entry, "
+                f"past the budget of {SNF_BIT_BUDGET} bits"
+            )
+
     def add_row(src, dst, q):
         # row dst += q * row src
         arow, asrc = a[dst], a[src]
@@ -110,12 +124,14 @@ def smith_normal_form(rows: list[list[int]]) -> SnfResult:
         urow, usrc = u[dst], u[src]
         for k in range(m):
             urow[k] += q * usrc[k]
+        check_bits(arow, urow)
 
     def add_col(src, dst, q):
         for row in a:
             row[dst] += q * row[src]
         for row in v:
             row[dst] += q * row[src]
+        check_bits([row[dst] for row in a], [row[dst] for row in v])
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -132,25 +148,23 @@ def smith_normal_form(rows: list[list[int]]) -> SnfResult:
         if a[t][t] < 0:
             negate_row(t)
         while True:
-            # Euclidean steps until column t and row t are clear below/right
-            # of the pivot; each remainder swap strictly shrinks the pivot.
+            # Euclid runs each row, then each column, against the pivot until
+            # its entry is zero, clearing column t below and row t right of
+            # the pivot; each remainder swap strictly shrinks the pivot.
             for i in range(t + 1, m):
-                if a[i][t] != 0:
+                while a[i][t] != 0:
                     q = a[i][t] // a[t][t]
                     add_row(t, i, -q)
                     if a[i][t] != 0:
                         swap_rows(t, i)
-            if any(a[i][t] != 0 for i in range(t + 1, m)):
-                continue
             for j in range(t + 1, n):
-                if a[t][j] != 0:
+                while a[t][j] != 0:
                     q = a[t][j] // a[t][t]
                     add_col(t, j, -q)
                     if a[t][j] != 0:
                         swap_cols(t, j)
+            # a column swap may refill column t below the pivot
             if any(a[i][t] != 0 for i in range(t + 1, m)):
-                continue
-            if any(a[t][j] != 0 for j in range(t + 1, n)):
                 continue
             # Divisibility: fold in any non-multiple so d_t | d_{t+1} | ...
             d = a[t][t]

@@ -4,10 +4,11 @@ import tracemalloc
 
 import pytest
 
-from groupcover import abelian, fingroup, presentation
+from groupcover import abelian, covering, fingroup, presentation
 from groupcover.cli import main
 from groupcover.presentation import parse_presentation
 from tests.conftest import HIGMAN_TEXT, K235_TEXT
+from tests.test_snf import dense_matrix
 from tests.test_witness import referee_fa_scan
 
 
@@ -91,6 +92,32 @@ def test_analyze_huge_cyclic_abelianisation(capsys, tmp_path):
     assert payload["invariants"] == {"free_rank": 0, "factors": [10**18 + 3]}
 
 
+def dense_presentation(path, seed, relators, generators):
+    """A presentation whose exponent matrix is dense_matrix(seed, ...)."""
+    names = [f"x{i}" for i in range(generators)]
+    rows = dense_matrix(seed, relators, generators)
+    text = ", ".join(" ".join(f"{g}^{e}" for g, e in zip(names, row) if e) for row in rows)
+    path.write_text(f"< {', '.join(names)} | {text} >\n")
+    return str(path)
+
+
+def test_analyze_dense_presentation(capsys, tmp_path):
+    # 13 dense relators over 11 generators: the SNF stays fast only if it
+    # runs each row and column to completion against the pivot
+    path = dense_presentation(tmp_path / "dense.pres", 13, 13, 11)
+    assert run_within(1, ["analyze", path, "--nfa", "2", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["invariants"] == {"free_rank": 0, "factors": [2]}
+
+
+def test_analyze_snf_budget_exit_3(capsys, tmp_path):
+    path = dense_presentation(tmp_path / "dense.pres", 0, 60, 40)
+    assert run_within(5, ["analyze", path]) == 3
+    err = capsys.readouterr().err
+    assert "cap exceeded: Smith normal form of a 60x40 matrix wrote a " in err
+    assert "Traceback" not in err
+
+
 def test_analyze_higman(capsys, higman_file):
     code, payload = run_json(capsys, "analyze", higman_file)
     assert code == 0
@@ -158,8 +185,7 @@ def test_finite_q8_verify(capsys):
 
 
 def test_finite_s5_weight(capsys):
-    code, payload = run_json(capsys, "finite", "S 5", "--weight", "--caps",
-                             "normal=128", "weight=128")
+    code, payload = run_json(capsys, "finite", "S 5", "--weight", "--caps", "normal=128")
     assert code == 0
     assert {"group": "S5", "weight": 1} in payload["reports"]
 
@@ -179,6 +205,28 @@ def test_finite_weight_budget_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(fingroup, "DEFAULT_SEARCH_BUDGET", 10)
     assert main(["finite", "E 2 3", "--weight"]) == 3
     assert "cap exceeded: weight search" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("finite", "E 2 3", "--nfa", "2"), ("verify-all", "--max-order", "8", "--nfa-max", "2")],
+    ids=" ".join,
+)
+def test_covering_budget_exit_3(capsys, monkeypatch, argv):
+    # E2^3 is 2-F-A: all C(8, 2) = 28 pairs are covered, so the scan runs
+    # into the budget; verify-all reaches it too
+    monkeypatch.setattr(covering, "DEFAULT_SEARCH_BUDGET", 20)
+    assert main(list(argv)) == 3
+    err = capsys.readouterr().err
+    assert "cap exceeded: 2-F-A check of E2^3 scanned the budget of 20 of its 28 subsets" in err
+    assert "Traceback" not in err
+
+
+def test_covering_budget_keeps_early_answer(capsys):
+    # C(120, 5) subsets pass the budget, but an uncovered one comes first
+    code, payload = run_json(capsys, "finite", "S 5", "--nfa", "5")
+    assert code == 0
+    assert payload["reports"][1]["verdict"] is False
 
 
 @pytest.mark.parametrize(
@@ -438,6 +486,13 @@ BAD_INPUT_ARGV = [
     ("finite", "C 4", "--config", "{bad_json}"),
     ("finite", "C 4", "--caps", "order=0"),
     ("finite", "C 4", "--config", "{zero_cap}"),
+    ("finite", "C 4", "--caps", "weight=64"),
+    ("finite", "C 4", "--caps", "normall=8"),
+    ("finite", "C 4", "--config", "{weight_cap}"),
+    ("finite", "C 4", "--config", "{misspelt_cap}"),
+    ("finite", "C 4", "--config", "{float_cap}"),
+    ("finite", "C 4", "--config", "{misspelt_key}"),
+    ("finite", "C 4", "--config", "{bad_format}"),
     ("finite", "C 4", "--nfa", "0"),
     ("finite", "C 4", "--nfa", "-1"),
     ("analyze", "{klein}", "--nfa", "0"),
@@ -469,6 +524,15 @@ def test_bad_input_exit_2(capsys, tmp_path, klein_file, argv):
     bad_json.write_text('{"format": ')
     zero_cap = tmp_path / "zero_cap.json"
     zero_cap.write_text(json.dumps({"caps": {"normal": 0}}))
+    configs = {
+        "weight_cap": {"caps": {"weight": 64}},
+        "misspelt_cap": {"caps": {"normall": 8}},
+        "float_cap": {"caps": {"normal": 8.5}},
+        "misspelt_key": {"caps": {"normal": 8}, "formatt": "json"},
+        "bad_format": {"format": "yaml"},
+    }
+    for name, conf in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(conf))
     non_utf8 = tmp_path / "non_utf8.txt"
     non_utf8.write_bytes(b"\xff\xfe< a | a^2 >\n")
     # nesting 3000 deep passes the recursion limit of either parser
@@ -490,6 +554,7 @@ def test_bad_input_exit_2(capsys, tmp_path, klein_file, argv):
         "deep_parens": deep_parens,
         "deep_commutators": deep_commutators,
         "deep_prod": deep_prod,
+        **{name: tmp_path / f"{name}.json" for name in configs},
     }
     try:
         code = main([arg.format(**inputs) for arg in argv])

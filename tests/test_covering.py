@@ -18,7 +18,7 @@ from groupcover import (
     subgroup_closure,
     verify_finite_theorems,
 )
-from groupcover.errors import OrderCapExceeded, TrivialGroup
+from groupcover.errors import OrderCapExceeded, SearchBudgetExceeded, TrivialGroup
 from groupcover.fingroup import FiniteGroup
 
 
@@ -231,6 +231,16 @@ def test_union_over_all_normals_equals_maximal_union(catalog):
 def test_cap_propagates():
     with pytest.raises(OrderCapExceeded):
         is_fa_finite(cyclic_group(40), cap=20)
+
+
+def test_covering_subset_budget(monkeypatch, e8):
+    # E2^3 covers all 28 pairs and leaves the triple (1, 2, 4) uncovered
+    monkeypatch.setattr(covering, "DEFAULT_SEARCH_BUDGET", 28)
+    assert is_nfa_finite(e8, 2).verdict
+    assert is_nfa_finite(e8, 3).uncovered == (1, 2, 4)  # an early answer stands
+    monkeypatch.setattr(covering, "DEFAULT_SEARCH_BUDGET", 27)
+    with pytest.raises(SearchBudgetExceeded, match="the budget of 27 of its 28 subsets of size 2"):
+        is_nfa_finite(e8, 2)
 
 
 # ---------------------------------------------------------------------------

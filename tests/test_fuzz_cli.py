@@ -1,6 +1,6 @@
-"""CLI fuzz gate: random group specs, matrix files and scans of random
-presentations, valid or not, end in exit 0, 2 or 3 within a few seconds and
-never in a traceback.
+"""CLI fuzz gate: random group specs, matrix files, scans of random
+presentations and analyses of dense ones, valid or not, end in exit 0, 2 or
+3 within a few seconds and never in a traceback.
 
 The `finite` runs pass `--caps normal=64`.  At the default normal-subgroup
 cap of 128 a valid E2^7 takes about 2.2 s to decide (its lattice spends
@@ -198,3 +198,33 @@ def test_fuzz_scan(tmp_path, text, length, bound, fmt):
     assert_clean_exit(
         ["scan", str(path), "--max-length", str(length), "--bound", str(bound), "--format", fmt]
     )
+
+
+@st.composite
+def dense_presentations(draw):
+    """1-14 generators and up to 16 relators, each with a single-digit
+    exponent on most generators; sometimes with one character dropped or
+    replaced."""
+    gens = [f"x{i}" for i in range(draw(st.integers(1, 14)))]
+    exponent = st.integers(-9, 9) | st.integers(1, 9)
+    row = st.lists(exponent, min_size=len(gens), max_size=len(gens))
+    count = draw(st.integers(0, 16))
+    rows = draw(st.lists(row, min_size=count, max_size=count))
+    relators = [" ".join(f"{g}^{e}" for g, e in zip(gens, row) if e) for row in rows]
+    text = f"< {', '.join(gens)} | {', '.join(filter(None, relators))} >"
+    if draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(["", "<", "|", ",", "^", "x"])) + text[i + 1 :]
+    return text
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(dense_presentations(), st.integers(1, 3))
+def test_fuzz_analyze(tmp_path, text, n):
+    path = tmp_path / "fuzz.pres"
+    path.write_text(text + "\n")
+    assert_clean_exit(["analyze", str(path), "--nfa", str(n)])

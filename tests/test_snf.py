@@ -1,6 +1,12 @@
+import random
+from itertools import combinations
+from math import gcd, prod
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+from groupcover.errors import SearchBudgetExceeded
 from groupcover.snf import (
     determinantal_divisor_diagonal,
     mat_det,
@@ -8,6 +14,12 @@ from groupcover.snf import (
     smith_diagonal_reference,
     smith_normal_form,
 )
+
+
+def dense_matrix(seed, m, n):
+    """An m x n matrix of single-digit entries, three quarters nonzero."""
+    rng = random.Random(seed)
+    return [[rng.choice([0] + [rng.randint(-9, 9)] * 3) for _ in range(n)] for _ in range(m)]
 
 
 def as_lists(rows):
@@ -103,6 +115,29 @@ def test_snf_matches_oracles(a):
     diag = list(r.diagonal)
     assert diag == smith_diagonal_reference(a)
     assert diag == determinantal_divisor_diagonal(a)
+
+
+@pytest.mark.parametrize("m, n", [(13, 11), (14, 12), (16, 14), (20, 18)])
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_matches_oracles(seed, m, n):
+    # the minors route is too slow at this size, so its referee here is the
+    # last determinantal divisor alone: the gcd of the maximal minors equals
+    # the product of the diagonal
+    a = dense_matrix(seed, m, n)
+    r = smith_normal_form(a)
+    check_transforms(a, r)
+    check_smith_shape(r)
+    assert list(r.diagonal) == smith_diagonal_reference(a)
+    maximal_minors = 0
+    for rows in combinations(a, n):
+        maximal_minors = gcd(maximal_minors, mat_det([list(row) for row in rows]))
+    assert prod(r.diagonal) == maximal_minors
+
+
+def test_bit_budget():
+    # dense 60 x 40 entries pass the budget within a few row operations
+    with pytest.raises(SearchBudgetExceeded, match="past the budget of 16384 bits"):
+        smith_normal_form(dense_matrix(0, 60, 40))
 
 
 def test_det_fixtures():
