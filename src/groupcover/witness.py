@@ -26,13 +26,13 @@ from .catalog import (
 from .classify import FA, classify_fa
 from .config import DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
-from .fingroup import FiniteGroup, subgroup_closure
+from .fingroup import FiniteGroup, _greedy_generators, subgroup_closure
 from .presentation import Presentation
 from .words import EMPTY_WORD, Word, max_generator, render_word
 
 MAX_WITNESS_BOUND = 128
 # Most words one scan visits.  A scan stays under 1 GiB at this count: a word
-# costs about 1 KiB, and one generator adds 53 KiB per letter of path depth.
+# costs about 1 KiB, and one generator adds 14 KiB per letter of path depth.
 SCAN_WORD_BUDGET = 3 * 10**4
 
 
@@ -134,23 +134,66 @@ def verify_witness(witness: Witness) -> bool:
     return evaluate_word_direct(target, images, witness.word) == 0
 
 
-def enumerate_surjections(
-    pres: Presentation, target: FiniteGroup
-) -> list[tuple[int, ...]]:
-    """All generator-image assignments defining a surjection onto the
-    target, in lexicographic order, within DEFAULT_SEARCH_BUDGET.
+def enumerate_surjections(pres: Presentation, target: FiniteGroup) -> list[tuple[int, ...]]:
+    """All generator-image assignments defining a surjection onto the target,
+    in lexicographic order, within DEFAULT_SEARCH_BUDGET.  The witness search
+    visits one per automorphism orbit and still finds the lexicographically
+    first killing surjection; this full list is its referee."""
+    return _surjection_search(pres, target, None)
 
-    Pruning: a generator appearing in a one-syllable relator g^m can only
-    map to elements whose order divides |m|, and each relator is checked as
-    soon as all its generators are assigned.
+
+@lru_cache(maxsize=4096)
+def _surjections_cached(pres, target):
+    """The surjections whose first non-identity image is the least of its orbit
+    (`_orbit_minima`), in lexicographic order.  Automorphisms of the target keep
+    relators, surjectivity and kills, so the first killing surjection stays."""
+    return tuple(_surjection_search(pres, target, _orbit_minima(target)))
+
+
+def _orbit_minima(target: FiniteGroup) -> bytes:
+    """Per element, 1 if it is the least of its orbit under automorphisms:
+    its conjugacy class in a nonabelian target, else the generators of its cyclic
+    subgroup.  Costs O(n |greedy generators|), or the sum of the minima's orders."""
+    flags = target._cache.get("orbit_minima")
+    if flags is None:
+        t, n = target.table, target.order
+        gens = _greedy_generators(t)
+        abelian = all(t[a][b] == t[b][a] for a in gens for b in gens)
+        seen, flags = bytearray(n), bytearray(n)
+        for x in range(n):
+            if seen[x]:
+                continue
+            seen[x] = flags[x] = 1
+            if abelian:  # the generators x^u of <x>, u prime to its order
+                powers = [x]
+                while powers[-1]:
+                    powers.append(t[powers[-1]][x])
+                for u, y in enumerate(powers, 1):
+                    if gcd(u, len(powers)) == 1:
+                        seen[y] = 1
+                continue
+            orbit = [x]  # the conjugacy class of x
+            for y in orbit:
+                for g in gens:
+                    z = target.conjugate(g, y)
+                    if not seen[z]:
+                        seen[z] = 1
+                        orbit.append(z)
+        target._cache["orbit_minima"] = flags = bytes(flags)
+    return flags
+
+
+def _surjection_search(pres, target, least):
+    """Surjections onto the target in lexicographic order; with flags `least`,
+    an image whose earlier images are all the identity must be flagged.
+    Pruning: a generator in a one-syllable relator g^m maps only to elements
+    of order dividing |m|, and each relator is checked once its generators are.
     """
     budget = DEFAULT_SEARCH_BUDGET
     ngens = pres.ngens
     n = target.order
     if n**ngens > budget:
-        raise SearchBudgetExceeded(
-            f"assignment space {n}^{ngens} exceeds budget {budget}"
-        )
+        raise SearchBudgetExceeded(f"assignment space {n}^{ngens} exceeds budget {budget}")
     orders = target.element_orders()
     constraint: dict[int, int] = {}
     for rel in pres.relators:
@@ -164,6 +207,7 @@ def enumerate_surjections(
             candidates.append(range(n))
         else:
             candidates.append([x for x in range(n) if bound % orders[x] == 0])
+    first = candidates if least is None else [[x for x in c if least[x]] for c in candidates]
     by_depth: list[list[Word]] = [[] for _ in range(ngens)]
     for rel in pres.relators:
         mg = max_generator(rel)
@@ -174,34 +218,29 @@ def enumerate_surjections(
     images = [0] * ngens
     nodes = 0
 
-    def dfs(depth):
+    def dfs(depth, trivial):
         nonlocal nodes
         if depth == ngens:
             if len(subgroup_closure(target, set(images))) == n:
                 results.append(tuple(images))
             return
-        for x in candidates[depth]:
+        for x in (first if trivial else candidates)[depth]:
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(f"search exceeded {budget} nodes")
             images[depth] = x
-            if all(
-                evaluate_word(target, images, rel) == 0 for rel in by_depth[depth]
-            ):
-                dfs(depth + 1)
+            if all(evaluate_word(target, images, rel) == 0 for rel in by_depth[depth]):
+                dfs(depth + 1, trivial and x == 0)
 
-    dfs(0)
+    dfs(0, True)
+    del dfs  # dfs holds itself through its closure: free the search now, not at a GC
     return results
 
 
-@lru_cache(maxsize=4096)
-def _surjections_cached(pres, target):
-    return tuple(enumerate_surjections(pres, target))
-
-
 def _first_kill(space, word):
-    """The first (target, images) in a sequence of (target, surjections)
-    pairs under which the word evaluates to the identity, or None."""
+    """The first (target, images) in a sequence of (target, surjections) pairs
+    under which the word evaluates to the identity, or None.  Over one surjection
+    per automorphism orbit this is still the lexicographically first killer."""
     for target, surjections in space:
         for images in surjections:
             if evaluate_word(target, images, word) == 0:

@@ -1,6 +1,6 @@
-"""CLI fuzz gate: random group specs, matrix files, scans of random
-presentations and analyses of dense ones, valid or not, end in exit 0, 2 or
-3 within a few seconds and never in a traceback.
+"""CLI fuzz gate: random group specs, matrix files, scans of and witness
+searches over random presentations and analyses of dense ones, valid or not,
+end in exit 0, 2 or 3 within a few seconds and never in a traceback.
 
 The `finite` runs pass `--caps normal=64`.  At the default normal-subgroup
 cap of 128 a valid E2^7 takes about 2.2 s to decide (its lattice spends
@@ -198,6 +198,41 @@ def test_fuzz_scan(tmp_path, text, length, bound, fmt):
     assert_clean_exit(
         ["scan", str(path), "--max-length", str(length), "--bound", str(bound), "--format", fmt]
     )
+
+
+@st.composite
+def witness_words(draw):
+    """A short word of powers and commutators over a, b and c, with exponents
+    up to 10^6; sometimes with one character dropped or replaced."""
+    power = st.builds(
+        lambda g, e: f"{g}^{e}",
+        st.sampled_from(GENERATORS), st.integers(-6, 6) | st.integers(-(10**6), 10**6),
+    )
+    part = power | st.builds(lambda u, v: f"[{u}, {v}]", power, power)
+    text = " ".join(draw(st.lists(part, min_size=1, max_size=4)))
+    if draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(["", "[", "^", ",", "d"])) + text[i + 1 :]
+    return text
+
+
+# Bounds up to 24, plus a few out of range.  In 3500 examples the slowest
+# took 0.19 s, and an exhaustive search over three generators with no
+# quotient up to 24 (< a, b, c | a = [b, c], b = [c, a], c = [a, b] >) takes
+# about 0.1 s: far under half the time limit.
+WITNESS_BOUND = st.one_of(st.integers(1, 24), st.sampled_from([-1, 0, 129, 10**9]))
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(presentations(), witness_words(), WITNESS_BOUND, st.sampled_from(["text", "json"]))
+def test_fuzz_witness(tmp_path, text, word, bound, fmt):
+    path = tmp_path / "fuzz.pres"
+    path.write_text(text + "\n")
+    assert_clean_exit(["witness", str(path), word, "--bound", str(bound), "--format", fmt])
 
 
 @st.composite

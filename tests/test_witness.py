@@ -1,6 +1,8 @@
 import itertools
 import json
 import time
+from functools import lru_cache
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -90,6 +92,105 @@ def test_surjection_count_free_group_onto_c2():
     # hom count 2^k, minus the trivial one
     p = pres("< a, b | >")
     assert len(enumerate_surjections(p, by_name(2, "C2"))) == 3
+
+
+# ---------------------------------------------------------------------------
+# the search behind find_annihilator and fa_scan visits one surjection per
+# automorphism orbit; enumerate_surjections' full lists referee it
+
+ORBIT_PRESENTATIONS = [
+    "< | >",
+    "< a | >",
+    "< a | a^6 >",
+    "< a, b | [a,b] >",
+    "< a, b | a^2, b^3 >",
+    "< x, y | x^2, y^3, (x y)^5 >",
+    "< x, y | x^2, y^3, (x y)^7 >",
+    "< x, y | x^3, y^3, (x y)^3 >",
+    "< a, b | a^4, a b a^-1 b^-2 >",
+    "< a, b | a^5, b a b^-1 a^-2 >",
+    "< a, b | a^6, b a^2 b^-2 a >",
+    "< x, y, z | x^2, y^3, z^5 >",
+    "< a, b, c | a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^2 >",
+]
+
+
+@lru_cache(maxsize=None)
+def full_surjections(text, target):
+    return enumerate_surjections(pres(text), target)
+
+
+@lru_cache(maxsize=None)
+def brute_automorphisms(target):
+    """The automorphisms the orbit rule uses, as tuples of element images, by
+    brute force: conjugation by every element of a nonabelian target, the
+    power maps x -> x^u with u prime to the order of an abelian one."""
+    n = target.order
+    if target.is_abelian():
+        return [
+            tuple(evaluate_word_direct(target, (x,), ((0, u),)) for x in range(n))
+            for u in range(1, n + 1)
+            if gcd(u, n) == 1
+        ]
+    return [tuple(target.conjugate(g, x) for x in range(n)) for g in range(n)]
+
+
+def test_orbit_minima_match_brute_force():
+    for target in witness_targets(60):
+        autos = brute_automorphisms(target)
+        least = [x == min(a[x] for a in autos) for x in range(target.order)]
+        assert list(map(bool, witness._orbit_minima(target))) == least, target.name
+
+
+@pytest.mark.parametrize("text", ORBIT_PRESENTATIONS)
+def test_orbit_search_matches_full_lists(text):
+    p = pres(text)
+    for target in witness_targets(60):
+        autos = brute_automorphisms(target)
+        full = full_surjections(text, target)
+        reduced = witness._surjections_cached(p, target)
+        # every nonempty full list keeps a representative
+        assert bool(reduced) == bool(full), (text, target.name)
+        # exactly the surjections whose first non-identity image is the
+        # least of its orbit, in the same order
+        kept = []
+        for images in full:
+            first = next(x for x in images if x)
+            if first == min(a[first] for a in autos):
+                kept.append(images)
+        assert list(reduced) == kept, (text, target.name)
+        # so each orbit of surjections keeps its lexicographically least member
+        orbit_minima = {min(tuple(a[x] for x in images) for a in autos) for images in full}
+        assert orbit_minima <= set(reduced), (text, target.name)
+
+
+def first_kill_over_full_lists(text, word, bound):
+    for target in witness_targets(bound):
+        for images in full_surjections(text, target):
+            if evaluate_word_direct(target, images, word) == 0:
+                return target.name, images
+    return None
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([t for t in ORBIT_PRESENTATIONS if pres(t).ngens]).flatmap(
+        lambda text: st.tuples(
+            st.just(text),
+            st.lists(
+                st.tuples(st.integers(0, pres(text).ngens - 1), st.integers(-7, 7)),
+                max_size=6,
+            ),
+        )
+    ),
+    st.sampled_from([2, 6, 8, 12, 24, 30, 60]),
+)
+def test_annihilator_is_first_kill_over_full_lists(text_word, bound):
+    text, word = text_word
+    word = free_reduce(word)
+    found = find_annihilator(pres(text), word, bound)
+    got = None if found is None else (found.target.name, found.images)
+    assert got == first_kill_over_full_lists(text, word, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +284,7 @@ def referee_fa_scan(pres, max_word_length, order_bound, hint=None):
     """The scan as one `_first_kill` search per word over `reduced_words`,
     re-evaluating every word from the identity under every surjection."""
     verdict = classify_fa(pres, hint)
-    space = [
-        (t, witness._surjections_cached(pres, t)) for t in witness_targets(order_bound)
-    ]
+    space = [(t, enumerate_surjections(pres, t)) for t in witness_targets(order_bound)]
     entries = []
     for word in reduced_words(pres.ngens, max_word_length):
         found = witness._first_kill(space, word)
