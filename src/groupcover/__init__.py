@@ -85,7 +85,6 @@ from .words import (
     commutator_word,
     concat,
     cyclic_reduce,
-    exponent_sum,
     free_reduce,
     invert_word,
     reduced_words,

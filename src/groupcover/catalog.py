@@ -46,8 +46,8 @@ def cyclic_group(n: int, cap=None) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic order must be positive")
     _refuse_over_cap(f"C{n}", n, cap)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(f"C{n}", table, validate="structure")
+    ids = tuple(range(n))
+    return FiniteGroup(f"C{n}", tuple(ids[i:] + ids[:i] for i in range(n)))
 
 
 def cyclic_product(m: int, n: int, cap=None) -> FiniteGroup:
@@ -63,7 +63,8 @@ def elementary_group(p: int, k: int, cap=None) -> FiniteGroup:
         raise ValueError(f"{p} is not prime")
     for _ in range(k - 1):
         group = direct_product(group, cyclic_group(p, cap), cap)
-    return FiniteGroup(f"E{p}^{k}", group.table, validate="structure")
+    group.name = f"E{p}^{k}"
+    return group
 
 
 def dihedral_group(n: int, cap=None) -> FiniteGroup:
@@ -282,10 +283,8 @@ def _build_spec(tree, cap) -> FiniteGroup:
             product = group
         elif group.order > 1:
             product = direct_product(product, group, cap)
-    name = "x".join(names)
-    if product.name == name:
-        return product
-    return FiniteGroup(name, product.table, validate="structure")
+    product.name = "x".join(names)  # built by this call, so renamed in place
+    return product
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +376,7 @@ def _load_cayley(text, name, validate):
         if len(row) != n:
             raise ParseError(f"row has {len(row)} entries, expected {n}", lineno)
         table.append(row)
-    if validate:
-        return build_from_cayley_table(table, name=name)
-    return FiniteGroup(name, table, validate="none")
+    return build_from_cayley_table(table, name, validate)
 
 
 def _load_matrix(text, name, cap):

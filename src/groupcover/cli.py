@@ -9,6 +9,7 @@ verify-all, 2 parse error, 3 cap or search budget exceeded, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -278,7 +279,9 @@ def _int_at_least(least: int):
     return parse
 
 
+@functools.cache
 def build_arg_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (parse_args keeps no state)."""
     parser = argparse.ArgumentParser(
         prog="groupcover",
         description="Decide, witness and brute-force-verify finite-annihilation properties of groups.",

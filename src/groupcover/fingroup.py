@@ -11,7 +11,7 @@ generator order, so constructions are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, gcd
 
 from .abelian import AbelianInvariants, is_prime, prime_factors
@@ -32,30 +32,20 @@ from .snf import mat_det
 
 
 class FiniteGroup:
-    """Finite group given by its full multiplication table.
-
-    validate:
-      "full"      identity/Latin/inverse checks plus associativity, checked
-                  as x(gy) = (xg)y for x, y in G and g in a generating set
-                  of the table (Light's test, complete at every order)
-      "structure" identity/Latin/inverse checks only (for tables that are
-                  associative by construction)
-      "none"      trust the table entirely (fault-injection aid)
-    """
+    """Finite group given by its full multiplication table: a tuple of tuple
+    rows, kept as given and trusted.  The builders in this package hand over
+    tables that are groups by construction; a raw table from outside goes
+    through `build_from_cayley_table`, which checks it."""
 
     __slots__ = ("name", "order", "table", "inverse", "_cache")
 
-    def __init__(self, name, table, validate="structure"):
+    def __init__(self, name, table):
         self.name = str(name)
-        self.table = tuple(tuple(map(int, row)) for row in table)
-        self.order = len(self.table)
+        self.table = table
+        self.order = len(table)
         if self.order == 0:
             raise NotAGroup("empty table")
-        if validate != "none":
-            _check_structure(self.table)
-        if validate == "full":
-            _check_associativity(self.table)
-        self.inverse = _inverse_table(self.table)
+        self.inverse = _inverse_table(table)
         self._cache = {}
 
     def mul(self, a, b):
@@ -218,13 +208,18 @@ def build_from_permutations(degree, generators, cap=None, name=None):
         return tuple(p[i] for i in q)
 
     table = _closure_table(identity, gens, compose, cap)
-    return FiniteGroup(name or f"perm{degree}", table, validate="structure")
+    return FiniteGroup(name or f"perm{degree}", tuple(table))
 
 
-def build_from_cayley_table(table, name="table"):
-    """Validated group from a raw multiplication table (Latin square,
-    identity, and the generator-based complete associativity check)."""
-    return FiniteGroup(name, table, validate="full")
+def build_from_cayley_table(table, name="table", validate=True):
+    """Group from a raw multiplication table, copied once into tuple rows and,
+    unless `validate` is false (a fault-injection aid), checked: Latin
+    square, identity, and the generator-based complete associativity check."""
+    rows = tuple(tuple(map(int, row)) for row in table)
+    if validate and rows:  # FiniteGroup refuses an empty table
+        _check_structure(rows)
+        _check_associativity(rows)
+    return FiniteGroup(name, rows)
 
 
 def build_from_matrix_generators(p, d, generators, cap=None, name=None):
@@ -251,7 +246,7 @@ def build_from_matrix_generators(p, d, generators, cap=None, name=None):
         )
 
     table = _closure_table(identity, gens, matmul, cap)
-    return FiniteGroup(name or f"mat({p},{d})", table, validate="structure")
+    return FiniteGroup(name or f"mat({p},{d})", tuple(table))
 
 
 def _closure_table(identity, gens, op, cap):
@@ -286,17 +281,19 @@ def _closure_table(identity, gens, op, cap):
 
 
 def direct_product(g, h, cap=None):
-    """Componentwise product; id of (a, b) is a*|H| + b."""
+    """Componentwise product; id of (a, b) is a*|H| + b.  Row (a, b) joins,
+    over x in row a of G, row b of H shifted by x*|H|: `shifted[b][x]`."""
     cap = DEFAULT_CAPS.order if cap is None else cap
     n = g.order * h.order
     if n > cap:
         raise ClosureExceedsCap(f"product order {n} exceeds cap {cap}")
     hn = h.order
-    table = []
-    for grow in g.table:
-        scaled = [x * hn for x in grow]
-        table.extend([x + y for x in scaled for y in hrow] for hrow in h.table)
-    return FiniteGroup(f"{g.name}x{h.name}", table, validate="structure")
+    shifted = [[tuple(y + off for y in hrow) for off in range(0, n, hn)] for hrow in h.table]
+    table = tuple(
+        tuple(chain.from_iterable(map(blocks.__getitem__, grow)))
+        for grow in g.table for blocks in shifted
+    )
+    return FiniteGroup(f"{g.name}x{h.name}", table)
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +334,26 @@ def normal_closure(group, seeds):
 
 def conjugacy_classes(group):
     """Partition of element ids into conjugation orbits, each a sorted
-    tuple, ordered by smallest member (identity class first)."""
+    tuple, ordered by smallest member (identity class first).  An orbit closed
+    under conjugation by a generating set is closed under the whole group."""
     cached = group._cache.get("classes")
     if cached is not None:
         return cached
-    n = group.order
-    seen = [False] * n
+    t, inv = group.table, group.inverse
+    gens = [(t[g], inv[g]) for g in _greedy_generators(t)]
+    seen = bytearray(group.order)
     classes = []
-    for x in range(n):
+    for x in range(group.order):
         if seen[x]:
             continue
-        orbit = {group.conjugate(g, x) for g in range(n)}
-        for y in orbit:
-            seen[y] = True
+        seen[x] = 1
+        orbit = [x]
+        for y in orbit:  # grows while it is walked
+            for row, g_inv in gens:
+                z = t[row[y]][g_inv]
+                if not seen[z]:
+                    seen[z] = 1
+                    orbit.append(z)
         classes.append(tuple(sorted(orbit)))
     result = tuple(classes)
     group._cache["classes"] = result
@@ -463,9 +467,9 @@ def quotient(group, nset, name=None):
         reps.append(x)
         for s in members:
             coset_of[table[x][s]] = cid
-    qtable = [[coset_of[table[a][b]] for b in reps] for a in reps]
+    qtable = tuple(tuple(coset_of[table[a][b]] for b in reps) for a in reps)
     qname = name or f"{group.name}/{hex(_mask(members))}"
-    return FiniteGroup(qname, qtable, validate="structure")
+    return FiniteGroup(qname, qtable)
 
 
 def derived_subgroup(group):

@@ -26,7 +26,7 @@ from .catalog import (
 from .classify import FA, classify_fa
 from .config import DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
-from .fingroup import FiniteGroup, _greedy_generators, subgroup_closure
+from .fingroup import FiniteGroup, conjugacy_classes, subgroup_closure
 from .presentation import Presentation
 from .words import EMPTY_WORD, Word, max_generator, render_word
 
@@ -153,32 +153,28 @@ def _surjections_cached(pres, target):
 def _orbit_minima(target: FiniteGroup) -> bytes:
     """Per element, 1 if it is the least of its orbit under automorphisms:
     its conjugacy class in a nonabelian target, else the generators of its cyclic
-    subgroup.  Costs O(n |greedy generators|), or the sum of the minima's orders."""
+    subgroup.  Costs what `conjugacy_classes` costs, plus in an abelian target
+    the sum of the minima's orders."""
     flags = target._cache.get("orbit_minima")
     if flags is None:
         t, n = target.table, target.order
-        gens = _greedy_generators(t)
-        abelian = all(t[a][b] == t[b][a] for a in gens for b in gens)
-        seen, flags = bytearray(n), bytearray(n)
-        for x in range(n):
-            if seen[x]:
-                continue
-            seen[x] = flags[x] = 1
-            if abelian:  # the generators x^u of <x>, u prime to its order
-                powers = [x]
+        classes = conjugacy_classes(target)
+        flags = bytearray(n)
+        if len(classes) < n:  # nonabelian
+            for cls in classes:
+                flags[cls[0]] = 1
+        else:
+            seen = bytearray(n)
+            for x in range(n):
+                if seen[x]:
+                    continue
+                seen[x] = flags[x] = 1
+                powers = [x]  # the generators x^u of <x>, u prime to its order
                 while powers[-1]:
                     powers.append(t[powers[-1]][x])
                 for u, y in enumerate(powers, 1):
                     if gcd(u, len(powers)) == 1:
                         seen[y] = 1
-                continue
-            orbit = [x]  # the conjugacy class of x
-            for y in orbit:
-                for g in gens:
-                    z = target.conjugate(g, y)
-                    if not seen[z]:
-                        seen[z] = 1
-                        orbit.append(z)
         target._cache["orbit_minima"] = flags = bytes(flags)
     return flags
 

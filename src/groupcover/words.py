@@ -82,10 +82,6 @@ def word_length(word: Word) -> int:
     return sum(abs(e) for _, e in word)
 
 
-def exponent_sum(word: Word, gen: int) -> int:
-    return sum(e for g, e in word if g == gen)
-
-
 def exponent_vector(word: Word, ngens: int) -> tuple[int, ...]:
     sums = [0] * ngens
     for g, e in word:

@@ -76,6 +76,17 @@ def test_family_order_cap_boundary(spec, order):
         group_from_spec(spec, cap=order - 1)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["S 6", "A 6", "SL 7", "D 95", "D 102", "prod(S 5, S 3)", "prod(S 5, E 2 2)",
+     "prod(A 5, C 3)", "prod(SL 5, C 2)", "E 2 8", "prod(C 2, prod(D 4, C 3))"],
+)
+def test_large_specs_pass_validator(spec):
+    # tables built by closure, product and renaming are trusted; the full
+    # check (Latin square, identity, Light's test) is their referee
+    validate_group(group_from_spec(spec, cap=1024))
+
+
 FAMILY_PARAMS = {
     "C": (5,),
     "CxC": (2, 3),
@@ -238,6 +249,20 @@ def test_load_matrix(tmp_path):
     g = load_group(path, "matrix")
     assert g.name == "sl23"
     assert g.order == 24
+
+
+def test_file_groups_pass_validator(tmp_path):
+    files = {
+        "sl23.mat": ("matrix", "3 2\n1 1\n0 1\n\n0 -1\n1 0\n", 24),
+        "gl22.mat": ("matrix", "2 2\n1 1\n0 1\n\n0 1\n1 0\n", 6),
+        "d5c3.perm": ("permutations", "(0 1 2 3 4)\n(1 4)(2 3)\n(5 6 7)\n", 30),
+    }
+    for filename, (fmt, text, order) in files.items():
+        path = tmp_path / filename
+        path.write_text(text)
+        group = load_group(path, fmt)
+        assert group.order == order
+        validate_group(group)
 
 
 def test_load_matrix_malformed(tmp_path):

@@ -1,11 +1,16 @@
 import json
+import os
 import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import groupcover
 from groupcover import abelian, covering, fingroup, presentation
-from groupcover.cli import main
+from groupcover.cli import build_arg_parser, main
 from groupcover.presentation import parse_presentation
 from tests.conftest import HIGMAN_TEXT, K235_TEXT
 from tests.test_snf import dense_matrix
@@ -562,3 +567,41 @@ def test_bad_input_exit_2(capsys, tmp_path, klein_file, argv):
         code = exc.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh_process(argv):
+    src = Path(groupcover.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "groupcover", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_main_calls_in_a_row_match_fresh_processes(capsys, klein_file):
+    # the parser is built once and reused; each call must still see only
+    # its own arguments, including after a usage error
+    calls = [
+        ["finite", "S 3", "--weight", "--format", "json"],
+        ["analyze", klein_file, "--nfa", "2"],
+        ["finite", "C 6", "--nfa", "0"],  # usage error, exit 2
+        ["witness", klein_file, "a", "--bound", "4", "--format", "json"],
+        ["finite", "C 6"],
+    ]
+    in_row = [_in_process(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in in_row] == [0, 0, 2, 0, 0]
+    assert in_row == [_fresh_process(argv) for argv in calls]
+    assert build_arg_parser() is build_arg_parser()

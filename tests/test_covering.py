@@ -6,6 +6,7 @@ from groupcover import abelian, covering
 from groupcover import (
     abelian_invariants_finite,
     abelianisation,
+    build_from_cayley_table,
     cyclic_group,
     direct_product,
     elementary_group,
@@ -19,7 +20,6 @@ from groupcover import (
     verify_finite_theorems,
 )
 from groupcover.errors import OrderCapExceeded, SearchBudgetExceeded, TrivialGroup
-from groupcover.fingroup import FiniteGroup
 
 
 def test_fa_klein(klein):
@@ -307,7 +307,7 @@ def test_verify_detects_corrupt_table():
     # associativity / identity structure downstream
     table = [[(i + j) % 5 for j in range(5)] for i in range(5)]
     table[1], table[2] = table[2], table[1]
-    corrupt = FiniteGroup("corrupt", table, validate="none")
+    corrupt = build_from_cayley_table(table, "corrupt", validate=False)
     report = verify_finite_theorems(corrupt)
     assert not report.passed
     assert not report.checks["group_axioms"]

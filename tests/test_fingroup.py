@@ -355,6 +355,28 @@ def test_products_pass_validator(klein, s3):
     validate_group(quotient(s3, derived_subgroup(s3)))
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [("S 3", "Q8"), ("Q8", "S 3"), ("C 4", "S 3"), ("S 3", "C 5"), ("A 4", "D 4"),
+     ("D 5", "C 1"), ("C 1", "SL 3"), ("E 2 2", "A 4")],
+)
+def test_direct_product_matches_table_product(left, right):
+    # the block-copy rows equal the entry-by-entry referee, noncommutative
+    # and mixed-order factors on either side
+    g, h = group_from_spec(left), group_from_spec(right)
+    product = direct_product(g, h)
+    assert product.name == f"{g.name}x{h.name}"
+    assert product.table == tuple(map(tuple, table_product(g.table, h.table)))
+    validate_group(product)
+
+
+def test_finite_group_keeps_the_rows_it_is_given():
+    rows = ((0, 1), (1, 0))
+    g = FiniteGroup("C2", rows)
+    assert g.table is rows
+    assert g.inverse == (0, 1)
+
+
 # ---------------------------------------------------------------------------
 # closures and classes
 
@@ -421,6 +443,24 @@ def test_classes_partition(catalog):
     for group in catalog[:40]:
         seen = [x for c in conjugacy_classes(group) for x in c]
         assert sorted(seen) == list(range(group.order))
+
+
+def referee_conjugacy_classes(group):
+    """Each class as the orbit of x under conjugation by every element."""
+    seen = set()
+    classes = []
+    for x in range(group.order):
+        if x not in seen:
+            orbit = {group.conjugate(g, x) for g in range(group.order)}
+            seen |= orbit
+            classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
+
+
+def test_conjugacy_classes_match_all_elements_referee(catalog):
+    assert max(g.order for g in catalog) <= 128
+    for group in catalog:
+        assert conjugacy_classes(group) == referee_conjugacy_classes(group), group.name
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +667,20 @@ def test_quotient_s5_a5(s5):
     a5sub = next(s for s in normal_subgroups(s5, cap=128) if len(s) == 60)
     q = quotient(s5, a5sub)
     assert q.order == 2
+
+
+def test_quotients_pass_validator(catalog):
+    # every quotient of the small catalog groups, and every abelianisation
+    for group in catalog:
+        if group.order <= 32:
+            for nsub in normal_subgroups(group):
+                validate_group(quotient(group, nsub))
+        validate_group(abelianisation(group))
+    for spec in ("S 6", "SL 7", "prod(S 5, S 3)"):
+        group = group_from_spec(spec, cap=1024)
+        validate_group(abelianisation(group))
+        for nsub in maximal_normal_subgroups(group, cap=1024):
+            validate_group(quotient(group, nsub))
 
 
 def test_quotient_not_normal(s3):
