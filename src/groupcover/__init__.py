@@ -36,7 +36,6 @@ from .covering import (
     fa_witness_finite,
     is_fa_finite,
     is_nfa_finite,
-    is_simple_annihilated_finite,
     verify_finite_theorems,
 )
 from .fingroup import (
@@ -62,12 +61,10 @@ from .fingroup import (
 from .presentation import (
     Presentation,
     abelian_invariants,
-    direct_product_presentation,
     exponent_matrix,
     free_product,
     parse_presentation,
     parse_word_text,
-    simplify_trivial_relators,
 )
 from .snf import SnfResult, smith_normal_form
 from .witness import (

@@ -207,6 +207,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    # n-F-A is decided on subsets of size min(n, |G|), and |G| <= the normal cap
+    if args.nfa_max > args.caps.normal:
+        raise ParseError(f"--nfa-max {args.nfa_max} exceeds the normal cap {args.caps.normal}")
     if args.catalog:
         spec = parse_catalog_spec(Path(args.catalog).read_text())
     else:
@@ -326,8 +329,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify-all", help="run the theorem harness over the catalog")
-    p.add_argument("--max-order", type=int, default=32)
-    p.add_argument("--nfa-max", type=int, default=3)
+    p.add_argument("--max-order", type=_int_at_least(0), default=32)
+    p.add_argument("--nfa-max", type=_int_at_least(0), default=3)
     p.add_argument("--catalog", help="catalog spec file (default: built-in catalog)")
     p.add_argument("--include", nargs="*", help="extra group files to check")
     p.add_argument(

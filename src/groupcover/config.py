@@ -27,8 +27,8 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 # Upper bound on the raw assignment space |H|^k explored per target group
-# during homomorphism search (pruning usually visits far fewer nodes), on
-# the tuples the weight search scans and on the subsets a covering check scans.
+# during homomorphism search (pruning usually visits far fewer nodes), and
+# on the AND products of the search behind F-A, n-F-A and the weight.
 DEFAULT_SEARCH_BUDGET = 10**8
 LATTICE_BUDGET = DEFAULT_SEARCH_BUDGET  # coset products per lattice; E2^7 spends 4.3e7
 # Longest entry the Smith normal form may write into A, U or V; dense 20x18

@@ -1,24 +1,27 @@
-"""Decide finite-annihilation properties of finite groups by exhaustive
-covering checks against the maximal normal proper subgroups.
+"""Decide finite-annihilation properties of finite groups against their
+maximal normal proper subgroups.
 
 A finite group is finitely annihilated (F-A) when the union of its maximal
 normal proper subgroups is the whole group; it is n-F-A when every n-subset
-lies inside one of them.  The trivial group is not F-A and not n-F-A by
+lies inside one of them.  A set lies in one of them exactly when the AND of
+its elements' masks c(g) is nonzero, so n-F-A holds exactly when the weight
+exceeds n, and one intersection search (`fingroup._MeetSearch`) decides
+F-A, n-F-A and the weight.  The trivial group is not F-A and not n-F-A by
 convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, islice
-from math import comb
+from functools import cache
 
 from .abelian import max_elementary_rank
-from .config import DEFAULT_SEARCH_BUDGET
-from .errors import CapExceeded, GroupCoverError, SearchBudgetExceeded, TrivialGroup
+from .errors import CapExceeded, GroupCoverError, TrivialGroup
 from .fingroup import (
     ElementSet,
     FiniteGroup,
+    _maximal_cover,
+    _MeetSearch,
     abelian_invariants_finite,
     abelianisation,
     derived_subgroup,
@@ -60,19 +63,6 @@ class CoverReport:
         return payload
 
 
-def _maximal_cover(group: FiniteGroup, cap) -> tuple[tuple[ElementSet, ...], list[int]]:
-    """Maximal normal proper subgroups (sorted by size desc, mask asc) and a
-    per-element bitmap of which of them contain that element."""
-    maximal = maximal_normal_subgroups(group, cap)
-    maximal = sorted(maximal, key=lambda s: (-len(s), s.mask))
-    containing = [0] * group.order
-    for idx, sub in enumerate(maximal):
-        bit = 1 << idx
-        for x in sub.members:
-            containing[x] |= bit
-    return tuple(maximal), containing
-
-
 def is_fa_finite(group: FiniteGroup, cap=None) -> CoverReport:
     """Is the group the union of its maximal normal proper subgroups?"""
     return _covering_check(group, 1, "F-A", cap)
@@ -88,28 +78,25 @@ def is_nfa_finite(group: FiniteGroup, n: int, cap=None) -> CoverReport:
 
 
 def _covering_check(group, n, prop, cap) -> CoverReport:
-    """The one covering loop; F-A is the case n = 1.  Each covered subset
-    marks the lowest index of a subgroup containing it, and those marked
-    subgroups form the subcover.  Only the first DEFAULT_SEARCH_BUDGET
-    subsets are scanned; if all are covered and more remain, that is a
-    SearchBudgetExceeded."""
+    """The one covering check; F-A is the case n = 1, and k = min(n, |G|).
+    Some k-subset lies in no listed subgroup exactly when k masks AND to 0;
+    the first such subset in combinations order is the witness.  Otherwise
+    the subcover marks the lowest index in the AND of each k-subset, which
+    are the lowest indices of the ANDs of at most k masks: every listed M
+    then has more than k elements (M and one g outside it normally generate
+    G, so the weight is at most |M|), so a set whose AND has lowest index i
+    pads inside the i-th subgroup to a k-subset with the same lowest index."""
     if group.order == 1:
         return CoverReport(group.name, prop, False, (), (0,))
     cover, containing = _maximal_cover(group, cap)
     k = min(n, group.order)
+    search = _MeetSearch(containing, (1 << len(cover)) - 1, f"{prop} check of {group.name}")
+    states, level = search.reach(k)
+    if level is not None:
+        return CoverReport(group.name, prop, False, cover, search.first_zero(k))
     first = 0
-    for subset in islice(combinations(range(group.order), k), DEFAULT_SEARCH_BUDGET):
-        hit = -1
-        for x in subset:
-            hit &= containing[x]
-            if not hit:
-                return CoverReport(group.name, prop, False, cover, subset)
-        first |= hit & -hit
-    if comb(group.order, k) > DEFAULT_SEARCH_BUDGET:
-        raise SearchBudgetExceeded(
-            f"{prop} check of {group.name} scanned the budget of {DEFAULT_SEARCH_BUDGET} "
-            f"of its {comb(group.order, k)} subsets of size {k}, all covered"
-        )
+    for a in states:
+        first |= a & -a
     subcover = tuple(sub for i, sub in enumerate(cover) if first >> i & 1)
     return CoverReport(group.name, prop, True, cover, (), subcover=subcover)
 
@@ -126,17 +113,6 @@ def fa_witness_finite(group: FiniteGroup, g: int, cap=None) -> ElementSet | None
         if g in sub.members and (best is None or sub.mask < best.mask):
             best = sub
     return best
-
-
-def is_simple_annihilated_finite(group: FiniteGroup, cap=None) -> bool:
-    """Does every element die in a simple quotient?  For finite groups this
-    coincides with being F-A; computed here element by element through
-    fa_witness_finite as an independent route."""
-    if group.order == 1:
-        return False
-    return all(
-        fa_witness_finite(group, g, cap) is not None for g in range(group.order)
-    )
 
 
 @dataclass
@@ -173,8 +149,8 @@ def verify_finite_theorems(
 
     (a) F-A  iff  the abelianisation has >= 2 invariant factors;
     (b) F-A  iff  some elementary p-rank of the abelianisation is >= 2;
-    (c) n-F-A  iff  the abelianisation needs >= n+1 generators, for each n
-        in nfa_range, plus monotonicity in n;
+    (c) n-F-A, read as weight > n,  iff  the abelianisation needs >= n+1
+        generators, for each n in nfa_range, plus monotonicity in n;
     (d) weight equals the abelianisation weight when the latter is >= 2,
         and is <= 1 otherwise;
     (e) nontrivial perfect groups have weight exactly 1.
@@ -222,11 +198,13 @@ def verify_finite_theorems(
         lambda: fa.verdict == (max_elementary_rank(inv)[1] >= 2),
     )
 
+    # n-F-A holds exactly when the weight exceeds n, so one weight search
+    # answers every n
+    weight = cache(lambda: weight_bruteforce(group, cap))
     nfa_verdicts = {}
 
     def check_nfa(n):
-        verdict = fa.verdict if n == 1 else is_nfa_finite(group, n, cap).verdict
-        nfa_verdicts[n] = verdict
+        verdict = nfa_verdicts[n] = weight() > n
         return verdict == (ab_weight >= n + 1)
 
     for n in nfa_range:
@@ -237,8 +215,7 @@ def verify_finite_theorems(
     )
 
     def check_weight():
-        w = weight_bruteforce(group, cap)
-        details["weight"] = w
+        w = details["weight"] = weight()
         if ab_weight >= 2:
             return w == ab_weight
         return w <= 1

@@ -69,7 +69,7 @@ class InvalidHint(GroupCoverError):
 
 
 class SearchBudgetExceeded(CapExceeded):
-    """A homomorphism or weight search space exceeds the configured budget."""
+    """A homomorphism or intersection search exceeds the configured budget."""
 
 
 class ParseError(GroupCoverError):

@@ -11,8 +11,8 @@ generator order, so constructions are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
-from math import comb, gcd
+from itertools import chain
+from math import gcd
 
 from .abelian import AbelianInvariants, is_prime, prime_factors
 from .config import DEFAULT_CAPS, DEFAULT_SEARCH_BUDGET, LATTICE_BUDGET
@@ -539,6 +539,87 @@ def _p_component_exponents(orders, p, n):
     return exps  # descending
 
 
+def _maximal_cover(group, cap=None):
+    """Maximal normal proper subgroups sorted by (size desc, mask asc), and
+    for each element g its mask c(g): bit i set when the i-th of them
+    contains g.  The masks are built once per group (ints only: an
+    ElementSet in the cache would tie the group into a reference cycle)."""
+    cover = tuple(sorted(maximal_normal_subgroups(group, cap), key=lambda s: (-len(s), s.mask)))
+    containing = group._cache.get("containing")
+    if containing is None:
+        containing = [0] * group.order
+        for idx, sub in enumerate(cover):
+            for x in sub.members:
+                containing[x] |= 1 << idx
+        group._cache["containing"] = containing
+    return cover, containing
+
+
+@dataclass
+class _MeetSearch:
+    """Breadth-first search over the ANDs of a list of masks c(g).
+
+    A set of elements lies in some maximal normal subgroup exactly when the
+    AND of its masks is nonzero, so the least number of masks whose AND is 0
+    is the weight, and n-F-A fails exactly when n masks reach 0.  Each
+    reachable AND names the intersection of the maximal normal subgroups in
+    it, so there are never more of them than the lattice has normal
+    subgroups.  Every AND product, of the search and of the witness
+    completions, counts against DEFAULT_SEARCH_BUDGET.
+    """
+
+    masks: list
+    full: int  # the all-ones mask: the AND of no masks
+    what: str  # names the search in a budget error
+    spent: int = 0
+
+    def reach(self, k, start=None, first=0):
+        """(states, level): every AND of `start` (default all-ones) with at
+        most k masks from index `first` on, and the least number of them
+        whose AND is 0, or None when k do not reach 0.  The states are
+        complete only when level is None."""
+        start = self.full if start is None else start
+        distinct = list(dict.fromkeys(self.masks[first:]))
+        seen = {start}
+        frontier = [start]
+        for level in range(1, k + 1):
+            new = []
+            for s in frontier:
+                if self.spent + len(distinct) > DEFAULT_SEARCH_BUDGET:
+                    raise SearchBudgetExceeded(
+                        f"{self.what} reached {len(seen)} intersections and spent "
+                        f"{self.spent} AND products; {len(distinct)} more would pass "
+                        f"the budget of {DEFAULT_SEARCH_BUDGET}"
+                    )
+                self.spent += len(distinct)
+                for c in distinct:
+                    a = s & c
+                    if a not in seen:
+                        if not a:
+                            return seen, level
+                        seen.add(a)
+                        new.append(a)
+            frontier = new
+        return seen, None
+
+    def first_zero(self, k):
+        """Indices of the first k-combination, in itertools.combinations
+        order, whose masks AND to 0 (one must exist): greedily the least
+        index that still has a completion reaching 0 within the picks left,
+        drawing only on later indices."""
+        picks = []
+        state = self.full
+        nxt = 0
+        for left in range(k - 1, -1, -1):
+            for i in range(nxt, len(self.masks) - left):
+                a = state & self.masks[i]
+                if not a or left and self.reach(left, a, i + 1)[1] is not None:
+                    break
+            picks.append(i)
+            state, nxt = a, i + 1
+        return tuple(picks)
+
+
 def weight_bruteforce(group, cap=None):
     """Exact weight: the least k with G the normal closure of k elements."""
     return weight_witness(group, cap)[0]
@@ -549,37 +630,24 @@ def weight_witness(group, cap=None):
     tuple of conjugacy-class representatives attaining the weight.
 
     A set normally generates G exactly when no maximal normal subgroup
-    contains it, so the weight is the size of a minimum hitting set: each
-    representative r hits the maximal subgroups that avoid r (their list
-    comes from the lattice enumeration), and a tuple works when together
-    its entries hit them all.  Representatives that hit nothing, or the same
-    subgroups as a smaller one, are never in the first witness and are
-    dropped.  SearchBudgetExceeded is raised before scanning a size whose
-    tuples, added to those already scanned, would pass DEFAULT_SEARCH_BUDGET.
+    contains it, that is when the AND of its masks c(g) is 0.  So the weight
+    is the first level of the intersection search that reaches 0, over the
+    masks of the class representatives.  Representatives in every maximal
+    subgroup, or with the same mask as a smaller one, are never in the first
+    witness and are dropped.
     """
     if group.order == 1:
         return 0, ()
-    maximal = _normal_subgroup_sets(group, cap)[1]
-    full = (1 << len(maximal)) - 1
-    first_rep = {}  # avoid mask -> smallest representative with it
+    cover, containing = _maximal_cover(group, cap)
+    full = (1 << len(cover)) - 1
+    first_rep = {}  # mask -> smallest representative with it
     for cls in conjugacy_classes(group):  # ascending representatives
-        m = _mask(i for i, sub in enumerate(maximal) if cls[0] not in sub)
-        if m:
-            first_rep.setdefault(m, cls[0])
-    spent = 0  # tuples of the sizes already scanned, none of them a hit
-    for k in range(1, len(first_rep) + 1):
-        size = comb(len(first_rep), k)
-        if spent + size > DEFAULT_SEARCH_BUDGET:
-            raise SearchBudgetExceeded(
-                f"weight search spent {spent} tuples below size {k}; the {size} "
-                f"of size {k} would pass the budget of {DEFAULT_SEARCH_BUDGET}"
-            )
-        spent += size
-        for combo in combinations(first_rep.items(), k):
-            hit = 0
-            for m, _ in combo:
-                hit |= m
-            if hit == full:
-                return k, tuple(r for _, r in combo)
-    # unreachable for a genuine group: each maximal subgroup misses a class
-    raise NotAGroup("class representatives do not normally generate the table")
+        first_rep.setdefault(containing[cls[0]], cls[0])
+    del first_rep[full]  # the identity's, in every maximal subgroup
+    masks = list(first_rep)
+    search = _MeetSearch(masks, full, f"weight search of {group.name}")
+    weight = search.reach(len(masks))[1]
+    if weight is None:
+        # unreachable for a genuine group: each maximal subgroup misses a class
+        raise NotAGroup("class representatives do not normally generate the table")
+    return weight, tuple(first_rep[masks[i]] for i in search.first_zero(weight))

@@ -34,7 +34,6 @@ from .words import (
     Word,
     commutator_word,
     concat,
-    cyclic_reduce,
     exponent_vector,
     free_reduce,
     invert_word,
@@ -294,49 +293,3 @@ def free_product(p: Presentation, q: Presentation) -> Presentation:
     offset = p.ngens
     shifted = tuple(tuple((g + offset, e) for g, e in rel) for rel in q.relators)
     return Presentation(names, p.relators + shifted)
-
-
-def direct_product_presentation(p: Presentation, q: Presentation) -> Presentation:
-    """Free product plus all cross-commutators [g, h]."""
-    base = free_product(p, q)
-    offset = p.ngens
-    cross = tuple(
-        commutator_word(((i, 1),), ((offset + j, 1),))
-        for i in range(p.ngens)
-        for j in range(q.ngens)
-    )
-    return Presentation(base.generators, base.relators + cross)
-
-
-@dataclass(frozen=True)
-class SimplifiedPresentation:
-    presentation: Presentation
-    collapsed_to_trivial: bool
-
-
-def simplify_trivial_relators(pres: Presentation) -> SimplifiedPresentation:
-    """Repeatedly cyclically reduce relators and delete any generator whose
-    relator has become a single syllable g or g^-1 (substituting the empty
-    word for it everywhere), until a fixpoint."""
-    generators = list(pres.generators)
-    relators = [free_reduce(r) for r in pres.relators]
-    while True:
-        relators = [cyclic_reduce(r) for r in relators]
-        relators = [r for r in relators if r]
-        victim = None
-        for rel in relators:
-            if len(rel) == 1 and abs(rel[0][1]) == 1:
-                victim = rel[0][0]
-                break
-        if victim is None:
-            break
-        del generators[victim]
-        remapped = []
-        for rel in relators:
-            kept = [
-                (g - 1 if g > victim else g, e) for g, e in rel if g != victim
-            ]
-            remapped.append(free_reduce(kept))
-        relators = remapped
-    result = Presentation(tuple(generators), tuple(relators))
-    return SimplifiedPresentation(result, collapsed_to_trivial=not generators)

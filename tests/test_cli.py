@@ -202,28 +202,59 @@ def test_finite_nfa(capsys):
     assert payload["reports"][1]["verdict"] is True
 
 
+def test_finite_e2_6_weight_and_nfa_5(capsys):
+    # n-F-A holds exactly when the weight exceeds n
+    code, payload = run_json(capsys, "finite", "E 2 6", "--nfa", "5", "--weight")
+    assert code == 0
+    _, nfa, weight = payload["reports"]
+    assert (nfa["property"], nfa["verdict"]) == ("5-F-A", True)
+    assert weight == {"group": "E2^6", "weight": 6}
+    code, payload = run_json(capsys, "finite", "E 2 6", "--nfa", "6")
+    assert payload["reports"][1]["uncovered"] == [1, 2, 4, 8, 16, 32]
+
+
+def test_verify_all_nfa_max_within_normal_cap(capsys):
+    # n-F-A is decided on subsets of size min(n, |G|), and |G| <= the normal cap
+    assert main(["verify-all", "--max-order", "4", "--nfa-max", "8", "--caps", "normal=8"]) == 0
+    capsys.readouterr()
+    assert main(["verify-all", "--max-order", "4", "--nfa-max", "9", "--caps", "normal=8"]) == 2
+    assert capsys.readouterr().err == "parse error: --nfa-max 9 exceeds the normal cap 8\n"
+
+
 def test_finite_cap_exit_3(capsys):
     assert main(["finite", "C 40", "--caps", "normal=16"]) == 3
 
 
 def test_finite_weight_budget_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(fingroup, "DEFAULT_SEARCH_BUDGET", 10)
+    # F-A spends 8 AND products, within the budget; the weight search, with
+    # a budget of its own, runs out on level 2
+    monkeypatch.setattr(fingroup, "DEFAULT_SEARCH_BUDGET", 20)
     assert main(["finite", "E 2 3", "--weight"]) == 3
-    assert "cap exceeded: weight search" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "cap exceeded: weight search of E2^3 reached 11 intersections and spent 14 AND "
+        "products; 7 more would pass the budget of 20\n"
+    )
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("finite", "E 2 3", "--nfa", "2"), ("verify-all", "--max-order", "8", "--nfa-max", "2")],
-    ids=" ".join,
+    "argv, message",
+    [
+        pytest.param(("finite", "E 2 3", "--nfa", "2"),
+                     "2-F-A check of E2^3 reached 11 intersections and spent 16 AND products; "
+                     "8 more", id="finite E 2 3 --nfa 2"),
+        pytest.param(("verify-all", "--max-order", "8", "--nfa-max", "2"),
+                     "weight search of E2^3 reached 11 intersections and spent 14 AND products; "
+                     "7 more", id="verify-all --max-order 8 --nfa-max 2"),
+    ],
 )
-def test_covering_budget_exit_3(capsys, monkeypatch, argv):
-    # E2^3 is 2-F-A: all C(8, 2) = 28 pairs are covered, so the scan runs
-    # into the budget; verify-all reaches it too
-    monkeypatch.setattr(covering, "DEFAULT_SEARCH_BUDGET", 20)
+def test_covering_budget_exit_3(capsys, monkeypatch, argv, message):
+    # one budget of AND products bounds the intersection search behind F-A,
+    # n-F-A and the weight; verify-all reads its n-F-A verdicts off the
+    # weight search, so that is where it stops
+    monkeypatch.setattr(fingroup, "DEFAULT_SEARCH_BUDGET", 20)
     assert main(list(argv)) == 3
     err = capsys.readouterr().err
-    assert "cap exceeded: 2-F-A check of E2^3 scanned the budget of 20 of its 28 subsets" in err
+    assert f"cap exceeded: {message} would pass the budget of 20" in err
     assert "Traceback" not in err
 
 
@@ -519,6 +550,10 @@ BAD_INPUT_ARGV = [
     ("analyze", "{deep_commutators}"),
     ("finite", "{deep_prod}"),
     ("scan", "{klein}", "--max-length", "-1", "--bound", "4"),
+    ("verify-all", "--max-order", "-1"),
+    ("verify-all", "--nfa-max", "-1"),
+    ("verify-all", "--nfa-max", "129"),
+    ("verify-all", "--nfa-max", "1000000000"),
     ("finite", "{matrix_no_block}", "--from", "matrix"),
 ]
 

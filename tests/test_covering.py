@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from groupcover import abelian, covering
+from groupcover import abelian, covering, fingroup
 from groupcover import (
     abelian_invariants_finite,
     abelianisation,
@@ -14,7 +14,6 @@ from groupcover import (
     group_from_spec,
     is_fa_finite,
     is_nfa_finite,
-    is_simple_annihilated_finite,
     normal_subgroups,
     subgroup_closure,
     verify_finite_theorems,
@@ -205,11 +204,17 @@ def test_fa_witness_trivial_raises():
 
 
 def test_simple_annihilated_matches_fa(catalog, c6, a5):
-    assert is_simple_annihilated_finite(direct_product(cyclic_group(2), cyclic_group(2)))
-    assert not is_simple_annihilated_finite(c6)
-    assert not is_simple_annihilated_finite(a5, cap=128)
+    # every element dies in a simple quotient (has an F-A witness) exactly
+    # when the group is F-A
+    def every_element_witnessed(group, cap=None):
+        return all(fa_witness_finite(group, g, cap) is not None for g in range(group.order))
+
+    assert every_element_witnessed(direct_product(cyclic_group(2), cyclic_group(2)))
+    assert not every_element_witnessed(c6)
+    assert not every_element_witnessed(a5, cap=128)
     for group in catalog[:30]:
-        assert is_simple_annihilated_finite(group) == is_fa_finite(group).verdict
+        if group.order > 1:
+            assert every_element_witnessed(group) == is_fa_finite(group).verdict
 
 
 def test_union_over_all_normals_equals_maximal_union(catalog):
@@ -234,13 +239,61 @@ def test_cap_propagates():
 
 
 def test_covering_subset_budget(monkeypatch, e8):
-    # E2^3 covers all 28 pairs and leaves the triple (1, 2, 4) uncovered
-    monkeypatch.setattr(covering, "DEFAULT_SEARCH_BUDGET", 28)
+    # the covering check spends AND products of the intersection search, not
+    # subsets: on E2^3, the 2-F-A search extends the all-ones state and the 7
+    # masks of level 1 by the 8 distinct masks (64 products), reaching 15
+    # intersections and no 0, so every pair is covered
+    monkeypatch.setattr(fingroup, "DEFAULT_SEARCH_BUDGET", 64)
     assert is_nfa_finite(e8, 2).verdict
-    assert is_nfa_finite(e8, 3).uncovered == (1, 2, 4)  # an early answer stands
-    monkeypatch.setattr(covering, "DEFAULT_SEARCH_BUDGET", 27)
-    with pytest.raises(SearchBudgetExceeded, match="the budget of 27 of its 28 subsets of size 2"):
+    monkeypatch.setattr(fingroup, "DEFAULT_SEARCH_BUDGET", 63)
+    with pytest.raises(SearchBudgetExceeded, match=r"^2-F-A check of E2\^3 reached 15 "
+                       r"intersections and spent 56 AND products; 8 more would pass the "
+                       r"budget of 63$"):
         is_nfa_finite(e8, 2)
+    assert is_fa_finite(e8).verdict  # F-A needs only the 8 products of level 1
+
+
+def referee_cover_check(group, n):
+    """Referee: the subset walk the intersection search replaced.  Every
+    k-subset, k = min(n, |G|), in combinations order; the first one lying in
+    no maximal normal subgroup is the witness, and otherwise each subset
+    marks the lowest index of a subgroup containing it."""
+    if group.order == 1:
+        return covering.CoverReport(group.name, f"{n}-F-A", False, (), (0,))
+    cover, containing = fingroup._maximal_cover(group)
+    first = 0
+    for subset in combinations(range(group.order), min(n, group.order)):
+        hit = -1
+        for x in subset:
+            hit &= containing[x]
+        if not hit:
+            return covering.CoverReport(group.name, f"{n}-F-A", False, cover, subset)
+        first |= hit & -hit
+    subcover = tuple(sub for i, sub in enumerate(cover) if first >> i & 1)
+    return covering.CoverReport(group.name, f"{n}-F-A", True, cover, (), subcover=subcover)
+
+
+# the products of the heavy and middle bands of the finite-lattice
+# benchmark workload: groups of order 24-96 with rich normal lattices
+LATTICE_PRODUCT_SPECS = tuple(f"prod({a}, {b})" for a, b in (
+    ("E 3 2", "E 3 2"), ("CxC 2 6", "Q8"), ("C 6", "E 3 2"), ("A 4", "E 2 3"),
+    ("D 6", "E 2 2"), ("E 2 3", "S 3"), ("C 8", "CxC 2 4"), ("D 4", "D 4"),
+    ("A 4", "E 3 2"), ("CxC 2 2", "CxC 2 6"), ("Q8", "Q8"), ("D 4", "Q8"),
+))
+
+
+def test_covering_matches_subset_referee(catalog):
+    # E2^5 (order 32) is a catalog group; E2^6 is 4-F-A, so the referee
+    # walks all C(64, 4) of its 4-subsets
+    groups = [g for g in catalog if g.order <= 64]
+    groups += [group_from_spec(s) for s in LATTICE_PRODUCT_SPECS + ("E 2 6",)]
+    for group in groups:
+        for n in (1, 2, 3, 4):
+            expected = referee_cover_check(group, n)
+            assert is_nfa_finite(group, n).as_dict() == expected.as_dict(), (group.name, n)
+        fa, expected = is_fa_finite(group), referee_cover_check(group, 1)
+        assert (fa.verdict, fa.uncovered, fa.subcover) == (
+            expected.verdict, expected.uncovered, expected.subcover)
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +332,24 @@ def test_verify_catalog(catalog):
 
 
 def test_verify_runs_each_covering_once(monkeypatch, klein):
-    # the F-A check is the n = 1 covering, so nfa_range (1, 2, 3) adds two
+    # the harness runs the F-A check once and reads every n-F-A verdict off
+    # one weight search, never calling is_nfa_finite
     calls = []
-    check = covering._covering_check
+    check, weigh = covering._covering_check, covering.weight_bruteforce
 
     def counting(group, n, prop, cap):
         calls.append(n)
         return check(group, n, prop, cap)
 
+    def weighing(group, cap=None):
+        calls.append("weight")
+        return weigh(group, cap)
+
     monkeypatch.setattr(covering, "_covering_check", counting)
+    monkeypatch.setattr(covering, "weight_bruteforce", weighing)
     report = verify_finite_theorems(klein, nfa_range=(1, 2, 3))
     assert report.passed, report.failing()
-    assert calls == [1, 2, 3]
+    assert calls == [1, "weight"]
 
 
 def test_verify_elementary_rank_check_computes_ranks(monkeypatch, klein):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from groupcover import (
     Presentation,
     abelian_invariants,
-    direct_product_presentation,
     exponent_matrix,
     free_product,
     parse_presentation,
@@ -17,7 +16,6 @@ from groupcover.errors import (
     UnknownGenerator,
 )
 from groupcover import presentation
-from groupcover.presentation import simplify_trivial_relators
 from tests.conftest import HIGMAN_TEXT, HNN_TEXT, K235_TEXT
 
 
@@ -223,48 +221,3 @@ def test_free_product_renames_collisions():
     result = free_product(p, q)
     assert result.generators == ("x", "x_2")
     assert result.relators == (((0, 2),), ((1, 3),))
-
-
-def test_direct_product_presentation_keeps_rank2_quotient(k235, higman):
-    klein = parse_presentation("< a, b | a^2, b^2, [a,b] >")
-    from groupcover import classify_fa
-
-    for p in (k235, higman, parse_presentation("< t | >")):
-        result = direct_product_presentation(p, klein)
-        verdict = classify_fa(result)
-        assert verdict.status == "FA"
-        assert verdict.easily_fa
-
-
-def test_direct_product_presentation_with_trivial(k235):
-    trivial = parse_presentation("< | >")
-    result = direct_product_presentation(trivial, k235)
-    assert abelian_invariants(result) == abelian_invariants(k235)
-
-
-# ---------------------------------------------------------------------------
-# simplification
-
-def test_simplify_collapses_hnn_style_quotient():
-    p = parse_presentation("< a, b | [a,b], a^2 a^-3, b^2 b^-3 >")
-    result = simplify_trivial_relators(p)
-    assert result.collapsed_to_trivial
-    assert result.presentation.generators == ()
-
-
-def test_simplify_single_generator():
-    result = simplify_trivial_relators(parse_presentation("< a | a >"))
-    assert result.collapsed_to_trivial
-
-
-def test_simplify_fixpoint_untouched(k235):
-    result = simplify_trivial_relators(k235)
-    assert not result.collapsed_to_trivial
-    assert result.presentation == k235
-
-
-def test_simplify_uses_cyclic_reduction():
-    p = parse_presentation("< a, b | b a b^-1 >")
-    result = simplify_trivial_relators(p)
-    assert result.presentation.generators == ("b",)
-    assert result.presentation.relators == ()
