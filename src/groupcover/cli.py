@@ -35,7 +35,6 @@ from .errors import (
 from .fingroup import weight_bruteforce
 from .presentation import abelian_invariants, parse_presentation, parse_word_text
 from .witness import fa_scan, find_annihilator
-from .words import render_word
 
 # an input file that is not UTF-8 is malformed input, not an I/O failure;
 # so is nesting deeper than the recursion limit, since only the two
@@ -192,16 +191,14 @@ def cmd_scan(args) -> int:
     if args.format == "json":
         print(report.as_json())
         return 0
-    unwitnessed = report.unwitnessed
+    other = [text for text, kill in zip(report.texts, report.kills) if not kill]
     lines = [
-        f"scanned {len(report.entries)} words of length <= {args.max_length} "
+        f"scanned {len(report.texts)} words of length <= {args.max_length} "
         f"against targets of order <= {args.bound}",
-        f"witnessed: {len(report.witnessed)}, other: {len(unwitnessed)}",
+        f"witnessed: {len(report.texts) - len(other)}, other: {len(other)}",
     ]
-    for entry in unwitnessed:
-        lines.append(
-            f"  {render_word(entry.word, pres.generators)}: {entry.status}"
-        )
+    status = report.status_of(None)
+    lines += [f"  {text}: {status}" for text in other]
     print("\n".join(lines))
     return 0
 

@@ -621,8 +621,14 @@ class _MeetSearch:
 
 
 def weight_bruteforce(group, cap=None):
-    """Exact weight: the least k with G the normal closure of k elements."""
-    return weight_witness(group, cap)[0]
+    """Exact weight: the least k with G the normal closure of k elements.
+    Searched once per group and kept in its cache as an int."""
+    cap = DEFAULT_CAPS.normal if cap is None else cap
+    weight = group._cache.get("weight")
+    # past the cap the search raises, as the lattice does, cached or not
+    if weight is None or group.order > cap:
+        weight = group._cache["weight"] = weight_witness(group, cap)[0]
+    return weight
 
 
 def weight_witness(group, cap=None):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .catalog import (
@@ -28,11 +28,13 @@ from .config import DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
 from .fingroup import FiniteGroup, conjugacy_classes, subgroup_closure
 from .presentation import Presentation
-from .words import EMPTY_WORD, Word, max_generator, render_word
+from .words import EMPTY_WORD, Word, max_generator, reduced_words, render_word
 
 MAX_WITNESS_BOUND = 128
-# Most words one scan visits.  A scan stays under 1 GiB at this count: a word
-# costs about 1 KiB, and one generator adds 14 KiB per letter of path depth.
+# Most words one scan visits.  At this count `scan` on `< a | >` at bound 128
+# (29 999 words) peaks at 70 MiB (ru_maxrss, 29 MiB of it the bare process)
+# and takes about 1.1 s on 2 vCPU: each word holds its state in all 127 cyclic
+# targets, about 1.4 KiB.  With more generators a word costs about 0.6 KiB.
 SCAN_WORD_BUDGET = 3 * 10**4
 
 
@@ -285,11 +287,32 @@ class ScanEntry:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """Every freely reduced word up to the length, in shortlex order, as its
+    text and the (name, order) of the first target killing it, or None."""
+
     presentation: Presentation
     max_word_length: int
     order_bound: int
     classify_status: str
-    entries: tuple[ScanEntry, ...]
+    texts: tuple[str, ...]
+    kills: tuple[tuple[str, int] | None, ...]
+
+    def status_of(self, kill) -> str:
+        """The status of a word with this kill: (name, order), or None."""
+        if kill:
+            return WITNESSED
+        return BOUND_TOO_SMALL if self.classify_status == FA else UNWITNESSED
+
+    @cached_property
+    def entries(self) -> tuple[ScanEntry, ...]:
+        """The words as `ScanEntry`s, rebuilt from `reduced_words`, which
+        yields them in the same shortlex order."""
+        words = reduced_words(self.presentation.ngens, self.max_word_length)
+        unkilled = self.status_of(None)
+        return tuple(
+            ScanEntry(word, WITNESSED, kill[0], kill[1]) if kill else ScanEntry(word, unkilled)
+            for word, kill in zip(words, self.kills)
+        )
 
     @property
     def witnessed(self) -> tuple[ScanEntry, ...]:
@@ -322,28 +345,25 @@ class ScanReport:
 
     def as_json(self) -> str:
         """Exactly ``json.dumps(self.as_dict(), indent=2, sort_keys=True)``,
-        written directly: the text of an entry before its word depends only
-        on its status and target, so it is built once per distinct pair."""
-        gens = self.presentation.generators
-        heads: dict[tuple, str] = {}
-        words = []
-        for e in self.entries:
-            key = (e.status, e.target_name, e.target_order)
-            head = heads.get(key)
-            if head is None:
-                if e.target_name:
-                    target = (
-                        "{\n        \"name\": " + json.dumps(e.target_name)
-                        + ",\n        \"order\": " + json.dumps(e.target_order)
-                        + "\n      }"
-                    )
-                else:
-                    target = "null"
-                head = heads[key] = (
-                    "    {\n      \"status\": " + json.dumps(e.status)
-                    + ",\n      \"target\": " + target + ",\n      \"word\": "
+        written from the texts: generator names are ASCII letters, digits and
+        underscores, so a text needs no escaping, and the text of an entry
+        before its word depends only on its kill, so it is built once per kill."""
+        heads = {}
+        for kill in set(self.kills):
+            if kill:
+                target = (
+                    "{\n        \"name\": " + json.dumps(kill[0])
+                    + ",\n        \"order\": " + json.dumps(kill[1])
+                    + "\n      }"
                 )
-            words.append(head + json.dumps(render_word(e.word, gens)) + "\n    }")
+            else:
+                target = "null"
+            heads[kill] = (
+                "    {\n      \"status\": " + json.dumps(self.status_of(kill))
+                + ",\n      \"target\": " + target + ",\n      \"word\": \""
+            )
+        tail = "\"\n    }"
+        words = [heads[kill] + text + tail for text, kill in zip(self.texts, self.kills)]
         listing = "[\n" + ",\n".join(words) + "\n  ]" if words else "[]"
         return (
             "{\n  \"classify_status\": " + json.dumps(self.classify_status)
@@ -352,6 +372,52 @@ class ScanReport:
             + ",\n  \"presentation\": " + json.dumps(self.presentation.render())
             + ",\n  \"words\": " + listing + "\n}"
         )
+
+
+class _Block:
+    """One target's surjections as a finite automaton over the letters
+    (letter 2g is generator g, 2g + 1 its inverse).  A state is the tuple of
+    a word's images under the surjections in search order, interned as a
+    small int; state 0 is the identity's.  A state is killed when some image
+    is the identity, and each transition is computed once, on first use."""
+
+    __slots__ = ("kill", "table", "letter_images", "ids", "rows", "killed", "moves")
+
+    def __init__(self, target: FiniteGroup, surjections, ngens: int):
+        self.kill = (target.name, target.order)
+        self.table = target.table
+        self.letter_images = []
+        for g in range(ngens):
+            column = [images[g] for images in surjections]
+            self.letter_images += [column, [target.inverse[x] for x in column]]
+        identity = (0,) * len(surjections)
+        self.ids = {identity: 0}
+        self.rows = [identity]
+        self.killed = [True]
+        self.moves = [[None] * (2 * ngens)]
+
+    def step(self, state: int, letter: int) -> int:
+        moves = self.moves[state]
+        nxt = moves[letter]
+        if nxt is None:
+            table = self.table
+            row = tuple([table[v][x] for v, x in zip(self.rows[state], self.letter_images[letter])])
+            nxt = self.ids.get(row)
+            if nxt is None:
+                nxt = self.ids[row] = len(self.rows)
+                self.rows.append(row)
+                self.killed.append(0 in row)
+                self.moves.append([None] * len(moves))
+            moves[letter] = nxt
+        return nxt
+
+
+def _word_count(ngens: int, length: int) -> int:
+    """Freely reduced words of length at most `length` >= 0 on `ngens`
+    generators: 1 + sum over l = 1..L of 2k (2k - 1)^(l - 1)."""
+    if ngens < 2:
+        return 1 + 2 * ngens * length
+    return 1 + ngens * ((2 * ngens - 1) ** length - 1) // (ngens - 1)
 
 
 def fa_scan(
@@ -363,122 +429,133 @@ def fa_scan(
     "bound too small" rather than failures, and otherwise the scan draws no
     conclusion.
 
-    The freely reduced words form a tree under appending a letter, walked
-    once depth first in alphabet order; within one length that order is
-    shortlex.  Each node on the path keeps, per target block, the images of
-    its word under every surjection onto that target in search order, so a
-    child costs one table lookup per surjection and its first kill is the
-    first block holding the identity.  Blocks and node values are built
-    only when a word reaches them: a target's surjections are fetched when
-    the first word survives every earlier target.
+    Each target with a surjection is a `_Block` automaton, and a word's
+    first kill is the first block whose state is killed.  A word's state is
+    the tuple of its states in every block its parent holds, interned as an
+    int with its own transition table, so a word costs one lookup once a
+    word with its parent's state has been expanded.  Blocks are built only
+    when a word needs them: a word that survives every block its parent
+    holds first gives the parent (and each ancestor lacking it) the next
+    block, and a target's surjections are fetched when the first word
+    survives every earlier target.  The words are generated breadth first,
+    which is shortlex order, each text from its parent's.
     """
-    # 1 + sum over l = 1..L of 2k (2k - 1)^(l - 1) freely reduced words, with L
-    # cut where the count surely passes the budget
-    k, cut = pres.ngens, SCAN_WORD_BUDGET.bit_length() if pres.ngens > 1 else SCAN_WORD_BUDGET
+    k = pres.ngens
+    # with L cut where the count surely passes the budget
+    cut = SCAN_WORD_BUDGET.bit_length() if k > 1 else SCAN_WORD_BUDGET
     length = max(0, min(max_word_length, cut))
-    words = 1 + 2 * k * length if k < 2 else 1 + k * ((2 * k - 1) ** length - 1) // (k - 1)
+    words = _word_count(k, length)
     if words > SCAN_WORD_BUDGET:
         raise SearchBudgetExceeded(
             f"a scan to length {max_word_length} passes the budget of {SCAN_WORD_BUDGET} "
             f"words: it visits {words} to length {length}"
         )
     verdict = classify_fa(pres, hint)
-    unkilled = BOUND_TOO_SMALL if verdict.status == FA else UNWITNESSED
     pending = iter(witness_targets(order_bound))
-    # per target with at least one surjection: (target, table, per-letter
-    # images, identity values); letter 2g is g, letter 2g + 1 its inverse
-    blocks = []
+    blocks: list[_Block] = []
+    nletters = 2 * k
 
     def reach_next_block() -> bool:
         for target in pending:
             surjections = _surjections_cached(pres, target)
             if surjections:
-                letter_images = []
-                for g in range(pres.ngens):
-                    column = [images[g] for images in surjections]
-                    letter_images += [column, [target.inverse[x] for x in column]]
-                blocks.append((target, target.table, letter_images, [0] * len(surjections)))
+                blocks.append(_Block(target, surjections, k))
                 return True
         return False
 
-    # the path from the root: letters[d] is the last letter of the word at
-    # depth d, values[d] its value lists for a prefix of the blocks (every
-    # ancestor holds at least as many blocks as the node below it)
-    letters = [-1]
-    words = [EMPTY_WORD]
-    values: list[list[list[int]]] = [[]]
-    next_letter = [0]
+    # word states: tuple of block states -> id, and per id that tuple, the
+    # kill and the transition table
+    ids: dict[tuple[int, ...], int] = {}
+    states: list[tuple[int, ...]] = []
+    kills: list[tuple[str, int] | None] = []
+    moves: list[list[int | None]] = []
 
-    def extend(depth: int, i: int) -> list[int]:
-        # values of block i for the node at `depth` and each ancestor that
-        # lacks them, from the deepest ancestor that has them downwards
-        k = depth
-        while k and len(values[k - 1]) == i:
-            k -= 1
-        _, table, letter_images, identity = blocks[i]
-        if k == 0:
-            values[0].append(identity)
-            k = 1
-        for j in range(k, depth + 1):
-            values[j].append(
-                [table[v][x] for v, x in zip(values[j - 1][i], letter_images[letters[j]])]
-            )
-        return values[depth][i]
+    def intern(row: tuple[int, ...]) -> int:
+        state = ids.get(row)
+        if state is None:
+            state = ids[row] = len(states)
+            states.append(row)
+            kills.append(next((b.kill for b, s in zip(blocks, row) if b.killed[s]), None))
+            moves.append([None] * nletters)
+        return state
 
-    def entry(depth: int) -> ScanEntry:
-        # the node was just pushed: it holds values for blocks 0..i-1 at
-        # the top of each round
-        own = values[depth]
-        parent = values[depth - 1] if depth else ()
-        letter = letters[depth]
-        i = 0
+    # node j is the j-th word in shortlex order: its state, last letter
+    # (-1 for the empty word), text, the text before its last syllable and
+    # that syllable's letter count
+    nodes = [intern((0,) if reach_next_block() else ())]
+    lasts = [-1]
+    texts = ["1"]
+    bases = [""]
+    runs = [0]
+
+    def extend(j: int, b: int) -> None:
+        # give node j, and each ancestor lacking it, its state in block b;
+        # every ancestor holds at least as many blocks as its descendants
+        chain = []
+        while j and len(states[nodes[j]]) == b:
+            chain.append(j)
+            # the parent: the empty word has 2k children and every other
+            # word 2k - 1, numbered consecutively in shortlex order
+            j = 0 if j <= nletters else (j - nletters - 1) // (nletters - 1) + 1
+        if len(states[nodes[j]]) == b:  # the empty word: the identity state
+            nodes[j] = intern(states[nodes[j]] + (0,))
+        state = states[nodes[j]][b]
+        for j in reversed(chain):
+            state = blocks[b].step(state, lasts[j])
+            nodes[j] = intern(states[nodes[j]] + (state,))
+
+    def descend(j: int, letter: int) -> int:
+        # the state of node j's child by the letter: every block j holds,
+        # and then one more block at a time while none of them kills it
+        row = states[nodes[j]]
+        own: list[int] = []
+        killed = False
         while True:
-            if i < len(parent):  # the common case: one step from the parent
-                _, table, letter_images, _ = blocks[i]
-                row = [table[v][x] for v, x in zip(parent[i], letter_images[letter])]
-                own.append(row)
-            elif i < len(blocks) or reach_next_block():
-                row = extend(depth, i)
-            else:
-                return ScanEntry(words[depth], unkilled)
-            if 0 in row:
-                target = blocks[i][0]
-                return ScanEntry(words[depth], WITNESSED, target.name, target.order)
-            i += 1
+            i = len(own)
+            if i == len(row):
+                if killed or not (i < len(blocks) or reach_next_block()):
+                    break
+                extend(j, i)
+                row = states[nodes[j]]
+            block = blocks[i]
+            nxt = block.step(row[i], letter)
+            own.append(nxt)
+            killed = killed or block.killed[nxt]
+        child = intern(tuple(own))
+        moves[nodes[j]][letter] = child
+        return child
 
-    by_length: list[list[ScanEntry]] = [[entry(0)]]
-    nletters = 2 * pres.ngens
-    depth = 0
-    while True:
-        letter = next_letter[depth]
-        if depth >= max_word_length or letter == nletters:
-            if depth == 0:
-                break
-            for path in (letters, words, values, next_letter):
-                path.pop()
-            depth -= 1
-            continue
-        next_letter[depth] = letter + 1
-        if letter == letters[depth] ^ 1:  # never follow a letter by its inverse
-            continue
-        word = words[depth]
-        g, sign = letter >> 1, -1 if letter & 1 else 1
-        if word and word[-1][0] == g:
-            word = word[:-1] + ((g, word[-1][1] + sign),)
-        else:
-            word += ((g, sign),)
-        letters.append(letter)
-        words.append(word)
-        values.append([])
-        next_letter.append(0)
-        depth += 1
-        if depth == len(by_length):
-            by_length.append([])
-        by_length[depth].append(entry(depth))
+    names = pres.generators
+    # syllables[letter][n]: the text of the letter repeated n >= 1 times
+    syllables = [[None, name + sign] for name in names for sign in ("", "^-1")]
+    after = {last: [m for m in range(nletters) if m != last ^ 1] for last in range(-1, nletters)}
+    for j in range(_word_count(k, max_word_length - 1) if max_word_length > 0 else 0):
+        last = lasts[j]
+        children = moves[nodes[j]]
+        text = texts[j]
+        sep = text + " " if j else ""
+        for letter in after[last]:
+            child = children[letter]
+            if child is None:
+                child = descend(j, letter)
+                children = moves[nodes[j]]
+            if letter == last:
+                base, n = bases[j], runs[j] + 1
+                syllable = syllables[letter]
+                if n == len(syllable):
+                    syllable.append(f"{names[letter >> 1]}^{'-' if letter & 1 else ''}{n}")
+            else:
+                base, n = sep, 1
+            nodes.append(child)
+            lasts.append(letter)
+            texts.append(base + syllables[letter][n])
+            bases.append(base)
+            runs.append(n)
     return ScanReport(
         pres,
         max_word_length,
         order_bound,
         verdict.status,
-        tuple(e for level in by_length for e in level),
+        tuple(texts),
+        tuple([kills[state] for state in nodes]),
     )

@@ -105,29 +105,27 @@ def render_word(word: Word, names: Iterable[str]) -> str:
     return " ".join(parts)
 
 
-def word_from_letters(letters: Iterable[tuple[int, int]]) -> Word:
-    """Build a word from single letters (gen, +1/-1)."""
-    return free_reduce([(g, s) for g, s in letters])
-
-
 def reduced_words(ngens: int, max_length: int) -> Iterator[Word]:
     """All freely reduced words of letter-length <= max_length, in shortlex
     order.
 
     The letter alphabet is ordered g0, g0^-1, g1, g1^-1, ...; a letter is
-    never followed by its own inverse.
+    never followed by its own inverse.  Each word extends its prefix one
+    letter shorter: by a new syllable, or by growing the last one.
     """
     alphabet = [(g, s) for g in range(ngens) for s in (1, -1)]
     yield EMPTY_WORD
-    level: list[list[tuple[int, int]]] = [[]]
+    level: list[Word] = [EMPTY_WORD]
     for _ in range(max_length):
-        nxt: list[list[tuple[int, int]]] = []
+        nxt: list[Word] = []
         for prefix in level:
-            last = prefix[-1] if prefix else None
-            for letter in alphabet:
-                if last is not None and last[0] == letter[0] and last[1] == -letter[1]:
-                    continue
-                nxt.append(prefix + [letter])
-        for letters in nxt:
-            yield word_from_letters(letters)
+            last_gen, last_exp = prefix[-1] if prefix else (-1, 0)
+            for g, s in alphabet:
+                if g != last_gen:
+                    nxt.append(prefix + ((g, s),))
+                elif (last_exp > 0) == (s > 0):  # never a letter's inverse
+                    nxt.append(prefix[:-1] + ((g, last_exp + s),))
+        if not nxt:  # no generators: the empty word is the only one
+            return
+        yield from nxt
         level = nxt

@@ -12,9 +12,10 @@ import groupcover
 from groupcover import abelian, covering, fingroup, presentation
 from groupcover.cli import build_arg_parser, main
 from groupcover.presentation import parse_presentation
+from groupcover.words import render_word
 from tests.conftest import HIGMAN_TEXT, K235_TEXT
 from tests.test_snf import dense_matrix
-from tests.test_witness import referee_fa_scan
+from tests.test_witness import referee_entries, referee_fa_scan
 
 
 @pytest.fixture()
@@ -193,6 +194,25 @@ def test_finite_s5_weight(capsys):
     code, payload = run_json(capsys, "finite", "S 5", "--weight", "--caps", "normal=128")
     assert code == 0
     assert {"group": "S5", "weight": 1} in payload["reports"]
+
+
+@pytest.mark.parametrize(
+    "flags", [("--verify", "--weight"), ("--verify",), ("--weight",)], ids=" ".join
+)
+def test_finite_searches_the_weight_once(capsys, monkeypatch, flags):
+    searched = []
+    search = fingroup.weight_witness
+
+    def counted(group, cap=None):
+        searched.append(group.name)
+        return search(group, cap)
+
+    monkeypatch.setattr(fingroup, "weight_witness", counted)
+    code, payload = run_json(capsys, "finite", "Q8", *flags)
+    assert code == 0
+    assert searched == ["Q8"]
+    if "--verify" in flags:
+        assert payload["reports"][-1]["details"]["weight"] == "2"
 
 
 def test_finite_nfa(capsys):
@@ -416,6 +436,26 @@ def test_scan_long_words_do_not_recurse(capsys, tmp_path):
     assert main(["scan", str(path), "--max-length", "3000", "--bound", "2", "--format", "json"]) == 0
     report = referee_fa_scan(parse_presentation("< a | a^2 >"), 3000, 2)
     assert capsys.readouterr().out == json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, length, bound",
+    [("< a | a^6 >", 3, 2), ("< a, b | a^2, b^2, [a, b] >", 2, 1), ("< | >", 10**12, 2)],
+)
+def test_scan_text_lists_the_unwitnessed_words(capsys, tmp_path, text, length, bound):
+    # the counts, then each word that no target kills with its status; with
+    # no generators the empty word is the only word at any length
+    path = tmp_path / "g.pres"
+    path.write_text(text + "\n")
+    assert run_within(1, ["scan", str(path), "--max-length", str(length), "--bound", str(bound)]) == 0
+    p = parse_presentation(text)
+    entries = referee_entries(p, min(length, 3), bound)
+    other = [e for e in entries if e.status != "witnessed"]
+    assert capsys.readouterr().out.splitlines() == [
+        f"scanned {len(entries)} words of length <= {length} against targets of order <= {bound}",
+        f"witnessed: {len(entries) - len(other)}, other: {len(other)}",
+        *(f"  {render_word(e.word, p.generators)}: {e.status}" for e in other),
+    ]
 
 
 def test_scan_word_budget_exit_3(capsys, tmp_path):

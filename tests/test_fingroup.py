@@ -797,6 +797,11 @@ def test_weight_witness_matches_closure_search(spec):
 def test_weight_cap():
     with pytest.raises(OrderCapExceeded):
         weight_bruteforce(cyclic_group(16), cap=8)
+    # a weight kept from an earlier search is still refused past the cap
+    c16 = cyclic_group(16)
+    assert weight_bruteforce(c16) == 1
+    with pytest.raises(OrderCapExceeded):
+        weight_bruteforce(c16, cap=8)
 
 
 def test_weight_search_budget(monkeypatch, klein, e8):

@@ -37,7 +37,7 @@ from groupcover.witness import (
     evaluate_word,
     evaluate_word_direct,
 )
-from groupcover.words import exponent_vector, free_reduce, reduced_words
+from groupcover.words import exponent_vector, free_reduce, reduced_words, render_word
 
 
 def pres(text):
@@ -254,6 +254,13 @@ def test_scan_searches_each_target_once(monkeypatch, k235):
     assert searched == [t.name for t in witness_targets(5)]
 
 
+def test_scan_searches_only_targets_some_word_reaches(monkeypatch):
+    # every word of length <= 1 in Z^2 dies in C2, so no later target is searched
+    searched = record_surjection_searches(monkeypatch)
+    fa_scan(pres("< a, b | [a,b] >"), 1, 60)
+    assert searched == ["C2"]
+
+
 # ---------------------------------------------------------------------------
 # nontrivial quotient search
 
@@ -285,6 +292,20 @@ def referee_fa_scan(pres, max_word_length, order_bound, hint=None):
     re-evaluating every word from the identity under every surjection."""
     verdict = classify_fa(pres, hint)
     space = [(t, enumerate_surjections(pres, t)) for t in witness_targets(order_bound)]
+    texts, kills = [], []
+    for word in reduced_words(pres.ngens, max_word_length):
+        found = witness._first_kill(space, word)
+        texts.append(render_word(word, pres.generators))
+        kills.append((found[0].name, found[0].order) if found else None)
+    return ScanReport(
+        pres, max_word_length, order_bound, verdict.status, tuple(texts), tuple(kills)
+    )
+
+
+def referee_entries(pres, max_word_length, order_bound, hint=None):
+    """The scan's entries, one `_first_kill` search per word as above."""
+    verdict = classify_fa(pres, hint)
+    space = [(t, enumerate_surjections(pres, t)) for t in witness_targets(order_bound)]
     entries = []
     for word in reduced_words(pres.ngens, max_word_length):
         found = witness._first_kill(space, word)
@@ -294,7 +315,7 @@ def referee_fa_scan(pres, max_word_length, order_bound, hint=None):
             entries.append(ScanEntry(word, BOUND_TOO_SMALL))
         else:
             entries.append(ScanEntry(word, UNWITNESSED))
-    return ScanReport(pres, max_word_length, order_bound, verdict.status, tuple(entries))
+    return tuple(entries)
 
 
 def assert_json_matches(report):
@@ -305,6 +326,7 @@ def checked_scan(pres, max_word_length, order_bound, hint=None):
     """fa_scan, checked against the referee and its JSON against as_dict."""
     report = fa_scan(pres, max_word_length, order_bound, hint)
     assert report == referee_fa_scan(pres, max_word_length, order_bound, hint)
+    assert report.entries == referee_entries(pres, max_word_length, order_bound, hint)
     assert_json_matches(report)
     return report
 
@@ -353,7 +375,7 @@ def test_scan_of_negative_length_is_the_empty_word():
 
 def test_scan_report_json_without_entries():
     # fa_scan always lists the empty word; the writer still matches on none
-    assert_json_matches(ScanReport(pres("< a | >"), 0, 2, "Unknown", ()))
+    assert_json_matches(ScanReport(pres("< a | >"), 0, 2, "Unknown", (), ()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -376,6 +398,27 @@ def test_scan_agrees_with_referee_on_random_presentations(gens_rels, length, bou
     ngens, relators = gens_rels
     p = Presentation("abc"[:ngens], tuple(free_reduce(r) for r in relators))
     checked_scan(p, length, bound)
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(3, 4).flatmap(
+        lambda n: st.lists(st.integers(0, 6), min_size=n, max_size=n)
+    ),
+    st.integers(2, 4),
+    st.integers(2, 6),
+)
+def test_scan_agrees_with_referee_on_torsion_presentations(orders, length, bound):
+    # generator g gets the relator g^m for each nonzero m = orders[g]; words
+    # of two to four syllables reach blocks that their prefixes skipped
+    relators = tuple(((g, m),) for g, m in enumerate(orders) if m)
+    checked_scan(Presentation("abcd"[:len(orders)], relators), length, bound)
+
+
+@pytest.mark.parametrize("text", ["< a | >", "< a | a^6 >"])
+def test_scan_agrees_with_referee_on_deep_one_generator_scans(text):
+    # 801 words, each a power of a, against every target of order <= 128
+    checked_scan(pres(text), 400, 128)
+
 
 def test_scan_k235_length_one(k235):
     report = checked_scan(k235, 1, 5)
@@ -434,6 +477,11 @@ def test_scan_word_budget_huge_length_is_immediate():
     for text in ("< a | >", "< a, b | >", "< a, b, c | a^2 >"):
         with pytest.raises(SearchBudgetExceeded, match="passes the budget"):
             fa_scan(pres(text), 10**12, 2)
+    # with no generators the empty word is the only word at any length
+    report = fa_scan(pres("< | >"), 10**12, 2)
+    assert report.entries == referee_entries(pres("< | >"), 0, 2)
+    assert len(report.witnessed) + len(report.unwitnessed) == 1
+    assert_json_matches(report)
     assert time.perf_counter() - start < 0.5
 
 

@@ -1,4 +1,7 @@
+import itertools
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given
 
 from groupcover.words import (
@@ -10,7 +13,6 @@ from groupcover.words import (
     invert_word,
     reduced_words,
     render_word,
-    word_from_letters,
     word_length,
     word_power,
 )
@@ -104,5 +106,15 @@ def test_reduced_words_shortlex_count():
     assert len(set(words)) == len(words)
 
 
-def test_word_from_letters_merges_runs():
-    assert word_from_letters([(0, 1), (0, 1), (1, -1)]) == ((0, 2), (1, -1))
+@pytest.mark.parametrize("ngens, max_length", [(0, 3), (1, 6), (2, 4), (3, 3)])
+def test_reduced_words_match_letter_strings(ngens, max_length):
+    # the letter strings with no letter next to its inverse, lexicographic
+    # within each length, each freely reduced
+    alphabet = [(g, s) for g in range(ngens) for s in (1, -1)]
+    expected = [
+        free_reduce(letters)
+        for length in range(max_length + 1)
+        for letters in itertools.product(alphabet, repeat=length)
+        if all(a != (b[0], -b[1]) for a, b in zip(letters, letters[1:]))
+    ]
+    assert list(reduced_words(ngens, max_length)) == expected
