@@ -22,6 +22,7 @@ from .fingroup import (
     FiniteGroup,
     _maximal_cover,
     _MeetSearch,
+    _normal_subgroup_sets,
     abelian_invariants_finite,
     abelianisation,
     derived_subgroup,
@@ -155,8 +156,11 @@ def verify_finite_theorems(
         and is <= 1 otherwise;
     (e) nontrivial perfect groups have weight exactly 1.
 
-    A cap or budget hit (CapExceeded) propagates, since it decides nothing;
-    any other package error marks its check as failed.
+    All of these read the maximal normal subgroups, so the lattice
+    enumeration referees them; the check `maximal_match_lattice` appears,
+    false, only when the two differ.  A cap or budget hit (CapExceeded)
+    propagates, since it decides nothing; any other package error marks its
+    check as failed.
     """
     report = TheoremReport(group.name)
     checks, details = report.checks, report.details
@@ -191,6 +195,20 @@ def verify_finite_theorems(
         except GroupCoverError as exc:
             checks[name] = False
             details[name] = exc
+
+    # the lattice referees the cover, which a solvable group reads off its
+    # abelianisation, so that the theorems below do not check themselves; it
+    # adds a check only when the two disagree
+    if group.order > 1:
+        try:
+            agree = set(_normal_subgroup_sets(group, cap)[1]) == {s.members for s in fa.cover}
+        except CapExceeded:
+            raise
+        except GroupCoverError as exc:
+            agree = False
+            details["maximal_match_lattice"] = exc
+        if not agree:
+            checks["maximal_match_lattice"] = False
 
     attempt("fa_iff_noncyclic_abelianisation", lambda: fa.verdict == (ab_weight >= 2))
     attempt(

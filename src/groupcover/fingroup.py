@@ -1,6 +1,7 @@
 """Small finite groups as explicit multiplication tables, plus the
 structural computations every other module builds on: closures, conjugacy
-classes, the full normal subgroup lattice, quotients, abelian invariants
+classes, the full normal subgroup lattice, maximal normal subgroups (read
+off the abelianisation for solvable groups), quotients, abelian invariants
 and exact weight.
 
 Elements are ids 0..order-1 with 0 the identity.  Groups built from
@@ -11,7 +12,7 @@ generator order, so constructions are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from math import gcd
 
 from .abelian import AbelianInvariants, is_prime, prime_factors
@@ -147,28 +148,29 @@ def _check_associativity(table):
     table.  The g that pass are closed under products, so passing for a
     generating set means associativity on every triple."""
     n = len(table)
+    table = tuple(map(tuple, table))  # no copy of rows that are tuples already
     for g in _greedy_generators(table):
         tg = table[g]
         for x in range(n):
             tx = table[x]
-            txg = tuple(table[tx[g]])
+            txg = table[tx[g]]
             if tuple(map(tx.__getitem__, tg)) != txg:
                 y = next(y for y in range(n) if txg[y] != tx[tg[y]])
                 raise NotAGroup(f"associativity fails on triple ({x},{g},{y})")
 
 
-def _greedy_generators(table):
-    """Ascending elements, each the least one not yet reached by
-    right-multiplying by the earlier ones; together they generate the table
-    under products."""
-    n = len(table)
+def _greedy_generators(table, members=None):
+    """Ascending elements of `members` (default: the whole table), each the
+    least one not yet reached by right-multiplying by the earlier ones;
+    together they generate the subgroup `members` under products."""
+    members = range(len(table)) if members is None else sorted(members)
     gens = []
     known = {0}
-    for x in range(n):
+    for x in members:
         if x not in known:
             gens.append(x)
             known = _closure_members(table, gens)
-            if len(known) == n:
+            if len(known) == len(members):
                 break
     return gens
 
@@ -325,11 +327,35 @@ def _closure_members(table, seeds):
     return known
 
 
+def _generators(group):
+    """The group's greedy generators, found once and kept in its cache."""
+    gens = group._cache.get("gens")
+    if gens is None:
+        gens = group._cache["gens"] = _greedy_generators(group.table)
+    return gens
+
+
+def _normal_closure_members(group, seeds):
+    """Members of the smallest normal subgroup containing the seeds.  A
+    subgroup grows one generator at a time; the conjugates of each new
+    generator by the group's generators join it when they fall outside, so
+    the last subgroup is normalised by a generating set of G."""
+    t, inv = group.table, group.inverse
+    conj = _generators(group)
+    gens, known = [], {0}
+    pending = list(seeds)
+    while pending:
+        x = pending.pop()
+        if x not in known:
+            gens.append(x)
+            known = _closure_members(t, gens)
+            pending += [t[t[g][x]][inv[g]] for g in conj]
+    return known
+
+
 def normal_closure(group, seeds):
     """Smallest normal subgroup containing the seed elements."""
-    conj = {group.conjugate(g, s) for s in seeds for g in range(group.order)}
-    members = _closure_members(group.table, sorted(conj))
-    return ElementSet(group, frozenset(members))
+    return ElementSet(group, frozenset(_normal_closure_members(group, seeds)))
 
 
 def conjugacy_classes(group):
@@ -340,7 +366,7 @@ def conjugacy_classes(group):
     if cached is not None:
         return cached
     t, inv = group.table, group.inverse
-    gens = [(t[g], inv[g]) for g in _greedy_generators(t)]
+    gens = [(t[g], inv[g]) for g in _generators(group)]
     seen = bytearray(group.order)
     classes = []
     for x in range(group.order):
@@ -371,16 +397,21 @@ def _members(m):
     return [x for x, c in enumerate(reversed(bin(m))) if c == "1"]
 
 
-def _normal_subgroup_sets(group, cap=None):
-    """(all normal subgroups, maximal proper ones) as member sets, each
-    sorted by (size, mask); computed once per group of order <= cap.  Masks;
-    a join N.B is built one coset yN = Ny at a time, skipping each y of B
-    already inside: |NB| - |N| products, counted against LATTICE_BUDGET."""
+def _check_normal_cap(group, cap):
     cap = DEFAULT_CAPS.normal if cap is None else cap
     if group.order > cap:
         raise OrderCapExceeded(
             f"|G| = {group.order} exceeds normal-subgroup cap {cap}"
         )
+
+
+def _normal_subgroup_sets(group, cap=None):
+    """(all normal subgroups as int masks, the maximal proper ones as member
+    sets), each sorted by (size, mask); computed once per group of order <=
+    cap.  A join N.B is built one coset yN = Ny at a time, skipping each y
+    of B already inside: |NB| - |N| products, counted against
+    LATTICE_BUDGET."""
+    _check_normal_cap(group, cap)
     cached = group._cache.get("normal_sets")
     if cached is not None:
         return cached
@@ -427,28 +458,144 @@ def _normal_subgroup_sets(group, cap=None):
                 f"normal-subgroup lattice of {group.name} found {len(found)} subgroups and "
                 f"spent {spent} coset products, past the budget of {LATTICE_BUDGET}"
             )
-    result = tuple(
-        tuple(frozenset(_members(m)) for m in sorted(ms, key=lambda m: (m.bit_count(), m)))
-        for ms in (found, maximal)
+    result = (
+        tuple(sorted(found, key=_size_and_mask)),
+        tuple(frozenset(_members(m)) for m in sorted(maximal, key=_size_and_mask)),
     )
     group._cache["normal_sets"] = result
     return result
 
 
+def _size_and_mask(m):
+    return m.bit_count(), m
+
+
 def normal_subgroups(group, cap=None):
     """All normal subgroups, including {e} and G, sorted by (size, mask)."""
-    return [ElementSet(group, s) for s in _normal_subgroup_sets(group, cap)[0]]
+    masks = _normal_subgroup_sets(group, cap)[0]
+    return [ElementSet(group, frozenset(_members(m))) for m in masks]
 
 
 def maximal_normal_subgroups(group, cap=None):
     """Proper normal subgroups maximal under inclusion (the quotient by each
-    is simple), sorted by (size, mask).
+    is simple), sorted by (size, mask); found once per group of order <= cap
+    and kept in its cache.
 
-    Read from the lattice enumeration, which marks a proper N maximal when
-    every join of N with a conjugacy-class closure outside it is G."""
+    A solvable group's have prime index and are read off its abelianisation
+    (`_hyperplane_masks`).  Any other group's are read from the lattice
+    enumeration, which marks a proper N maximal when every join of N with a
+    conjugacy-class closure outside it is G."""
     if group.order == 1:
         raise TrivialGroup("the trivial group has no proper normal subgroups")
-    return [ElementSet(group, s) for s in _normal_subgroup_sets(group, cap)[1]]
+    _check_normal_cap(group, cap)
+    maximal = group._cache.get("maximal")
+    if maximal is None:
+        if _is_solvable(group):
+            maximal = tuple(frozenset(_members(m)) for m in _hyperplane_masks(group))
+        else:
+            maximal = _normal_subgroup_sets(group, cap)[1]
+        group._cache["maximal"] = maximal
+    return [ElementSet(group, s) for s in maximal]
+
+
+def _is_solvable(group):
+    """Whether the derived series reaches {e}.  Each term is the normal
+    closure of the commutators of a generating set of the term before: that
+    closure lies in the term's commutator subgroup, which is normal in G,
+    and contains it."""
+    term = derived_subgroup(group).members
+    while len(term) > 1:
+        gens = _greedy_generators(group.table, term)
+        below = _normal_closure_members(group, _commutators(group, gens))
+        if len(below) >= len(term):
+            return False
+        term = below
+    return True
+
+
+def _hyperplane_masks(group):
+    """Masks of the maximal normal subgroups of a solvable group, sorted by
+    (size, mask).
+
+    Each has prime index p, so it contains K = G'G^p, and G/K is an F_p
+    space; they are its hyperplanes, lifted to G as unions of cosets of K.
+    Each hyperplane costs one OR per coset in it and one membership per
+    element of it (the masks c(g) of `_maximal_cover`), counted against
+    LATTICE_BUDGET before any of a prime's hyperplanes is built."""
+    t, n = group.table, group.order
+    gens = _generators(group)
+    commutators = _commutators(group, gens)
+    masks, spent = [], 0
+    for p in prime_factors(n // len(derived_subgroup(group))):
+        # K is the normal closure of the commutators and p-th powers of the
+        # generators: modulo it they commute and have order p
+        powers = []
+        for g in gens:
+            y = 0
+            for _ in range(p):
+                y = t[y][g]
+            powers.append(y)
+        cosets = _coset_masks(t, _normal_closure_members(group, commutators + powers), p)
+        count = (len(cosets) - 1) // (p - 1)
+        cost = count * (len(cosets) // p + n // p)
+        if spent + cost > LATTICE_BUDGET:
+            raise SearchBudgetExceeded(
+                f"maximal normal subgroups of {group.name} built {len(masks)} hyperplanes "
+                f"of G/G'G^p and spent {spent} coset unions and memberships; the {count} "
+                f"of index {p} would spend {cost} more, past the budget of {LATTICE_BUDGET}"
+            )
+        spent += cost
+        masks += _hyperplanes(cosets, p)
+    return sorted(masks, key=_size_and_mask)
+
+
+def _coset_masks(table, kernel, p):
+    """Masks of the cosets of a normal subgroup `kernel` for which G/kernel
+    is elementary abelian of exponent p.  The basis b_0, b_1, ... is the
+    least element outside the span of the ones before, and the coset at
+    index sum d_i p^i is kernel.b_0^d_0.b_1^d_1..."""
+    n = len(table)
+    members = sorted(kernel)
+    cosets, reps = [_mask(members)], [0]
+    span = cosets[0]
+    for x in range(n):
+        if len(cosets) * len(members) >= n:
+            break
+        if span >> x & 1:
+            continue
+        w = len(cosets)
+        y = 0
+        for _ in range(p - 1):
+            y = table[y][x]
+            for rep in reps[:w]:
+                z = table[rep][y]
+                m = _mask(map(table[z].__getitem__, members))
+                cosets.append(m)
+                reps.append(z)
+                span |= m
+    return cosets
+
+
+def _hyperplanes(cosets, p):
+    """Masks of the hyperplanes of F_p^r, whose vector sum d_i p^i indexes
+    `cosets`: one kernel per functional f with f_j = 1 at its first nonzero
+    position j, the union of the p^(r-1) cosets with d_j = -sum_{i>j} f_i d_i."""
+    r = 0
+    while p**r < len(cosets):
+        r += 1
+    masks = []
+    for j in range(r):
+        pj = p**j
+        for tail in product(range(p), repeat=r - 1 - j):
+            kernel = [(v, 0) for v in range(pj)]  # (index, sum f_i d_i) so far
+            for i, fi in enumerate(tail, j + 1):
+                step = p**i
+                kernel = [(v + d * step, (s + fi * d) % p) for v, s in kernel for d in range(p)]
+            m = 0
+            for v, s in kernel:
+                m |= cosets[v + -s % p * pj]
+            masks.append(m)
+    return masks
 
 
 def quotient(group, nset, name=None):
@@ -473,17 +620,19 @@ def quotient(group, nset, name=None):
 
 
 def derived_subgroup(group):
-    """Subgroup generated by all commutators x y x^-1 y^-1 (normal)."""
+    """The commutator subgroup G': the normal closure of the commutators of
+    a generating set (normal)."""
     cached = group._cache.get("derived")
-    if cached is not None:
-        return ElementSet(group, cached)
-    t = group.table
-    inv = group.inverse
-    n = group.order
-    comms = {t[t[t[x][y]][inv[x]]][inv[y]] for x in range(n) for y in range(n)}
-    members = frozenset(_closure_members(t, sorted(comms)))
-    group._cache["derived"] = members
-    return ElementSet(group, members)
+    if cached is None:
+        commutators = _commutators(group, _generators(group))
+        cached = group._cache["derived"] = frozenset(_normal_closure_members(group, commutators))
+    return ElementSet(group, cached)
+
+
+def _commutators(group, gens):
+    """a b a^-1 b^-1 for each pair of the given elements."""
+    t, inv = group.table, group.inverse
+    return [t[t[t[a][b]][inv[a]]][inv[b]] for i, a in enumerate(gens) for b in gens[:i]]
 
 
 def abelianisation(group):

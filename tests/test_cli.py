@@ -286,16 +286,48 @@ def test_covering_budget_keeps_early_answer(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("finite", "E 2 3"), ("verify-all", "--max-order", "8")], ids=" ".join
+    "argv", [("finite", "S 5"), ("verify-all", "--max-order", "8")], ids=" ".join
 )
 def test_lattice_budget_exit_3(capsys, monkeypatch, argv):
-    # E2^3's lattice spends 203 coset products; verify-all reaches it too
+    # S5 is not solvable, so `finite` reads it off the lattice, which spends
+    # 238 coset products; verify-all builds every lattice as the referee of
+    # the solvable route, and E2^3's spends 203
     monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 100)
     assert main(list(argv)) == 3
     err = capsys.readouterr().err
     assert "cap exceeded: normal-subgroup lattice of " in err
     assert "coset products, past the budget of 100" in err
     assert "Traceback" not in err
+
+
+def test_hyperplane_budget_exit_3(capsys, monkeypatch):
+    # E2^10 is solvable: 1023 hyperplanes of 512 cosets of {e} and 512
+    # members each, refused before any is built
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 10**6)
+    assert main(["finite", "E 2 10", "--caps", "order=1024", "normal=1024"]) == 3
+    err = capsys.readouterr().err
+    assert (
+        "cap exceeded: maximal normal subgroups of E2^10 built 0 hyperplanes of G/G'G^p and "
+        "spent 0 coset unions and memberships; the 1023 of index 2 would spend 1047552 more, "
+        "past the budget of 1000000"
+    ) in err
+    assert "Traceback" not in err
+
+
+def test_finite_e2_8_past_the_lattice(capsys):
+    # the lattice of E2^8 stops at its budget; the hyperplanes of G^ab do not
+    code, payload = run_json(
+        capsys, "finite", "E 2 8", "--nfa", "2", "--caps", "order=256", "normal=256"
+    )
+    assert code == 0
+    assert [r["verdict"] for r in payload["reports"]] == [True, True]
+    assert len(payload["reports"][0]["cover"]) == 255
+
+
+def test_finite_trivial_verify(capsys):
+    code, payload = run_json(capsys, "finite", "C 1", "--verify", "--weight", "--nfa", "2")
+    assert code == 0
+    assert payload["reports"][-1]["passed"] is True
 
 
 # spec -> the group the cap refuses by its closed-form order

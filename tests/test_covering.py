@@ -325,6 +325,23 @@ def test_verify_trivial():
     assert report.passed, report.failing()
 
 
+def test_verify_referees_maximal_subgroups_with_the_lattice(monkeypatch):
+    # a pass adds no check; a solvable route that loses a subgroup is caught
+    passed = verify_finite_theorems(group_from_spec("prod(S 3, C 4)"))
+    assert passed.passed and "maximal_match_lattice" not in passed.checks
+    hyperplanes = fingroup._hyperplane_masks
+    monkeypatch.setattr(fingroup, "_hyperplane_masks", lambda group: hyperplanes(group)[1:])
+    report = verify_finite_theorems(group_from_spec("prod(S 3, C 4)"))
+    assert report.failing()[0] == "maximal_match_lattice"  # the theorems fail after it
+
+
+def test_verify_stops_at_the_lattice_budget_of_a_solvable_group(monkeypatch):
+    # the referee lattice is built even though F-A never needs it
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 202)
+    with pytest.raises(SearchBudgetExceeded, match="normal-subgroup lattice of E2\\^3"):
+        verify_finite_theorems(group_from_spec("E 2 3"))
+
+
 def test_verify_catalog(catalog):
     for group in catalog:
         report = verify_finite_theorems(group)

@@ -625,7 +625,8 @@ def test_lattice_matches_referee():
     groups = [g for g in build_catalog() if g.order <= 128]
     groups += [group_from_spec(spec) for spec in REFEREE_SPECS]
     for group in groups:
-        expected = referee_normal_subgroup_sets(group)
+        found, maximal = referee_normal_subgroup_sets(group)
+        expected = tuple(map(fingroup._mask, found)), maximal
         assert fingroup._normal_subgroup_sets(group, group.order) == expected, group.name
 
 
@@ -643,12 +644,139 @@ def test_lattice_budget_stops_early(monkeypatch):
     # E2^6 spends 1 353 555 products on its 2825 normal subgroups
     monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 1000)
     with pytest.raises(SearchBudgetExceeded, match="past the budget of 1000") as info:
-        maximal_normal_subgroups(group_from_spec("E 2 6"))
+        normal_subgroups(group_from_spec("E 2 6"))
     message = str(info.value)
     assert message.startswith("normal-subgroup lattice of E2^6 found ")
     found, spent = map(int, re.search(r"found (\d+) .* spent (\d+)", message).groups())
     # one node joins at most 64 - s closures at s products each
     assert found < 100 and 1000 < spent <= 1000 + 32 * 32
+
+
+# ---------------------------------------------------------------------------
+# maximal normal subgroups of solvable groups, read off G^ab
+
+# the groups of the finite-lattice benchmark pools (LATTICE_PRODUCT_SPECS
+# holds the two heavy products and the middle band) and the solvable groups
+# of finite-large
+LATTICE_POOL_SPECS = LATTICE_PRODUCT_SPECS + ("E 2 5", "E 2 4") + tuple(
+    f"prod({a}, {b})" for a, b in (
+        ("A 4", "S 3"), ("C 6", "E 2 2"), ("C 5", "D 4"), ("C 4", "CxC 2 4"),
+        ("C 3", "SL 3"), ("E 2 2", "E 2 2"), ("C 5", "C 8"), ("C 2", "S 4"),
+        ("E 3 2", "E 2 2"), ("C 2", "E 2 3"), ("C 4", "Q8"), ("A 4", "E 2 2"),
+        ("C 6", "C 6"), ("C 8", "S 3"), ("C 4", "D 4"), ("C 5", "E 3 2"),
+        ("C 2", "SL 3"), ("D 4", "E 3 2"), ("A 4", "C 5"), ("C 4", "S 4"),
+        ("S 3", "Q8"), ("A 4", "Q8"), ("C 5", "E 2 3"), ("E 2 2", "Q8"),
+    )
+)
+LARGE_SOLVABLE_SPECS = ("D 95", "D 102", "CxC 6 32", "CxC 12 20", "D 86", "D 85")
+
+
+def referee_derived_subgroup(group):
+    """G' as the closure of all |G|^2 commutators."""
+    t, inv, n = group.table, group.inverse, group.order
+    comms = {t[t[t[x][y]][inv[x]]][inv[y]] for x in range(n) for y in range(n)}
+    return frozenset(fingroup._closure_members(t, sorted(comms)))
+
+
+def referee_is_solvable(group):
+    """Whether the derived series, each term closed from all commutators of
+    the one before, reaches {e}."""
+    t, inv = group.table, group.inverse
+    term = range(group.order)
+    while len(term) > 1:
+        comms = {t[t[t[x][y]][inv[x]]][inv[y]] for x in term for y in term}
+        below = fingroup._closure_members(t, sorted(comms))
+        if len(below) == len(term):
+            return False
+        term = below
+    return True
+
+
+def assert_hyperplanes_match_lattice(group):
+    """The solvable route against the lattice's maximal members, and the
+    route maximal_normal_subgroups takes against the referee's verdict."""
+    solvable = fingroup._is_solvable(group)
+    assert solvable == referee_is_solvable(group), group.name
+    lattice = fingroup._normal_subgroup_sets(group, group.order)[1]
+    if solvable:
+        expected = [fingroup._mask(s) for s in lattice]
+        assert fingroup._hyperplane_masks(group) == expected, group.name
+    fresh = FiniteGroup(group.name, group.table)  # nothing cached
+    found = maximal_normal_subgroups(fresh, fresh.order)
+    assert tuple(s.members for s in found) == lattice, group.name
+
+
+def test_hyperplanes_match_lattice_on_catalog(catalog):
+    for group in catalog:
+        if 1 < group.order <= 128:
+            assert_hyperplanes_match_lattice(group)
+
+
+@pytest.mark.parametrize("spec", LATTICE_POOL_SPECS + LARGE_SOLVABLE_SPECS)
+def test_hyperplanes_match_lattice_on_benchmark_groups(spec):
+    assert_hyperplanes_match_lattice(group_from_spec(spec))
+
+
+SMALL_FACTORS = {  # spec -> order
+    "C 1": 1, "C 2": 2, "C 3": 3, "C 4": 4, "C 5": 5, "C 6": 6, "C 8": 8, "C 9": 9,
+    "E 2 2": 4, "E 2 3": 8, "E 3 2": 9, "CxC 2 4": 8, "CxC 2 6": 12, "S 3": 6,
+    "D 4": 8, "D 5": 10, "D 6": 12, "Q8": 8, "A 4": 12, "SL 3": 24, "S 4": 24, "A 5": 60,
+}
+SMALL_PAIRS = [
+    (a, b) for a in SMALL_FACTORS for b in SMALL_FACTORS
+    if 1 < SMALL_FACTORS[a] * SMALL_FACTORS[b] <= 128
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_PAIRS))
+def test_hyperplanes_match_lattice_on_products(pair):
+    assert_hyperplanes_match_lattice(group_from_spec("prod({}, {})".format(*pair)))
+
+
+def test_hyperplanes_of_elementary_groups():
+    # (p^r - 1)/(p - 1) hyperplanes of index p, each a union of p^(r-1) cosets
+    cases = (("E 2 7", 127, 64), ("E 3 3", 13, 9), ("E 5 2", 6, 5), ("C 7", 1, 1))
+    for spec, count, size in cases:
+        masks = fingroup._hyperplane_masks(group_from_spec(spec))
+        assert len(set(masks)) == len(masks) == count
+        assert {m.bit_count() for m in masks} == {size}
+
+
+def test_maximal_normal_subgroups_are_cached():
+    group = group_from_spec("prod(E 2 3, S 3)")
+    first = maximal_normal_subgroups(group)
+    assert group._cache["maximal"] == tuple(s.members for s in first)
+    assert maximal_normal_subgroups(group) == first
+    assert "normal_sets" not in group._cache  # the solvable route builds no lattice
+
+
+def test_maximal_normal_subgroups_cap_on_solvable_group():
+    # the normal cap holds on the solvable route too, before and after the
+    # cache fills
+    group = group_from_spec("E 2 8", cap=256)
+    with pytest.raises(OrderCapExceeded, match="256 exceeds normal-subgroup cap 128"):
+        maximal_normal_subgroups(group)
+    assert len(maximal_normal_subgroups(group, cap=256)) == 255
+    with pytest.raises(OrderCapExceeded):
+        maximal_normal_subgroups(group, cap=255)
+
+
+def test_hyperplane_budget(monkeypatch):
+    # E2^3: 7 hyperplanes, each 4 cosets of {e} and 4 members: 56 steps
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 56)
+    assert len(maximal_normal_subgroups(group_from_spec("E 2 3"))) == 7
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 55)
+    with pytest.raises(SearchBudgetExceeded, match=(
+        r"maximal normal subgroups of E2\^3 built 0 hyperplanes .* spent 0 .*"
+        r"the 7 of index 2 would spend 56 more, past the budget of 55"
+    )):
+        maximal_normal_subgroups(group_from_spec("E 2 3"))
+    # C6: at p = 2 one coset of C3 and its 3 members, then at p = 3 one
+    # coset of C2 and its 2 members
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 6)
+    with pytest.raises(SearchBudgetExceeded, match="built 1 .* spent 4 .* would spend 3 more"):
+        maximal_normal_subgroups(cyclic_group(6))
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +834,14 @@ def test_derived_subgroup_s3(s3):
 
 def test_derived_subgroup_sl25_perfect(sl25):
     assert len(derived_subgroup(sl25)) == 120
+
+
+def test_derived_subgroup_matches_all_commutators_referee(catalog):
+    groups = [g for g in catalog if g.order <= 128]
+    groups += [group_from_spec(s) for s in LATTICE_POOL_SPECS]
+    for group in groups:
+        fresh = FiniteGroup(group.name, group.table)
+        assert derived_subgroup(fresh).members == referee_derived_subgroup(group), group.name
 
 
 def test_abelian_invariants_c15():
