@@ -31,6 +31,10 @@ DEFAULT_CAPS = Caps()
 # on the AND products of the search behind F-A, n-F-A and the weight.
 DEFAULT_SEARCH_BUDGET = 10**8
 LATTICE_BUDGET = DEFAULT_SEARCH_BUDGET  # coset products per lattice; E2^7 spends 4.3e7
+# Operations a group construction may spend: one per point of a permutation
+# product, d^3 per product or determinant of d x d matrices.  S6 spends
+# 8640, D512 about 10^6; one 200 000-point cycle stops after 20 products.
+CONSTRUCTION_BUDGET = 2**22
 # Longest entry the Smith normal form may write into A, U or V; dense 20x18
 # inputs stay under 2^11 bits.
 SNF_BIT_BUDGET = 2**14

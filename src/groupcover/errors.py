@@ -10,7 +10,8 @@ class CapExceeded(GroupCoverError):
 
 
 class ClosureExceedsCap(CapExceeded):
-    """Generated closure grew past the configured order cap."""
+    """Generated closure grew past the configured order cap, or its products
+    past the construction budget."""
 
 
 class InvalidPermutation(GroupCoverError):

@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product
 from math import gcd
+from operator import itemgetter
 
 from .abelian import AbelianInvariants, is_prime, prime_factors
-from .config import DEFAULT_CAPS, DEFAULT_SEARCH_BUDGET, LATTICE_BUDGET
+from .config import CONSTRUCTION_BUDGET, DEFAULT_CAPS, DEFAULT_SEARCH_BUDGET, LATTICE_BUDGET
 from .errors import (
     ClosureExceedsCap,
     InvalidPermutation,
@@ -209,7 +210,7 @@ def build_from_permutations(degree, generators, cap=None, name=None):
     def compose(p, q):
         return tuple(p[i] for i in q)
 
-    table = _closure_table(identity, gens, compose, cap)
+    table = _closure_table(identity, gens, compose, cap, degree)
     return FiniteGroup(name or f"perm{degree}", tuple(table))
 
 
@@ -232,10 +233,12 @@ def build_from_matrix_generators(p, d, generators, cap=None, name=None):
     if d < 1:
         raise SingularGenerator("dimension must be positive")
     gens = []
+    spent = 0  # a determinant is charged as one product, d^3
     for mat in generators:
         mat = tuple(tuple(int(x) % p for x in row) for row in mat)
         if len(mat) != d or any(len(row) != d for row in mat):
             raise SingularGenerator(f"matrix is not {d}x{d}")
+        spent = _charge(spent, d**3, "determinant")
         if mat_det([list(row) for row in mat]) % p == 0:
             raise SingularGenerator(f"matrix {mat} is singular mod {p}")
         gens.append(mat)
@@ -247,25 +250,29 @@ def build_from_matrix_generators(p, d, generators, cap=None, name=None):
             for i in range(d)
         )
 
-    table = _closure_table(identity, gens, matmul, cap)
+    table = _closure_table(identity, gens, matmul, cap, d**3, spent)
     return FiniteGroup(name or f"mat({p},{d})", tuple(table))
 
 
-def _closure_table(identity, gens, op, cap):
+def _closure_table(identity, gens, op, cap, cost, spent=0):
     """Multiplication table of the closure of `gens`, elements numbered in
-    BFS order from the identity.
+    BFS order from the identity, as tuple rows.
 
     The BFS computes x*g for every element x and generator g; those ids are
     kept as `right[k][x]`, with each new element's BFS parent and generator
-    (a Schreier vector).  Column b is then column parent(b) mapped through
-    `right[gen(b)]`, since a*b = (a*parent(b))*gen(b): n*|gens| calls of
-    `op` instead of n^2.
+    (a Schreier vector).  Each call of `op` costs `cost` operations, charged
+    with the `spent` ones against CONSTRUCTION_BUDGET.  The rest needs no
+    `op`: g*b = (g*parent(b))*gen(b) gives the row of each generator, and
+    the row of y = x*g is the row of x read at the ids in the row of g,
+    since y*b = x*(g*b).
     """
     elems = [identity]  # also the BFS queue
     index = {identity: 0}
     tree = [None]  # (parent id, generator position) per element
     right = [[] for _ in gens]
+    step = cost * len(gens)
     for x, elem in enumerate(elems):
+        spent = _charge(spent, step, "BFS step")
         for k, g in enumerate(gens):
             y = op(elem, g)
             j = index.get(y)
@@ -276,10 +283,28 @@ def _closure_table(identity, gens, op, cap):
                 elems.append(y)
                 tree.append((x, k))
             right[k].append(j)
-    cols = [range(len(elems))]
+    lefts = []
+    for r in right:
+        left = [r[0]]
+        for parent, k in tree[1:]:
+            left.append(right[k][left[parent]])
+        lefts.append(itemgetter(*left))
+    rows = [tuple(range(len(elems)))]
     for parent, k in tree[1:]:
-        cols.append(list(map(right[k].__getitem__, cols[parent])))
-    return list(zip(*cols))
+        rows.append(lefts[k](rows[parent]))
+    return rows
+
+
+def _charge(spent, cost, what):
+    """spent + cost, refused when that passes CONSTRUCTION_BUDGET; `what`
+    names the work that would cost it."""
+    if spent + cost > CONSTRUCTION_BUDGET:
+        raise ClosureExceedsCap(
+            f"construction spent {spent} operations, and the next {what} would spend "
+            f"{cost} more, past the construction budget of {CONSTRUCTION_BUDGET} (one "
+            f"operation per permutation point or matrix multiply-add)"
+        )
+    return spent + cost
 
 
 def direct_product(g, h, cap=None):
@@ -420,10 +445,11 @@ def _normal_subgroup_sets(group, cap=None):
     full = (1 << group.order) - 1
     # every normal subgroup is the join of the normal closures of the
     # conjugacy classes it contains, and the join of two normal subgroups is
-    # their product set; so close the class-closures under products
+    # their product set; so close the class-closures under products.  The
+    # subgroup a class generates is the normal closure of any one member.
     base = {}
     for cls in conjugacy_classes(group):
-        closure = tuple(_closure_members(table, cls))
+        closure = tuple(_normal_closure_members(group, cls[:1]))
         base.setdefault(_mask(closure), closure)
     # a proper N is maximal exactly when every strict join N.B with a class
     # closure B is the whole group, and the enumeration forms all of those

@@ -389,6 +389,29 @@ def test_finite_matrix_file_past_exact_primality(capsys, tmp_path):
     assert "cap exceeded: primality of" in capsys.readouterr().err
 
 
+def test_finite_long_cycle_stops_at_construction_budget(capsys, tmp_path):
+    # each product of one 200 000-point cycle costs 200 000 operations, so
+    # the budget stops the closure long before the order cap of 1024
+    path = tmp_path / "cycle.perm"
+    path.write_text("(" + " ".join(map(str, range(200_000))) + ")\n")
+    assert run_within(1, ["finite", str(path), "--from", "permutations"]) == 3
+    err = capsys.readouterr().err
+    assert "cap exceeded: construction spent 4000000 operations" in err
+    assert "past the construction budget of 4194304" in err
+
+
+def test_finite_large_matrix_stops_at_construction_budget(capsys, tmp_path):
+    # a 100 x 100 permutation matrix over F_2 has order 100, but each
+    # product (and the determinant) costs 10^6 multiply-adds
+    rows = [" ".join("1" if j == (i + 1) % 100 else "0" for j in range(100)) for i in range(100)]
+    path = tmp_path / "cycle.matrix"
+    path.write_text("2 100\n" + "\n".join(rows) + "\n")
+    assert run_within(1, ["finite", str(path), "--from", "matrix"]) == 3
+    err = capsys.readouterr().err
+    assert "cap exceeded: construction spent 4000000 operations" in err
+    assert "past the construction budget of 4194304" in err
+
+
 def test_finite_deep_left_nested_prod_is_linear(capsys):
     spec = "C 1"
     for _ in range(3000):

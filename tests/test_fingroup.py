@@ -5,7 +5,7 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 from groupcover import (
     ElementSet,
@@ -103,17 +103,19 @@ def pairwise_closure_table(identity, gens, op, cap):
 @pytest.fixture()
 def refereed(monkeypatch):
     """Every table built from generators, and every cap hit, is compared
-    with the pairwise referee; returns the list of orders checked."""
+    tuple for tuple with the pairwise referee; returns the list of orders
+    checked."""
     checked = []
     fast = fingroup._closure_table
 
-    def both(identity, gens, op, cap):
+    def both(identity, gens, op, cap, cost, spent=0):
         try:
-            table = fast(identity, gens, op, cap)
+            table = fast(identity, gens, op, cap, cost, spent)
         except ClosureExceedsCap:
             with pytest.raises(ClosureExceedsCap):
                 pairwise_closure_table(identity, gens, op, cap)
             raise
+        assert all(type(row) is tuple for row in table)
         assert table == pairwise_closure_table(identity, gens, op, cap)
         checked.append(len(table))
         return table
@@ -122,15 +124,55 @@ def refereed(monkeypatch):
     return checked
 
 
+# the permutation and matrix family members up to order 1024 that the
+# default catalog (orders up to 120) leaves out; D n runs on to D 512, of
+# which D 95 and D 256 stand in, since the referee makes n^2 products
+LARGE_CLOSURE_SPECS = ("S 2", "A 3", "SL 2", "S 6", "A 6", "SL 7", "D 95", "D 256")
+
+
 def test_closure_table_matches_pairwise_referee(refereed, tmp_path):
     build_catalog()
     assert len(refereed) > 20  # D n, S n, A n, Q8, SL 3 and SL 5
-    for spec in ("S 6", "A 6", "SL 7", "D 95", "D 256"):
+    for spec in LARGE_CLOSURE_SPECS:
         group_from_spec(spec, cap=1024)
     path = tmp_path / "d5x.perm"
     path.write_text("(0 1 2 3 4)\n(1 4)(2 3)\n(5 6 7)\n")
     assert load_group(path, "permutations").order == 30
-    assert sorted(refereed[-6:]) == [30, 190, 336, 360, 512, 720]
+    assert sorted(refereed[-9:]) == [2, 3, 6, 30, 190, 336, 360, 512, 720]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), max_size=3).map(lambda gens: (n, gens))
+))
+def test_closure_table_matches_referee_on_random_permutations(refereed, degree_and_gens):
+    degree, gens = degree_and_gens
+    try:
+        build_from_permutations(degree, gens, cap=120)
+    except ClosureExceedsCap:
+        pass  # past order 120 the referee refused the closure too
+
+
+def test_construction_budget_counts_operations(monkeypatch):
+    # S4 on 4 points: 24 BFS steps of 2 products, 4 operations each
+    monkeypatch.setattr(fingroup, "CONSTRUCTION_BUDGET", 24 * 2 * 4)
+    assert build_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)]).order == 24
+    monkeypatch.setattr(fingroup, "CONSTRUCTION_BUDGET", 24 * 2 * 4 - 1)
+    with pytest.raises(ClosureExceedsCap, match="spent 184 operations, and the next BFS step "
+                       "would spend 8 more, past the construction budget of 191"):
+        build_from_permutations(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+
+
+def test_construction_budget_refuses_a_determinant_before_it_runs(monkeypatch):
+    identity = [[int(i == j) for j in range(256)] for i in range(256)]
+
+    def refuse(matrix):
+        raise AssertionError("the determinant ran")
+
+    monkeypatch.setattr(fingroup, "mat_det", refuse)
+    with pytest.raises(ClosureExceedsCap, match="spent 0 operations, and the next determinant "
+                       "would spend 16777216 more"):
+        build_from_matrix_generators(2, 256, [identity])
 
 
 @pytest.mark.parametrize(
@@ -574,6 +616,27 @@ def test_maximal_equals_maximal_filter_and_simple_quotient(catalog):
             assert len(normal_subgroups(q)) == 2  # simple
 
 
+def whole_class_closure(group, cls):
+    """Referee for the lattice's base closures: the subgroup generated by a
+    whole conjugacy class, |closure| x |class| products."""
+    return frozenset(fingroup._closure_members(group.table, cls))
+
+
+# the nonsolvable groups of the finite-large benchmark
+NONSOLVABLE_LARGE_SPECS = ("S 6", "A 6", "SL 7", "prod(S 5, S 3)") + tuple(
+    f"prod({big}, {partner})" for big in ("S 5", "A 5", "SL 5") for partner in ("C 2", "C 3", "E 2 2")
+)
+
+
+def test_class_closures_match_whole_class_referee(catalog):
+    groups = [g for g in catalog if g.order <= 128]
+    groups += [group_from_spec(spec) for spec in NONSOLVABLE_LARGE_SPECS]
+    for group in groups:
+        for cls in conjugacy_classes(group):
+            fast = fingroup._normal_closure_members(group, cls[:1])
+            assert fast == whole_class_closure(group, cls), (group.name, cls[0])
+
+
 def referee_normal_subgroup_sets(group):
     """The lattice enumeration before coset-skipping joins: each join N.B is
     formed as all |N|.|B| products in a frozenset."""
@@ -581,7 +644,7 @@ def referee_normal_subgroup_sets(group):
     full = (1 << group.order) - 1
     base = {}
     for cls in conjugacy_classes(group):
-        members = frozenset(fingroup._closure_members(table, cls))
+        members = whole_class_closure(group, cls)
         base.setdefault(fingroup._mask(members), members)
     found = {}
     maximal = []
@@ -617,6 +680,8 @@ REFEREE_SPECS = (
     "prod(D 4, Q8)",
     "prod(S 3, Q8)",
     "prod(S 5, E 2 2)",
+    "A 6",
+    "SL 7",
 )
 
 

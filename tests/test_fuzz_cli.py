@@ -1,6 +1,7 @@
-"""CLI fuzz gate: random group specs, matrix files, scans of and witness
-searches over random presentations and analyses of dense ones, valid or not,
-end in exit 0, 2 or 3 within a few seconds and never in a traceback.
+"""CLI fuzz gate: random group specs, matrix, permutation and Cayley-table
+files, scans of and witness searches over random presentations and analyses
+of dense ones, valid or not, end in exit 0, 2 or 3 within a few seconds and
+never in a traceback.
 
 The `finite` runs pass `--caps normal=64`.  At the default normal-subgroup
 cap of 128 a valid E2^7 takes about 2.2 s to decide (its lattice spends
@@ -11,6 +12,7 @@ malformed and huge input.
 
 import contextlib
 import io
+import math
 import signal
 
 import hypothesis.strategies as st
@@ -93,13 +95,13 @@ def deep_nesting(draw):
 
 
 @st.composite
-def mangled(draw, specs):
-    """A spec with one character dropped or one inserted."""
-    spec = draw(specs)
-    i = draw(st.integers(0, len(spec)))
+def mangled(draw, texts, alphabet="(),pC "):
+    """A text with one character dropped or one from `alphabet` inserted."""
+    text = draw(texts)
+    i = draw(st.integers(0, len(text)))
     if draw(st.booleans()):
-        return spec[:i] + spec[i + 1 :]
-    return spec[:i] + draw(st.sampled_from("(),pC ")) + spec[i:]
+        return text[:i] + text[i + 1 :]
+    return text[:i] + draw(st.sampled_from(alphabet)) + text[i:]
 
 
 TREES = st.recursive(leaves(), products, max_leaves=5)
@@ -150,6 +152,96 @@ def test_fuzz_matrix_files(tmp_path, text):
     path = tmp_path / "fuzz.matrix"
     path.write_text(text)
     assert_clean_exit(["finite", str(path), "--from", "matrix", *CAPS])
+
+
+# point labels: small, relabelled far apart, or huge
+LABELS = st.one_of(
+    st.just(range(12)),
+    st.builds(lambda a, b: range(a, a + 12 * b, b), st.integers(0, 10**6), st.integers(1, 997)),
+    st.lists(st.integers(0, 10**40), min_size=12, max_size=12, unique=True),
+)
+
+
+@st.composite
+def permutation_files(draw):
+    """Up to 3 generators in cycle notation, each disjoint random cycles on
+    up to 12 labels (now and then with one more cycle that meets them);
+    sometimes one cycle of up to 2 * 10^5 points, which the construction
+    budget stops; now and then one character dropped or inserted."""
+    labels = list(draw(LABELS))
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        points = draw(st.lists(st.sampled_from(labels), max_size=12, unique=True))
+        cuts = sorted(draw(st.lists(st.integers(0, len(points)), max_size=4)))
+        cycles = [points[a:b] for a, b in zip([0, *cuts], [*cuts, len(points)]) if a < b]
+        if draw(st.integers(0, 9)) == 0:
+            cycles.append(draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True)))
+        lines.append(" ".join("(" + " ".join(map(str, c)) + ")" for c in cycles))
+    if draw(st.integers(0, 9)) == 0:
+        lines.append("(" + " ".join(map(str, range(draw(st.integers(2, 2 * 10**5))))) + ")")
+    text = "\n".join(lines) + "\n"
+    if draw(st.integers(0, 9)) == 0:
+        text = draw(mangled(st.just(text), "()-, x#\n0"))
+    return text
+
+
+@st.composite
+def cayley_files(draw):
+    """An order-n table, mostly a Latin square: the cyclic group, the cyclic
+    Latin square (s i + t j) mod n (a group only when s = t = 1), or a loop
+    made from a random row and column shuffle of the cyclic group (usually
+    not associative), each relabelled at random, half the time keeping its
+    identity at 0; sometimes a wrong header or entry, or one character
+    dropped or inserted."""
+    n = draw(st.integers(1, 24))
+    kind = draw(st.sampled_from(["cyclic", "affine", "loop"]))
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    identity = 0
+    if kind == "affine":
+        s, t = (draw(st.sampled_from([u for u in range(1, n + 1) if math.gcd(u, n) == 1]))
+                for _ in range(2))
+        table = [[(s * i + t * j) % n for j in range(n)] for i in range(n)]
+    elif kind == "loop":
+        rows = draw(st.permutations(range(n)))
+        cols = draw(st.permutations(range(n)))
+        square = [[table[r][c] for c in cols] for r in rows]
+        # x.y = square[row starting with x][column headed by y]: a Latin
+        # square with identity square[0][0]
+        at_row = {square[i][0]: i for i in range(n)}
+        at_col = {square[0][j]: j for j in range(n)}
+        table = [[square[at_row[x]][at_col[y]] for y in range(n)] for x in range(n)]
+        identity = square[0][0]
+    label = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        i = label.index(0)
+        label[i], label[identity] = label[identity], 0
+    back = {x: i for i, x in enumerate(label)}
+    rows = [" ".join(str(label[table[back[a]][back[b]]]) for b in range(n)) for a in range(n)]
+    header = str(n)
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.sampled_from([str(n + 1), str(n - 1), "x", "", str(10**18)]))
+    if draw(st.integers(0, 9)) == 0 and rows:
+        rows[-1] += draw(st.sampled_from([" 0", " -1", " a", f" {10**18}"]))
+    text = header + "\n" + "\n".join(rows) + "\n"
+    if draw(st.integers(0, 9)) == 0:
+        text = draw(mangled(st.just(text), " 0123456789-#\n"))
+    return text
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(st.one_of(
+    st.tuples(st.just("permutations"), permutation_files()),
+    st.tuples(st.just("cayley"), cayley_files()),
+))
+def test_fuzz_group_files(tmp_path, fmt_and_text):
+    fmt, text = fmt_and_text
+    path = tmp_path / "fuzz.group"
+    path.write_text(text)
+    assert_clean_exit(["finite", str(path), "--from", fmt, *CAPS])
 
 
 GENERATORS = ("a", "b", "c")
