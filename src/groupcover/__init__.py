@@ -33,7 +33,6 @@ from .config import Caps, DEFAULT_CAPS
 from .covering import (
     CoverReport,
     TheoremReport,
-    fa_witness_finite,
     is_fa_finite,
     is_nfa_finite,
     verify_finite_theorems,
@@ -50,7 +49,6 @@ from .fingroup import (
     derived_subgroup,
     direct_product,
     maximal_normal_subgroups,
-    normal_closure,
     normal_subgroups,
     quotient,
     subgroup_closure,
@@ -62,18 +60,16 @@ from .presentation import (
     Presentation,
     abelian_invariants,
     exponent_matrix,
-    free_product,
     parse_presentation,
     parse_word_text,
 )
-from .snf import SnfResult, smith_normal_form
+from .snf import smith_normal_form
 from .witness import (
     ScanReport,
     Witness,
     enumerate_surjections,
     fa_scan,
     find_annihilator,
-    nontrivial_quotient_exists,
     verify_witness,
     witness_targets,
 )
@@ -81,7 +77,6 @@ from .words import (
     Word,
     commutator_word,
     concat,
-    cyclic_reduce,
     free_reduce,
     invert_word,
     reduced_words,

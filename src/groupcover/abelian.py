@@ -9,7 +9,6 @@ count) is r + k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 from .errors import NotPrime, SearchBudgetExceeded
 
@@ -33,15 +32,6 @@ class AbelianInvariants:
     @property
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.factors
-
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    @property
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        return None if self.free_rank else prod(self.factors)
 
     def describe(self) -> str:
         parts = ["Z"] * self.free_rank + [f"C{d}" for d in self.factors]

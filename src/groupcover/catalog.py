@@ -316,13 +316,14 @@ def _content_lines(text):
 
 
 def _load_permutations(text, name, cap):
-    """Cycle-notation generators, one per line.  The points named are
-    numbered 0, 1, ... in sorted order, so the degree is the number of
-    points named, not the largest label; relabelling conjugates every
-    generator by the same bijection, which leaves the table unchanged."""
+    """Cycle-notation generators, one per line, as disjoint cycles.  The
+    points named are numbered 0, 1, ... in sorted order, so the degree is the
+    number of points named, not the largest label; relabelling conjugates
+    every generator by the same bijection, which leaves the table unchanged."""
     parsed = []
     for lineno, line in _content_lines(text):
         cycles = []
+        seen = set()
         rest = line
         while rest:
             rest = rest.lstrip()
@@ -340,6 +341,10 @@ def _load_permutations(text, name, cap):
                 raise ParseError(f"non-integer point in {line!r}", lineno) from None
             if len(set(points)) != len(points) or any(p < 0 for p in points):
                 raise ParseError(f"bad cycle {rest[: close + 1]!r}", lineno)
+            shared = seen.intersection(points)
+            if shared:
+                raise ParseError(f"point {min(shared)} lies in two cycles of {line!r}", lineno)
+            seen.update(points)
             cycles.append(points)
             rest = rest[close + 1 :]
         parsed.append(cycles)

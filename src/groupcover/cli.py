@@ -172,14 +172,15 @@ def cmd_witness(args) -> int:
         payload = {"witness": None, "bound": args.bound}
         _emit(payload, args, [f"none <= {args.bound}"])
     else:
-        payload = {"witness": witness.as_dict(), "bound": args.bound}
-        target = witness.as_dict()["target"]
+        found = witness.as_dict()
+        payload = {"witness": found, "bound": args.bound}
+        target = found["target"]
         _emit(
             payload,
             args,
             [
                 f"target: {target['name']} (order {target['order']})",
-                f"images: {witness.as_dict()['images']}",
+                f"images: {found['images']}",
             ],
         )
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .abelian import max_elementary_rank
-from .errors import CapExceeded, GroupCoverError, TrivialGroup
+from .errors import CapExceeded, GroupCoverError
 from .fingroup import (
     ElementSet,
     FiniteGroup,
@@ -26,7 +26,6 @@ from .fingroup import (
     abelian_invariants_finite,
     abelianisation,
     derived_subgroup,
-    maximal_normal_subgroups,
     validate_group,
     weight_bruteforce,
 )
@@ -100,20 +99,6 @@ def _covering_check(group, n, prop, cap) -> CoverReport:
         first |= a & -a
     subcover = tuple(sub for i, sub in enumerate(cover) if first >> i & 1)
     return CoverReport(group.name, prop, True, cover, (), subcover=subcover)
-
-
-def fa_witness_finite(group: FiniteGroup, g: int, cap=None) -> ElementSet | None:
-    """A maximal normal proper subgroup containing g, or None.
-
-    Ties broken by smallest canonical mask.
-    """
-    if group.order == 1:
-        raise TrivialGroup("no proper subgroups exist")
-    best = None
-    for sub in maximal_normal_subgroups(group, cap):
-        if g in sub.members and (best is None or sub.mask < best.mask):
-            best = sub
-    return best
 
 
 @dataclass

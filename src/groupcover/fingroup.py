@@ -50,9 +50,6 @@ class FiniteGroup:
         self.inverse = _inverse_table(table)
         self._cache = {}
 
-    def mul(self, a, b):
-        return self.table[a][b]
-
     def conjugate(self, g, x):
         """g x g^-1."""
         return self.table[self.table[g][x]][self.inverse[g]]
@@ -376,11 +373,6 @@ def _normal_closure_members(group, seeds):
             known = _closure_members(t, gens)
             pending += [t[t[g][x]][inv[g]] for g in conj]
     return known
-
-
-def normal_closure(group, seeds):
-    """Smallest normal subgroup containing the seed elements."""
-    return ElementSet(group, frozenset(_normal_closure_members(group, seeds)))
 
 
 def conjugacy_classes(group):

@@ -267,29 +267,3 @@ def abelian_invariants(pres: Presentation) -> AbelianInvariants:
     normal form of the exponent matrix (computed once per presentation)."""
     result = smith_normal_form(exponent_matrix(pres))
     return invariants_from_diagonal(result.diagonal, pres.ngens)
-
-
-# ---------------------------------------------------------------------------
-# combinators
-
-def _merge_generator_names(left, right):
-    names = list(left)
-    used = set(names)
-    for name in right:
-        candidate = name
-        k = 2
-        while candidate in used:
-            candidate = f"{name}_{k}"
-            k += 1
-        names.append(candidate)
-        used.add(candidate)
-    return tuple(names)
-
-
-def free_product(p: Presentation, q: Presentation) -> Presentation:
-    """Disjoint generator union (collisions renamed with suffixes) and
-    concatenated relators."""
-    names = _merge_generator_names(p.generators, q.generators)
-    offset = p.ngens
-    shifted = tuple(tuple((g + offset, e) for g, e in rel) for rel in q.relators)
-    return Presentation(names, p.relators + shifted)

@@ -10,7 +10,6 @@ longer than SNF_BIT_BUDGET bits raises SearchBudgetExceeded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd
 
 from .config import SNF_BIT_BUDGET
@@ -21,18 +20,6 @@ IntMatrix = list[list[int]]
 
 def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if not a:
-        return []
-    if not b:
-        return [[] for _ in a]
-    cols = len(b[0])
-    return [
-        [sum(ra[k] * b[k][j] for k in range(len(ra))) for j in range(cols)]
-        for ra in a
-    ]
 
 
 def mat_det(a: IntMatrix) -> int:
@@ -254,25 +241,4 @@ def smith_diagonal_reference(rows: list[list[int]]) -> list[int]:
                 g = gcd(x, y)
                 diag[k], diag[k + 1] = g, x * y // g
                 changed = True
-    return diag
-
-
-def determinantal_divisor_diagonal(rows: list[list[int]]) -> list[int]:
-    """SNF diagonal from gcds of k x k minors (fully independent route)."""
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    size = min(m, n)
-    diag = []
-    prev = 1
-    for k in range(1, size + 1):
-        g = 0
-        for ri in combinations(range(m), k):
-            for ci in combinations(range(n), k):
-                minor = mat_det([[rows[i][j] for j in ci] for i in ri])
-                g = gcd(g, minor)
-        if g == 0:
-            diag.extend(0 for _ in range(size - k + 1))
-            return diag
-        diag.append(g // prev)
-        prev = g
     return diag

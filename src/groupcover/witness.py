@@ -28,7 +28,7 @@ from .config import DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
 from .fingroup import FiniteGroup, conjugacy_classes, subgroup_closure
 from .presentation import Presentation
-from .words import EMPTY_WORD, Word, max_generator, reduced_words, render_word
+from .words import Word, max_generator, reduced_words, render_word
 
 MAX_WITNESS_BOUND = 128
 # Most words one scan visits.  At this count `scan` on `< a | >` at bound 128
@@ -265,13 +265,6 @@ def find_annihilator(
     return witness
 
 
-def nontrivial_quotient_exists(pres: Presentation, order_bound: int) -> Witness | None:
-    """First surjection onto any nontrivial catalog group within the bound
-    (reported with the empty word); None means none was found *within the
-    searched catalog and bound*, not that none exists."""
-    return find_annihilator(pres, EMPTY_WORD, order_bound)
-
-
 WITNESSED = "witnessed"
 UNWITNESSED = "unwitnessed"
 BOUND_TOO_SMALL = "bound too small"
@@ -317,10 +310,6 @@ class ScanReport:
     @property
     def witnessed(self) -> tuple[ScanEntry, ...]:
         return tuple(e for e in self.entries if e.status == WITNESSED)
-
-    @property
-    def unwitnessed(self) -> tuple[ScanEntry, ...]:
-        return tuple(e for e in self.entries if e.status != WITNESSED)
 
     def as_dict(self) -> dict:
         gens = self.presentation.generators

@@ -58,30 +58,6 @@ def commutator_word(u: Word, v: Word) -> Word:
     return concat(u, v, invert_word(u), invert_word(v))
 
 
-def cyclic_reduce(word: Word) -> Word:
-    """Shortest representative of the cyclic conjugacy class of `word`.
-
-    Strips cancelling ends; when the first and last syllables share a
-    generator the end exponents are folded into a single leading syllable.
-    """
-    w = free_reduce(word)
-    while len(w) >= 2 and w[0][0] == w[-1][0]:
-        gen = w[0][0]
-        exp = w[0][1] + w[-1][1]
-        middle = w[1:-1]
-        if exp == 0:
-            w = free_reduce(middle)
-        else:
-            w = free_reduce(((gen, exp),) + middle)
-            break
-    return w
-
-
-def word_length(word: Word) -> int:
-    """Letter count of the freely reduced word."""
-    return sum(abs(e) for _, e in word)
-
-
 def exponent_vector(word: Word, ngens: int) -> tuple[int, ...]:
     sums = [0] * ngens
     for g, e in word:

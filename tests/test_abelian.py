@@ -26,9 +26,7 @@ def test_invariants_validation():
 
 def test_order_and_describe():
     inv = AbelianInvariants(0, (2, 6))
-    assert inv.order == 12
     assert inv.describe() == "C2 x C6"
-    assert AbelianInvariants(1, (2,)).order is None
     assert AbelianInvariants(0, ()).describe() == "1"
     assert AbelianInvariants(0, ()).is_trivial
 

@@ -14,27 +14,21 @@ from groupcover import (
     derived_subgroup,
     direct_product,
     fa_scan,
-    fa_witness_finite,
     find_annihilator,
     is_fa_finite,
     is_nfa_finite,
     max_elementary_rank,
-    nontrivial_quotient_exists,
     normal_subgroups,
     parse_presentation,
     quotient,
     weight_bruteforce,
 )
-from groupcover.snf import (
-    determinantal_divisor_diagonal,
-    mat_det,
-    mat_mul,
-    smith_diagonal_reference,
-    smith_normal_form,
-)
+from groupcover.snf import mat_det, smith_diagonal_reference, smith_normal_form
 from groupcover.witness import evaluate_word
-from groupcover.words import exponent_vector, reduced_words
+from groupcover.words import EMPTY_WORD, exponent_vector, reduced_words
 from tests.conftest import HIGMAN_TEXT, HNN_TEXT, K235_TEXT
+from tests.test_covering import referee_fa_witness
+from tests.test_snf import determinantal_divisor_diagonal, mat_mul
 from tests.test_witness import CROSS_FIXTURES, assert_json_matches
 
 
@@ -191,7 +185,7 @@ def test_criterion_6_presentation_pipeline_fixtures():
     inv = abelian_invariants(higman)
     if not inv.is_trivial:
         failures.append(f"higman invariants {inv}")
-    if nontrivial_quotient_exists(higman, 30) is not None:
+    if find_annihilator(higman, EMPTY_WORD, 30) is not None:
         failures.append("higman has a small quotient")
 
     hnn = parse_presentation(HNN_TEXT)
@@ -286,7 +280,7 @@ def test_criterion_9_cross_engine_agreement():
             mismatches.append((text, "coverage"))
             continue
         for g, word in sorted(element_words.items()):
-            finite_side = fa_witness_finite(group, g)
+            finite_side = referee_fa_witness(group, g)
             pres_side = find_annihilator(pres, word, group.order)
             if (finite_side is None) != (pres_side is None):
                 mismatches.append((text, g))

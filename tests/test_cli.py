@@ -400,6 +400,20 @@ def test_finite_long_cycle_stops_at_construction_budget(capsys, tmp_path):
     assert "past the construction budget of 4194304" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(5 7)(5 9)\n", "point 5 lies in two cycles of '(5 7)(5 9)' (line 1)"),
+        ("(0 1)\n(1 2)(2 3)\n", "point 2 lies in two cycles of '(1 2)(2 3)' (line 2)"),
+    ],
+)
+def test_finite_permutation_cycles_sharing_a_point_exit_2(capsys, tmp_path, text, message):
+    path = tmp_path / "shared.perm"
+    path.write_text(text)
+    assert main(["finite", str(path), "--from", "permutations"]) == 2
+    assert capsys.readouterr().err == f"parse error: {message}\n"
+
+
 def test_finite_large_matrix_stops_at_construction_budget(capsys, tmp_path):
     # a 100 x 100 permutation matrix over F_2 has order 100, but each
     # product (and the determinant) costs 10^6 multiply-adds

@@ -1,7 +1,7 @@
 """CLI fuzz gate: random group specs, matrix, permutation and Cayley-table
-files, scans of and witness searches over random presentations and analyses
-of dense ones, valid or not, end in exit 0, 2 or 3 within a few seconds and
-never in a traceback.
+files, catalog files, config files mixed with `--caps`, scans of and witness
+searches over random presentations and analyses of dense ones, valid or
+not, end in exit 0, 2 or 3 within a few seconds and never in a traceback.
 
 The `finite` runs pass `--caps normal=64`.  At the default normal-subgroup
 cap of 128 a valid E2^7 takes about 2.2 s to decide (its lattice spends
@@ -12,6 +12,7 @@ malformed and huge input.
 
 import contextlib
 import io
+import json
 import math
 import signal
 
@@ -242,6 +243,88 @@ def test_fuzz_group_files(tmp_path, fmt_and_text):
     path = tmp_path / "fuzz.group"
     path.write_text(text)
     assert_clean_exit(["finite", str(path), "--from", fmt, *CAPS])
+
+
+@st.composite
+def catalog_files(draw):
+    """Up to 5 catalog lines of family entries, comments and blank lines;
+    sometimes with one character dropped or inserted."""
+    line = leaves() | st.sampled_from(["", "# comment", "C 2 # trailing comment"])
+    text = "\n".join(draw(st.lists(line, max_size=5))) + "\n"
+    if draw(st.integers(0, 4)) == 0:
+        text = draw(mangled(st.just(text), " #\n0-x"))
+    return text
+
+
+# Order at most 12 keeps the harness quick; every entry up to the order cap
+# is still built, which the closed-form cap checks keep within the limit.
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(catalog_files(), st.integers(0, 12))
+def test_fuzz_verify_all_catalog_files(tmp_path, text, max_order):
+    path = tmp_path / "fuzz.catalog"
+    path.write_text(text)
+    assert_clean_exit(["verify-all", "--catalog", str(path), "--max-order", str(max_order)])
+
+
+CAP_VALUE = st.one_of(
+    st.integers(1, 300), st.integers(1, 300), st.integers(-3, 0),
+    HUGE, st.integers(-(10**40), -1),
+    st.sampled_from(["12", "", True, None, 1.5, math.inf, [64], {"order": 8}]),
+)
+CAP_KEY = st.sampled_from(["order", "normal", "order", "normal", "depth", ""])
+CAPS_ENTRY = st.dictionaries(CAP_KEY, CAP_VALUE, max_size=3)
+FORMAT = st.sampled_from(["text", "json", "text", "json", "xml", 1, None, ["json"]])
+
+
+@st.composite
+def config_files(draw):
+    """A JSON config of format and caps entries, usually with the right
+    types; sometimes with an unknown key, a wrong type, huge or negative
+    caps, a top level that is not an object, or one character dropped or
+    inserted."""
+    conf = {}
+    if draw(st.booleans()):
+        conf["format"] = draw(FORMAT)
+    if draw(st.booleans()):
+        conf["caps"] = draw(CAPS_ENTRY | FORMAT) if draw(st.integers(0, 9)) == 0 else draw(CAPS_ENTRY)
+    if draw(st.integers(0, 4)) == 0:
+        conf[draw(st.sampled_from(["Format", "cap", "order", ""]))] = draw(CAPS_ENTRY | FORMAT)
+    if draw(st.integers(0, 9)) == 0:
+        conf = draw(st.sampled_from([[conf], "caps", 3, None]))
+    text = json.dumps(conf)
+    if draw(st.integers(0, 9)) == 0:
+        text = draw(mangled(st.just(text), '{}[]":,0-e '))
+    return text
+
+
+CAPS_TOKEN = st.builds(
+    lambda key, value: f"{key}={value}",
+    CAP_KEY, st.one_of(st.integers(-3, 300), HUGE).map(str) | st.sampled_from(["", "x", "1.5"]),
+)
+# Small groups only: under a huge order cap a large spec builds its whole
+# table, which is slow work on good input, not what this gate is about.
+CONFIG_COMMANDS = st.sampled_from([
+    ["finite", "C 6", "--nfa", "2"],
+    ["finite", "S 4", "--weight"],
+    ["verify-all", "--max-order", "4"],
+])
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(CONFIG_COMMANDS, config_files(), st.lists(CAPS_TOKEN, max_size=2), st.booleans())
+def test_fuzz_config_with_caps(tmp_path, command, text, tokens, with_caps):
+    path = tmp_path / "fuzz.json"
+    path.write_text(text)
+    caps = ["--caps", *tokens] if with_caps else []
+    assert_clean_exit([*command, "--config", str(path), *caps])
 
 
 GENERATORS = ("a", "b", "c")

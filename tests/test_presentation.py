@@ -6,7 +6,6 @@ from groupcover import (
     Presentation,
     abelian_invariants,
     exponent_matrix,
-    free_product,
     parse_presentation,
     parse_word_text,
 )
@@ -202,22 +201,3 @@ def test_abelian_invariants_free_group():
     p = parse_presentation("< a, b | >")
     inv = abelian_invariants(p)
     assert (inv.free_rank, inv.factors) == (2, ())
-
-
-# ---------------------------------------------------------------------------
-# combinators
-
-def test_free_product():
-    p = parse_presentation("< x | x^2 >")
-    q = parse_presentation("< y | y^3 >")
-    result = free_product(p, q)
-    assert result.generators == ("x", "y")
-    assert result.relators == (((0, 2),), ((1, 3),))
-
-
-def test_free_product_renames_collisions():
-    p = parse_presentation("< x | x^2 >")
-    q = parse_presentation("< x | x^3 >")
-    result = free_product(p, q)
-    assert result.generators == ("x", "x_2")
-    assert result.relators == (((0, 2),), ((1, 3),))

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from groupcover.errors import SearchBudgetExceeded
-from groupcover.snf import (
-    determinantal_divisor_diagonal,
-    mat_det,
-    mat_mul,
-    smith_diagonal_reference,
-    smith_normal_form,
-)
+from groupcover.snf import mat_det, smith_diagonal_reference, smith_normal_form
 
 
 def dense_matrix(seed, m, n):
@@ -24,6 +18,40 @@ def dense_matrix(seed, m, n):
 
 def as_lists(rows):
     return [list(r) for r in rows]
+
+
+def mat_mul(a, b):
+    if not a:
+        return []
+    if not b:
+        return [[] for _ in a]
+    cols = len(b[0])
+    return [
+        [sum(ra[k] * b[k][j] for k in range(len(ra))) for j in range(cols)]
+        for ra in a
+    ]
+
+
+def determinantal_divisor_diagonal(rows):
+    """SNF diagonal from gcds of k x k minors: the referee that shares no
+    step with either elimination."""
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    size = min(m, n)
+    diag = []
+    prev = 1
+    for k in range(1, size + 1):
+        g = 0
+        for ri in combinations(range(m), k):
+            for ci in combinations(range(n), k):
+                minor = mat_det([[rows[i][j] for j in ci] for i in ri])
+                g = gcd(g, minor)
+        if g == 0:
+            diag.extend(0 for _ in range(size - k + 1))
+            return diag
+        diag.append(g // prev)
+        prev = g
+    return diag
 
 
 def check_transforms(a, result):

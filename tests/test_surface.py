@@ -1,0 +1,82 @@
+"""The library's surface stays what the CLI and the benchmark use.
+
+Every public function and method in `src/groupcover` is referenced from
+somewhere in the package or the benchmark other than its own body, or is a
+named referee kept for the tests to compare against.  And every function
+the benchmark's tracer names still exists, since `bench/test_bench.py`
+lies outside the tier-1 test paths.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "groupcover"
+BENCH = ROOT / "bench"
+
+# second implementations that only the tests call, each the referee of a
+# faster route: the lattice for the G^ab route to maximal normal subgroups,
+# the plain surjection search for the orbit-pruned one, and the SNF oracle
+REFEREES = {
+    ("fingroup", "normal_subgroups"),
+    ("witness", "enumerate_surjections"),
+    ("snf", "smith_diagonal_reference"),
+}
+
+
+def bench_layers():
+    spec = importlib.util.spec_from_file_location("_bench_tracing", BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [pair for pairs in module.LAYERS.values() for pair in pairs]
+
+
+def references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def public_definitions(tree):
+    """(name, node) of each public module-level function and each public
+    method of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_function_has_a_caller():
+    trees = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py") if p.stem != "__init__"}
+    used = [name for tree in trees.values() for name in references(tree)]
+    for path in BENCH.glob("*.py"):
+        used += references(ast.parse(path.read_text()))
+    used += [name for _, name in bench_layers()]
+    unused = []
+    for module, tree in sorted(trees.items()):
+        for qualname, node in public_definitions(tree):
+            name = node.name
+            own = list(references(node)).count(name)
+            if used.count(name) <= own and (module, qualname) not in REFEREES:
+                unused.append(f"{module}.{qualname}")
+    assert unused == []
+
+
+def test_referees_exist():
+    for module, name in sorted(REFEREES):
+        assert callable(getattr(importlib.import_module(f"groupcover.{module}"), name))
+
+
+def test_bench_layers_resolve():
+    for module, name in bench_layers():
+        assert callable(getattr(importlib.import_module(f"groupcover.{module}"), name))
+    from groupcover.snf import smith_diagonal_reference  # noqa: F401  (bench/checks.py)

@@ -13,9 +13,7 @@ from groupcover import (
     direct_product,
     enumerate_surjections,
     fa_scan,
-    fa_witness_finite,
     find_annihilator,
-    nontrivial_quotient_exists,
     parse_presentation,
     parse_word_text,
     quaternion_group,
@@ -37,7 +35,8 @@ from groupcover.witness import (
     evaluate_word,
     evaluate_word_direct,
 )
-from groupcover.words import exponent_vector, free_reduce, reduced_words, render_word
+from groupcover.words import EMPTY_WORD, exponent_vector, free_reduce, reduced_words, render_word
+from tests.test_covering import referee_fa_witness
 
 
 def pres(text):
@@ -265,22 +264,22 @@ def test_scan_searches_only_targets_some_word_reaches(monkeypatch):
 # nontrivial quotient search
 
 def test_higman_has_no_small_quotient(higman):
-    assert nontrivial_quotient_exists(higman, 30) is None
+    assert find_annihilator(higman, EMPTY_WORD, 30) is None
 
 
 def test_free_abelian_has_c2_quotient():
-    w = nontrivial_quotient_exists(pres("< a, b | [a,b] >"), 2)
+    w = find_annihilator(pres("< a, b | [a,b] >"), EMPTY_WORD, 2)
     assert w is not None and w.target.name == "C2"
     assert w.word == ()
 
 
 def test_trivial_presentation_has_no_quotient():
-    assert nontrivial_quotient_exists(pres("< | >"), 30) is None
+    assert find_annihilator(pres("< | >"), EMPTY_WORD, 30) is None
 
 
 def test_collapsing_presentation_has_no_quotient():
     p = pres("< a, b | [a,b], a^2 a^-3, b^2 b^-3 >")
-    assert nontrivial_quotient_exists(p, 16) is None
+    assert find_annihilator(p, EMPTY_WORD, 16) is None
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +479,7 @@ def test_scan_word_budget_huge_length_is_immediate():
     # with no generators the empty word is the only word at any length
     report = fa_scan(pres("< | >"), 10**12, 2)
     assert report.entries == referee_entries(pres("< | >"), 0, 2)
-    assert len(report.witnessed) + len(report.unwitnessed) == 1
+    assert len(report.entries) == 1 and report.witnessed == ()
     assert_json_matches(report)
     assert time.perf_counter() - start < 0.5
 
@@ -544,7 +543,7 @@ def test_cross_engine_witness_agreement(text, maker, images):
     assert len(element_words) == group.order
 
     for g, word in sorted(element_words.items()):
-        finite_side = fa_witness_finite(group, g)
+        finite_side = referee_fa_witness(group, g)
         pres_side = find_annihilator(p, word, group.order)
         assert (finite_side is None) == (pres_side is None), (text, g, word)
 
