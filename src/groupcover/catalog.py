@@ -17,6 +17,7 @@ from .config import DEFAULT_CAPS
 from .errors import ClosureExceedsCap, ParseError
 from .fingroup import (
     FiniteGroup,
+    _charge,
     build_from_cayley_table,
     build_from_matrix_generators,
     build_from_permutations,
@@ -46,6 +47,7 @@ def cyclic_group(n: int, cap=None) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic order must be positive")
     _refuse_over_cap(f"C{n}", n, cap)
+    _charge(0, n * n, "cyclic table")
     ids = tuple(range(n))
     return FiniteGroup(f"C{n}", tuple(ids[i:] + ids[:i] for i in range(n)))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product
-from math import gcd
+from math import gcd, prod
 from operator import itemgetter
 
 from .abelian import AbelianInvariants, is_prime, prime_factors
@@ -54,20 +54,24 @@ class FiniteGroup:
         """g x g^-1."""
         return self.table[self.table[g][x]][self.inverse[g]]
 
-    def element_order(self, x):
-        k, y = 1, x
-        while y != 0:
-            if k > self.order:
-                raise NotAGroup(f"powers of element {x} never reach the identity")
-            y = self.table[y][x]
-            k += 1
-        return k
-
     def element_orders(self):
+        """Each element's order.  One walk of the powers of an element not yet
+        reached sets its whole cyclic subgroup: ord(x^k) = m / gcd(m, k)."""
         orders = self._cache.get("orders")
         if orders is None:
-            orders = tuple(self.element_order(x) for x in range(self.order))
-            self._cache["orders"] = orders
+            t, n = self.table, self.order
+            orders = [0] * n
+            for x in range(n):
+                if not orders[x]:
+                    powers = [x]
+                    while powers[-1]:
+                        if len(powers) >= n:
+                            raise NotAGroup(f"powers of element {x} never reach the identity")
+                        powers.append(t[powers[-1]][x])
+                    m = len(powers)
+                    for k, y in enumerate(powers, 1):
+                        orders[y] = m // gcd(m, k)
+            orders = self._cache["orders"] = tuple(orders)
         return orders
 
     def is_abelian(self):
@@ -299,7 +303,7 @@ def _charge(spent, cost, what):
         raise ClosureExceedsCap(
             f"construction spent {spent} operations, and the next {what} would spend "
             f"{cost} more, past the construction budget of {CONSTRUCTION_BUDGET} (one "
-            f"operation per permutation point or matrix multiply-add)"
+            f"operation per permutation point, matrix multiply-add or table entry)"
         )
     return spent + cost
 
@@ -311,6 +315,7 @@ def direct_product(g, h, cap=None):
     n = g.order * h.order
     if n > cap:
         raise ClosureExceedsCap(f"product order {n} exceeds cap {cap}")
+    _charge(0, n * n, "product table")
     hn = h.order
     shifted = [[tuple(y + off for y in hrow) for off in range(0, n, hn)] for hrow in h.table]
     table = tuple(
@@ -663,20 +668,17 @@ def abelian_invariants_finite(group):
     primary decomposition per prime and merged into a divisor chain."""
     if not group.is_abelian():
         raise NotAbelian(f"{group.name} is not abelian")
-    n = group.order
-    if n == 1:
-        return AbelianInvariants(0, ())
-    orders = group.element_orders()
-    per_prime = {p: _p_component_exponents(orders, p, n) for p in prime_factors(n)}
-    depth = max(len(e) for e in per_prime.values())
-    factors_desc = []
-    for t in range(depth):
-        d = 1
-        for q, exps in per_prime.items():
-            if t < len(exps):
-                d *= q ** exps[t]
-        factors_desc.append(d)
-    return AbelianInvariants(0, tuple(reversed(factors_desc)))
+    return invariants_from_orders(group.element_orders())
+
+
+def invariants_from_orders(orders):
+    """Invariant factors of the finite abelian group with these element
+    orders: the exponent partitions of its primary components, merged."""
+    n = len(orders)
+    per_prime = [(p, _p_component_exponents(orders, p, n)) for p in prime_factors(n)]
+    depth = max((len(exps) for _, exps in per_prime), default=0)
+    factors = [prod(p ** exps[t] for p, exps in per_prime if t < len(exps)) for t in range(depth)]
+    return AbelianInvariants(0, tuple(reversed(factors)))
 
 
 def _p_component_exponents(orders, p, n):
@@ -699,11 +701,8 @@ def _p_component_exponents(orders, p, n):
         if c == target:
             break
         j += 1
-    deltas = [logs[0]] + [logs[i] - logs[i - 1] for i in range(1, len(logs))]
-    exps = []
-    for i in range(1, deltas[0] + 1):
-        exps.append(sum(1 for d in deltas if d >= i))
-    return exps  # descending
+    deltas = [b - a for a, b in zip([0] + logs, logs)]
+    return [sum(1 for d in deltas if d >= i) for i in range(1, deltas[0] + 1)]  # descending
 
 
 def _maximal_cover(group, cap=None):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
+from .abelian import AbelianInvariants, prime_factors
 from .catalog import (
     alternating_group,
     cyclic_group,
@@ -26,8 +27,14 @@ from .catalog import (
 from .classify import FA, classify_fa
 from .config import DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
-from .fingroup import FiniteGroup, conjugacy_classes, subgroup_closure
-from .presentation import Presentation
+from .fingroup import (
+    FiniteGroup,
+    conjugacy_classes,
+    derived_subgroup,
+    invariants_from_orders,
+    subgroup_closure,
+)
+from .presentation import Presentation, abelian_invariants
 from .words import Word, max_generator, reduced_words, render_word
 
 MAX_WITNESS_BOUND = 128
@@ -148,8 +155,67 @@ def enumerate_surjections(pres: Presentation, target: FiniteGroup) -> list[tuple
 def _surjections_cached(pres, target):
     """The surjections whose first non-identity image is the least of its orbit
     (`_orbit_minima`), in lexicographic order.  Automorphisms of the target keep
-    relators, surjectivity and kills, so the first killing surjection stays."""
+    relators, surjectivity and kills, so the first killing surjection stays.
+
+    A surjection G -> T induces one G^ab -> T^ab, so a target whose T^ab fails
+    `_abelian_surjects` has none and is not searched.  The prune waits while
+    the search could pass its budget (at most 2 n^k nodes), so a refused
+    target never hides the SearchBudgetExceeded the search would raise."""
+    if 2 * target.order**pres.ngens <= DEFAULT_SEARCH_BUDGET:
+        source = _source_abelianisation(pres)
+        if source is not None and not _abelian_surjects(source, _target_abelianisation(target)):
+            return ()
     return tuple(_surjection_search(pres, target, _orbit_minima(target)))
+
+
+@lru_cache(maxsize=64)
+def _source_abelianisation(pres):
+    """G^ab, or None when its Smith normal form passes the bit budget."""
+    try:
+        return abelian_invariants(pres)
+    except SearchBudgetExceeded:
+        return None
+
+
+def _target_abelianisation(target: FiniteGroup) -> AbelianInvariants:
+    """T^ab, kept in the target's cache: read off the element orders of an
+    abelian target, and otherwise off the orders of the cosets of T'."""
+    inv = target._cache.get("ab")
+    if inv is None:
+        if len(conjugacy_classes(target)) == target.order:
+            orders = target.element_orders()
+        else:
+            t, derived = target.table, derived_subgroup(target).members
+            seen = bytearray(target.order)
+            orders = []
+            for x in range(target.order):
+                if not seen[x]:
+                    for s in derived:
+                        seen[t[x][s]] = 1
+                    k, y = 1, x
+                    while y not in derived:
+                        k, y = k + 1, t[y][x]
+                    orders.append(k)
+        inv = target._cache["ab"] = invariants_from_orders(orders)
+    return inv
+
+
+def _abelian_surjects(source: AbelianInvariants, target: AbelianInvariants) -> bool:
+    """Whether Z^r x C_d1 x ... x C_dk (source) maps onto the finite abelian
+    target.  A surjection A -> B maps p^(j-1)A onto p^(j-1)B and so onto its
+    quotient by p^j B, which for every prime p and j >= 1 bounds the number
+    of B's factors divisible by p^j by r plus the number of A's."""
+    if not target.factors:
+        return True
+    top = target.factors[-1]
+    for p in prime_factors(top):
+        q = p
+        while top % q == 0:
+            need = sum(1 for e in target.factors if e % q == 0)
+            if need > source.free_rank + sum(1 for d in source.factors if d % q == 0):
+                return False
+            q *= p
+    return True
 
 
 def _orbit_minima(target: FiniteGroup) -> bytes:
@@ -185,7 +251,8 @@ def _surjection_search(pres, target, least):
     """Surjections onto the target in lexicographic order; with flags `least`,
     an image whose earlier images are all the identity must be flagged.
     Pruning: a generator in a one-syllable relator g^m maps only to elements
-    of order dividing |m|, and each relator is checked once its generators are.
+    of order dividing |m|, so that relator always holds, and each other
+    relator is checked once its generators are.
     """
     budget = DEFAULT_SEARCH_BUDGET
     ngens = pres.ngens
@@ -208,9 +275,8 @@ def _surjection_search(pres, target, least):
     first = candidates if least is None else [[x for x in c if least[x]] for c in candidates]
     by_depth: list[list[Word]] = [[] for _ in range(ngens)]
     for rel in pres.relators:
-        mg = max_generator(rel)
-        if mg >= 0:
-            by_depth[mg].append(rel)
+        if len(rel) > 1:
+            by_depth[max_generator(rel)].append(rel)
 
     results: list[tuple[int, ...]] = []
     images = [0] * ngens

@@ -400,6 +400,21 @@ def test_finite_long_cycle_stops_at_construction_budget(capsys, tmp_path):
     assert "past the construction budget of 4194304" in err
 
 
+def test_finite_large_cyclic_table_stops_at_construction_budget(capsys):
+    # the order cap admits C 3000, but its table holds 9 * 10^6 entries
+    argv = ["finite", "C 3000", "--caps", "order=5000", "normal=1"]
+    assert run_within(0.5, argv) == 3
+    err = capsys.readouterr().err
+    assert "construction spent 0 operations, and the next cyclic table would spend 9000000" in err
+    assert "past the construction budget of 4194304" in err
+
+
+def test_finite_large_product_table_stops_at_construction_budget(capsys):
+    argv = ["finite", "CxC 40 60", "--caps", "order=5000", "normal=1"]
+    assert run_within(0.5, argv) == 3
+    assert "next product table would spend 5760000 more" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -192,12 +192,12 @@ def referee_fa_witness(group, g, cap=None):
 
 def test_fa_witness_s5(s5):
     three_cycle = next(
-        x for x in range(120) if s5.element_order(x) == 3
+        x for x in range(120) if s5.element_orders()[x] == 3
     )
     witness = referee_fa_witness(s5, three_cycle, cap=128)
     assert witness is not None and len(witness) == 60
-    transposition = next(x for x in range(120) if s5.element_order(x) == 2 and referee_fa_witness(s5, x, cap=128) is None)
-    assert s5.element_order(transposition) == 2
+    transposition = next(x for x in range(120) if s5.element_orders()[x] == 2 and referee_fa_witness(s5, x, cap=128) is None)
+    assert s5.element_orders()[transposition] == 2
 
 
 def test_fa_witness_klein_tiebreak(klein):

@@ -25,6 +25,7 @@ from groupcover import (
     normal_subgroups,
     quotient,
     subgroup_closure,
+    symmetric_group,
     validate_group,
     weight_bruteforce,
     weight_witness,
@@ -434,7 +435,7 @@ def test_subgroup_closure_empty_seeds(s3):
 
 
 def test_subgroup_closure_three_cycle(s3):
-    cycle = next(x for x in range(6) if s3.element_order(x) == 3)
+    cycle = next(x for x in range(6) if s3.element_orders()[x] == 3)
     sub = subgroup_closure(s3, {cycle})
     # orbit of powers
     assert sub.members == {0, cycle, s3.table[cycle][cycle]}
@@ -446,7 +447,7 @@ def test_subgroup_closure_everything(s3):
 
 
 def test_normal_closure_transposition_generates_s3(s3):
-    transposition = next(x for x in range(6) if s3.element_order(x) == 2)
+    transposition = next(x for x in range(6) if s3.element_orders()[x] == 2)
     assert len(normal_closure(s3, {transposition})) == 6
 
 
@@ -884,7 +885,7 @@ def test_quotients_pass_validator(catalog):
 
 
 def test_quotient_not_normal(s3):
-    transposition = next(x for x in range(6) if s3.element_order(x) == 2)
+    transposition = next(x for x in range(6) if s3.element_orders()[x] == 2)
     sub = subgroup_closure(s3, {transposition})
     with pytest.raises(NotNormal):
         quotient(s3, sub)
@@ -932,6 +933,28 @@ def test_abelian_invariants_c2xc4():
     from collections import Counter
 
     assert Counter(g.element_orders()) == Counter({1: 1, 2: 3, 4: 4})
+
+
+def power_walk_order(group, x):
+    """The order of x by multiplying x in until the identity: Σ ord(x) work."""
+    k, y = 1, x
+    while y:
+        k, y = k + 1, group.table[y][x]
+    return k
+
+
+def test_element_orders_match_power_walks(catalog):
+    for group in catalog + [symmetric_group(5), cyclic_group(120)]:
+        expected = tuple(power_walk_order(group, x) for x in range(group.order))
+        assert group.element_orders() == expected, group.name
+
+
+def test_element_orders_refuse_powers_that_never_reach_the_identity():
+    # 2 * 2 = 2: the powers of 2 stay at 2
+    table = [[0, 1, 2], [1, 0, 2], [2, 0, 2]]
+    loop = build_from_cayley_table(table, "stuck", validate=False)
+    with pytest.raises(NotAGroup, match="powers of element 2 never reach the identity"):
+        loop.element_orders()
 
 
 def test_abelian_invariants_rejects_nonabelian(s3):

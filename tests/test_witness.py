@@ -15,6 +15,7 @@ from groupcover import (
     fa_scan,
     find_annihilator,
     parse_presentation,
+    abelian_invariants,
     parse_word_text,
     quaternion_group,
     special_linear_group,
@@ -23,6 +24,7 @@ from groupcover import (
     witness_targets,
 )
 from groupcover import witness
+from groupcover.abelian import AbelianInvariants
 from groupcover.classify import FA, classify_fa
 from groupcover.errors import SearchBudgetExceeded
 from groupcover.presentation import Presentation
@@ -280,6 +282,157 @@ def test_trivial_presentation_has_no_quotient():
 def test_collapsing_presentation_has_no_quotient():
     p = pres("< a, b | [a,b], a^2 a^-3, b^2 b^-3 >")
     assert find_annihilator(p, EMPTY_WORD, 16) is None
+
+
+# ---------------------------------------------------------------------------
+# the abelianisation prune: a target whose T^ab is no quotient of G^ab is
+# skipped before the surjection search
+
+
+def inv(free_rank, *factors):
+    return AbelianInvariants(free_rank, factors)
+
+
+@pytest.mark.parametrize(
+    "source, target, surjects",
+    [
+        (inv(0, 4), inv(0, 2, 2), False),  # C4 -/-> C2^2
+        (inv(0, 2, 2), inv(0, 4), False),  # C2^2 -/-> C4
+        (inv(1), inv(0, 7), True),  # Z -> C_n
+        (inv(1), inv(0, 120), True),
+        (inv(1), inv(0, 2, 2), False),  # Z -/-> C2^2
+        (inv(0, 6), inv(0, 3), True),  # C6 -> C3
+        (inv(0, 6), inv(0, 4), False),
+        (inv(1, 2), inv(0, 2, 2), True),  # Z x C2 -> C2^2
+        (inv(0, 2, 12), inv(0, 2, 4), True),
+        (inv(0, 2, 12), inv(0, 8), False),
+        (inv(0), inv(0, 2), False),  # the trivial group -/-> any nontrivial one
+        (inv(0), inv(0, 3, 3), False),
+        (inv(0), inv(0), True),  # onto the trivial T^ab of a perfect target
+        (inv(0, 5), inv(0), True),
+    ],
+)
+def test_abelian_surjects(source, target, surjects):
+    assert witness._abelian_surjects(source, target) is surjects
+
+
+def test_target_abelianisation_matches_the_quotient():
+    from groupcover import abelian_invariants_finite, abelianisation
+
+    for target in witness_targets(128):
+        expected = abelian_invariants_finite(abelianisation(target))
+        assert witness._target_abelianisation(target) == expected, target.name
+
+
+# (2,3,7) and (2,4,5) triangle groups, < a, b | a^p, r > with b of exponent
+# sum 1 in r, a free product of three cyclic groups, a presentation of free
+# rank 1 and an abelian-type one, each with its G^ab
+PRUNE_CASES = [
+    ("< x, y | x^2, y^3, (x y)^7 >", (0,)),
+    ("< x, y | x^2, y^4, (x y)^5 >", (0, 2)),
+    ("< a, b | a^2, b a b^-1 a^-1 b >", (0, 2)),
+    ("< a, b | a^3, a b a^-2 b^-1 a b >", (0, 3)),
+    ("< a, b | a^4, b a b^-1 a^-2 b >", (0, 4)),
+    ("< a, b | a^6, a^2 b a b^-1 a^-1 b^-2 a b^3 >", (0, 6)),
+    ("< x, y, z | x^2, y^3, z^5 >", (0, 30)),
+    ("< a, b | a^3 >", (1, 3)),
+    ("< a, b, c | [a, b], [a, c], [b, c], a^2, b^12 >", (1, 2, 12)),
+]
+PRUNE_PRESENTATIONS = [text for text, _ in PRUNE_CASES]
+
+
+def prune_targets(text):
+    return witness_targets(128 if pres(text).ngens < 3 else 60)
+
+
+@pytest.mark.parametrize("text, stated", PRUNE_CASES)
+def test_prune_refuses_only_targets_without_surjections(text, stated):
+    p = pres(text)
+    assert abelian_invariants(p) == inv(*stated)
+    targets = prune_targets(text)
+    skipped = [
+        t for t in targets
+        if not witness._abelian_surjects(inv(*stated), witness._target_abelianisation(t))
+    ]
+    assert skipped  # the prune is not idle on any of them
+    for target in skipped:
+        assert full_surjections(text, target) == [], (text, target.name)
+        assert witness._surjections_cached(p, target) == (), (text, target.name)
+    for target in targets:
+        assert bool(witness._surjections_cached(p, target)) == bool(full_surjections(text, target))
+
+
+def first_kill_unpruned(text, word, bound):
+    """`_first_kill` over the full, unpruned surjection lists."""
+    space = ((t, full_surjections(text, t)) for t in witness_targets(bound))
+    found = witness._first_kill(space, word)
+    return None if found is None else (found[0].name, found[1])
+
+
+@pytest.mark.parametrize("text", PRUNE_PRESENTATIONS)
+def test_pruned_annihilator_and_scan_match_the_unpruned_search(text):
+    p = pres(text)
+    bound = prune_targets(text)[-1].order
+    for word in reduced_words(p.ngens, 2):
+        found = find_annihilator(p, word, bound)
+        got = None if found is None else (found.target.name, found.images)
+        assert got == first_kill_unpruned(text, word, bound), (text, word)
+    assert fa_scan(p, 2, 24) == referee_fa_scan(p, 2, 24)
+
+
+def test_refused_targets_are_not_searched(monkeypatch):
+    # (2,3,7) is perfect: only targets with trivial T^ab reach the search
+    searched = []
+    search = witness._surjection_search
+
+    def recording(pres, target, least):
+        searched.append(target.name)
+        return search(pres, target, least)
+
+    monkeypatch.setattr(witness, "_surjection_search", recording)
+    witness._surjections_cached.cache_clear()
+    assert find_annihilator(pres("< x, y | x^2, y^3, (x y)^7 >"), EMPTY_WORD, 60) is None
+    assert searched == ["A5"]
+
+
+@pytest.fixture
+def fresh_caches():
+    witness._surjections_cached.cache_clear()
+    witness._source_abelianisation.cache_clear()
+    yield
+    witness._surjections_cached.cache_clear()
+    witness._source_abelianisation.cache_clear()
+
+
+def test_prune_is_skipped_when_the_snf_passes_its_budget(monkeypatch, fresh_caches):
+    # killing a kills b, so the search for a is exhaustive and finds nothing
+    p = pres("< a, b | a^4, b a b^-1 a^-2 b >")
+    words = [parse_word_text(text, p) for text in ("b a^2 b^-1 a^2", "a")]
+    expected = [find_annihilator(p, word, 60) for word in words]
+    assert expected[0] is not None and expected[1] is None
+
+    def over_budget(pres):
+        raise SearchBudgetExceeded("Smith normal form past its bit budget")
+
+    monkeypatch.setattr(witness, "abelian_invariants", over_budget)
+    witness._surjections_cached.cache_clear()
+    witness._source_abelianisation.cache_clear()
+    assert [find_annihilator(p, word, 60) for word in words] == expected
+    assert witness._source_abelianisation(p) is None
+
+
+def test_prune_waits_where_the_search_could_pass_its_budget(monkeypatch, fresh_caches):
+    # G^ab = C2 x C6 has no quotient C4; below 2 * 4^2 the prune leaves the
+    # target to the search, which reports a budget of 10 as before
+    p = pres("< a, b | a^2 b^4, a^4 b^2 >")
+    c4 = by_name(4, "C4")
+    assert abelian_invariants(p) == inv(0, 2, 6)
+    monkeypatch.setattr(witness, "DEFAULT_SEARCH_BUDGET", 10)
+    with pytest.raises(SearchBudgetExceeded):
+        witness._surjections_cached(p, c4)
+    monkeypatch.setattr(witness, "_surjection_search", None)  # never reached
+    monkeypatch.setattr(witness, "DEFAULT_SEARCH_BUDGET", 32)
+    assert witness._surjections_cached(p, c4) == ()
 
 
 # ---------------------------------------------------------------------------
