@@ -30,7 +30,9 @@ DEFAULT_CAPS = Caps()
 # during homomorphism search (pruning usually visits far fewer nodes), and
 # on the AND products of the search behind F-A, n-F-A and the weight.
 DEFAULT_SEARCH_BUDGET = 10**8
-LATTICE_BUDGET = DEFAULT_SEARCH_BUDGET  # coset products per lattice; E2^7 spends 4.3e7
+# Steps per lattice: one per coset product and one per member of B a join
+# N.B tests; E2^7 spends 1.0e7.
+LATTICE_BUDGET = DEFAULT_SEARCH_BUDGET
 # Operations a group construction may spend: one per point of a permutation
 # product, d^3 per product or determinant of d x d matrices.  S6 spends
 # 8640, D512 about 10^6; one 200 000-point cycle stops after 20 products.

@@ -145,19 +145,18 @@ def _check_structure(table):
             raise NotAGroup(f"element 0 is not an identity against {x}")
 
 
-def _check_associativity(table):
-    """Light's test: x(gy) = (xg)y for every g in a generating set of the
-    table.  The g that pass are closed under products, so passing for a
-    generating set means associativity on every triple."""
-    n = len(table)
+def _check_associativity(table, gens=None):
+    """Light's test: x(gy) = (xg)y for every g in `gens` (default the greedy
+    generators) of the table.  The g that pass are closed under products, so
+    passing for a generating set means associativity on every triple."""
     table = tuple(map(tuple, table))  # no copy of rows that are tuples already
-    for g in _greedy_generators(table):
+    for g in _greedy_generators(table) if gens is None else gens:
         tg = table[g]
-        for x in range(n):
-            tx = table[x]
+        times_g = itemgetter(*tg)
+        for x, tx in enumerate(table):
             txg = table[tx[g]]
-            if tuple(map(tx.__getitem__, tg)) != txg:
-                y = next(y for y in range(n) if txg[y] != tx[tg[y]])
+            if times_g(tx) != txg:
+                y = next(y for y, z in enumerate(txg) if z != tx[tg[y]])
                 raise NotAGroup(f"associativity fails on triple ({x},{g},{y})")
 
 
@@ -188,7 +187,7 @@ def _inverse_table(table):
 def validate_group(group):
     """Re-run the full group-axiom check on an existing instance."""
     _check_structure(group.table)
-    _check_associativity(group.table)
+    _check_associativity(group.table, _generators(group))
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +429,17 @@ def _check_normal_cap(group, cap):
 def _normal_subgroup_sets(group, cap=None):
     """(all normal subgroups as int masks, the maximal proper ones as member
     sets), each sorted by (size, mask); computed once per group of order <=
-    cap.  A join N.B is built one coset yN = Ny at a time, skipping each y
-    of B already inside: |NB| - |N| products, counted against
-    LATTICE_BUDGET."""
+    cap.  A join N.B is B when N lies in B, and else the OR of the cosets
+    yN = Ny of the y of B outside it so far, each built once per N with |N|
+    products and kept under its members.  Every product and every member of
+    B a join tests counts against LATTICE_BUDGET."""
     _check_normal_cap(group, cap)
     cached = group._cache.get("normal_sets")
     if cached is not None:
         return cached
-    table = group.table
-    bit = [1 << x for x in range(group.order)]
-    full = (1 << group.order) - 1
+    table, n = group.table, group.order
+    bit = [1 << x for x in range(n)]
+    full = (1 << n) - 1
     # every normal subgroup is the join of the normal closures of the
     # conjugacy classes it contains, and the join of two normal subgroups is
     # their product set; so close the class-closures under products.  The
@@ -459,27 +459,37 @@ def _normal_subgroup_sets(group, cap=None):
         if m in found:
             continue
         found.add(m)
-        s = _members(m)
+        coset_of = itemgetter(*_members(m))  # row y to the members of yN
+        coset = [0] * n  # the mask of yN under each y built so far
         is_maximal = m != full
         for bm, b in base.items():
-            if bm & ~m:
+            if not bm & ~m:
+                continue  # B lies in N
+            jm = bm  # N.B = B when N lies in B
+            if m & ~bm:
                 jm = m
+                spent += len(b)
                 for y in b:
                     if not jm & bit[y]:
-                        row = table[y]
-                        for x in s:
-                            jm |= bit[row[x]]
-                        spent += len(s)
-                if jm != full:
-                    is_maximal = False
-                if jm not in found:
-                    stack.append(jm)
+                        c = coset[y]
+                        if not c:
+                            ys = coset_of(table[y])
+                            for z in ys:
+                                c |= bit[z]
+                            for z in ys:
+                                coset[z] = c
+                            spent += len(ys)
+                        jm |= c
+            if jm != full:
+                is_maximal = False
+            if jm not in found:
+                stack.append(jm)
         if is_maximal:
             maximal.append(m)
         if spent > LATTICE_BUDGET:
             raise SearchBudgetExceeded(
-                f"normal-subgroup lattice of {group.name} found {len(found)} subgroups and "
-                f"spent {spent} coset products, past the budget of {LATTICE_BUDGET}"
+                f"normal-subgroup lattice of {group.name} found {len(found)} subgroups and spent "
+                f"{spent} coset products and member tests, past the budget of {LATTICE_BUDGET}"
             )
     result = (
         tuple(sorted(found, key=_size_and_mask)),

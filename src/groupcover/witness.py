@@ -29,6 +29,7 @@ from .config import DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
 from .fingroup import (
     FiniteGroup,
+    _generators,
     conjugacy_classes,
     derived_subgroup,
     invariants_from_orders,
@@ -182,7 +183,7 @@ def _target_abelianisation(target: FiniteGroup) -> AbelianInvariants:
     abelian target, and otherwise off the orders of the cosets of T'."""
     inv = target._cache.get("ab")
     if inv is None:
-        if len(conjugacy_classes(target)) == target.order:
+        if _generators_commute(target):
             orders = target.element_orders()
         else:
             t, derived = target.table, derived_subgroup(target).members
@@ -218,18 +219,29 @@ def _abelian_surjects(source: AbelianInvariants, target: AbelianInvariants) -> b
     return True
 
 
+def _generators_commute(target: FiniteGroup) -> bool:
+    """Whether the target is abelian, read once off whether its greedy
+    generators commute pairwise and kept in its cache.  Exact on a group
+    table, which every catalog target is."""
+    flag = target._cache.get("generators_commute")
+    if flag is None:
+        t, gens = target.table, _generators(target)
+        flag = all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[:i])
+        target._cache["generators_commute"] = flag
+    return flag
+
+
 def _orbit_minima(target: FiniteGroup) -> bytes:
     """Per element, 1 if it is the least of its orbit under automorphisms:
     its conjugacy class in a nonabelian target, else the generators of its cyclic
-    subgroup.  Costs what `conjugacy_classes` costs, plus in an abelian target
-    the sum of the minima's orders."""
+    subgroup.  Costs what `conjugacy_classes` costs in a nonabelian target,
+    and the sum of the minima's orders in an abelian one."""
     flags = target._cache.get("orbit_minima")
     if flags is None:
         t, n = target.table, target.order
-        classes = conjugacy_classes(target)
         flags = bytearray(n)
-        if len(classes) < n:  # nonabelian
-            for cls in classes:
+        if not _generators_commute(target):
+            for cls in conjugacy_classes(target):
                 flags[cls[0]] = 1
         else:
             seen = bytearray(n)

@@ -286,17 +286,20 @@ def test_covering_budget_keeps_early_answer(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("finite", "S 5"), ("verify-all", "--max-order", "8")], ids=" ".join
+    "argv", [("finite", "prod(A 5, C 2)"), ("verify-all", "--max-order", "8")], ids=" ".join
 )
 def test_lattice_budget_exit_3(capsys, monkeypatch, argv):
-    # S5 is not solvable, so `finite` reads it off the lattice, which spends
-    # 238 coset products; verify-all builds every lattice as the referee of
-    # the solvable route, and E2^3's spends 203
+    # A5xC2 is not solvable, so `finite` reads it off the lattice, which
+    # spends 240 steps: C2.A5 tests A5's 60 members and builds the 59 cosets
+    # of C2 they meet outside C2 (118 products), A5.C2 tests 2 members and
+    # builds one coset of A5 (60 products), and every other join N.B has N
+    # inside B and is free.  verify-all builds every lattice as the referee
+    # of the solvable route, and E2^3's spends 210
     monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 100)
     assert main(list(argv)) == 3
     err = capsys.readouterr().err
     assert "cap exceeded: normal-subgroup lattice of " in err
-    assert "coset products, past the budget of 100" in err
+    assert "coset products and member tests, past the budget of 100" in err
     assert "Traceback" not in err
 
 

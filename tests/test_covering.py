@@ -350,8 +350,9 @@ def test_verify_referees_maximal_subgroups_with_the_lattice(monkeypatch):
 
 
 def test_verify_stops_at_the_lattice_budget_of_a_solvable_group(monkeypatch):
-    # the referee lattice is built even though F-A never needs it
-    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 202)
+    # the referee lattice is built even though F-A never needs it; E2^3's
+    # spends 210 steps (tests/test_fingroup.py derives them)
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 209)
     with pytest.raises(SearchBudgetExceeded, match="normal-subgroup lattice of E2\\^3"):
         verify_finite_theorems(group_from_spec("E 2 3"))
 

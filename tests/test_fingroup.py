@@ -645,83 +645,100 @@ def test_class_closures_match_whole_class_referee(catalog):
 
 
 def referee_normal_subgroup_sets(group):
-    """The lattice enumeration before coset-skipping joins: each join N.B is
-    formed as all |N|.|B| products in a frozenset."""
+    """The lattice enumeration without coset caching: each join N.B is built
+    one coset yN at a time, |N| products each, for every y of B outside the
+    join so far, and the base closures are the whole-class closures."""
     table = group.table
     full = (1 << group.order) - 1
     base = {}
     for cls in conjugacy_classes(group):
         members = whole_class_closure(group, cls)
         base.setdefault(fingroup._mask(members), members)
-    found = {}
-    maximal = []
-    stack = list(base.items())
+    found, maximal = set(), set()
+    stack = list(base)
     while stack:
-        m, s = stack.pop()
+        m = stack.pop()
         if m in found:
             continue
-        found[m] = s
+        found.add(m)
+        s = fingroup._members(m)
         is_maximal = m != full
         for bm, b in base.items():
             if bm & ~m:
-                joined = frozenset(table[x][y] for x in s for y in b)
-                jm = fingroup._mask(joined)
+                jm = m
+                for y in b:
+                    if not jm >> y & 1:
+                        jm |= fingroup._mask(table[y][x] for x in s)
                 if jm != full:
                     is_maximal = False
                 if jm not in found:
-                    stack.append((jm, joined))
+                    stack.append(jm)
         if is_maximal:
-            maximal.append((m, s))
+            maximal.add(m)
+    by_size_and_mask = sorted(found, key=lambda m: (m.bit_count(), m))
+    return tuple(by_size_and_mask), tuple(
+        frozenset(fingroup._members(m)) for m in by_size_and_mask if m in maximal
+    )
 
-    def by_size_and_mask(pairs):
-        return tuple(s for _, s in sorted(pairs, key=lambda p: (len(p[1]), p[0])))
 
-    return by_size_and_mask(found.items()), by_size_and_mask(maximal)
+def assert_lattice_matches_referee(group):
+    fresh = FiniteGroup(group.name, group.table)  # no lattice from another test's cache
+    expected = referee_normal_subgroup_sets(group)
+    assert fingroup._normal_subgroup_sets(fresh, fresh.order) == expected, group.name
 
 
+# the nonsolvable groups of the finite-large benchmark, with its D 95, and
+# the products that mix abelian and nonabelian factors
 REFEREE_SPECS = (
-    "E 2 6",
-    "prod(E 3 2, E 3 2)",
-    "prod(CxC 2 6, Q8)",
-    "prod(A 4, E 2 3)",
-    "prod(D 4, Q8)",
-    "prod(S 3, Q8)",
+    "S 6", "A 6", "SL 7", "prod(S 5, S 3)", "prod(SL 5, E 2 2)", "D 95", "E 2 6",
     "prod(S 5, E 2 2)",
-    "A 6",
-    "SL 7",
 )
 
 
-def test_lattice_matches_referee():
-    # fresh groups, so that no lattice is read from another test's cache
-    groups = [g for g in build_catalog() if g.order <= 128]
-    groups += [group_from_spec(spec) for spec in REFEREE_SPECS]
+def test_lattice_matches_referee(catalog):
+    groups = [g for g in catalog if g.order <= 128]
+    groups += [group_from_spec(spec, cap=1024) for spec in REFEREE_SPECS + LATTICE_POOL_SPECS]
     for group in groups:
-        found, maximal = referee_normal_subgroup_sets(group)
-        expected = tuple(map(fingroup._mask, found)), maximal
-        assert fingroup._normal_subgroup_sets(group, group.order) == expected, group.name
+        assert_lattice_matches_referee(group)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), max_size=3).map(lambda gens: (n, gens))
+))
+def test_lattice_matches_referee_on_random_permutations(degree_and_gens):
+    assert_lattice_matches_referee(build_from_permutations(*degree_and_gens))
 
 
 def test_lattice_budget_counts_coset_products(monkeypatch):
-    # E2^3: a normal subgroup N of size s joins the 8 - s class closures
-    # {e, x} outside it, s products each: 7 + 7*6*2 + 7*4*4 = 203
-    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 203)
+    # E2^3: {e} lies in every class closure {e, x}, so its joins are free.
+    # A normal subgroup N of size s = 2 or 4 joins the 8 - s closures
+    # {e, x} outside it, testing 2 members each, and builds its 8/s - 1
+    # cosets outside N once, s products each: 7*(6*2 + 3*2) + 7*(4*2 + 4) = 210.
+    # The last subgroup popped, G or {e}, costs nothing.
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 210)
     assert len(normal_subgroups(group_from_spec("E 2 3"))) == 16
-    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 202)
-    with pytest.raises(SearchBudgetExceeded, match="found 16 subgroups and spent 203 coset products"):
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 209)
+    with pytest.raises(
+        SearchBudgetExceeded,
+        match="found 15 subgroups and spent 210 coset products and member tests",
+    ):
         normal_subgroups(group_from_spec("E 2 3"))
 
 
 def test_lattice_budget_stops_early(monkeypatch):
-    # E2^6 spends 1 353 555 products on its 2825 normal subgroups
+    # E2^6 spends 463 050 products and member tests on its 2825 normal
+    # subgroups
     monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 1000)
     with pytest.raises(SearchBudgetExceeded, match="past the budget of 1000") as info:
         normal_subgroups(group_from_spec("E 2 6"))
     message = str(info.value)
     assert message.startswith("normal-subgroup lattice of E2^6 found ")
     found, spent = map(int, re.search(r"found (\d+) .* spent (\d+)", message).groups())
-    # one node joins at most 64 - s closures at s products each
-    assert found < 100 and 1000 < spent <= 1000 + 32 * 32
+    # a node of size s >= 2 joins at most 64 - s closures {e, x}, testing 2
+    # members each, and builds at most 64/s - 1 cosets of s products:
+    # 3 * (64 - s) <= 186 steps past the budget
+    assert found < 100 and 1000 < spent <= 1000 + 186
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from groupcover import witness
 from groupcover.abelian import AbelianInvariants
 from groupcover.classify import FA, classify_fa
 from groupcover.errors import SearchBudgetExceeded
+from groupcover.fingroup import FiniteGroup
 from groupcover.presentation import Presentation
 from groupcover.witness import (
     BOUND_TOO_SMALL,
@@ -314,6 +315,21 @@ def inv(free_rank, *factors):
 )
 def test_abelian_surjects(source, target, surjects):
     assert witness._abelian_surjects(source, target) is surjects
+
+
+def test_generators_commute_exactly_on_abelian_targets():
+    for target in witness_targets(128):
+        fresh = FiniteGroup(target.name, target.table)  # neither answer cached
+        assert witness._generators_commute(fresh) is fresh.is_abelian(), target.name
+
+
+def test_refused_targets_build_no_classes():
+    # G^ab = C6 is cyclic, so neither E2^2 nor Q8 (Q8^ab = E2^2) is a quotient
+    p = pres("< a, b | a^2, b^3, a b a^-1 b^-1 >")
+    c2 = cyclic_group(2)
+    for target in (direct_product(c2, c2), quaternion_group()):
+        assert witness._surjections_cached(p, target) == ()
+        assert "classes" not in target._cache, target.name
 
 
 def test_target_abelianisation_matches_the_quotient():
