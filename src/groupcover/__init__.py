@@ -38,7 +38,6 @@ from .covering import (
     verify_finite_theorems,
 )
 from .fingroup import (
-    ElementSet,
     FiniteGroup,
     abelian_invariants_finite,
     abelianisation,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 from .abelian import is_prime
@@ -32,10 +33,11 @@ def _refuse_over_cap(name: str, order: int, cap: int) -> None:
         raise ClosureExceedsCap(f"{name} exceeds cap {cap}")
 
 
-def _factorial_past(n: int, bound: int) -> int:
-    """n!, or the first partial product of it that passes `bound`."""
+def _product_past(factors, bound: int) -> int:
+    """The product of positive `factors`, or the first partial product of
+    them that passes `bound`."""
     product = 1
-    for k in range(2, n + 1):
+    for k in factors:
         product *= k
         if product > bound:
             break
@@ -84,7 +86,7 @@ def symmetric_group(n: int, cap=None) -> FiniteGroup:
     cap = DEFAULT_CAPS.order if cap is None else cap
     if n < 2:
         raise ValueError("symmetric groups need n >= 2 here")
-    _refuse_over_cap(f"S{n}", _factorial_past(n, cap), cap)
+    _refuse_over_cap(f"S{n}", _product_past(range(2, n + 1), cap), cap)
     transposition = tuple([1, 0] + list(range(2, n)))
     cycle = tuple((i + 1) % n for i in range(n))
     return build_from_permutations(n, [transposition, cycle], cap, name=f"S{n}")
@@ -94,7 +96,7 @@ def alternating_group(n: int, cap=None) -> FiniteGroup:
     cap = DEFAULT_CAPS.order if cap is None else cap
     if n < 3:
         raise ValueError("alternating groups need n >= 3 here")
-    _refuse_over_cap(f"A{n}", _factorial_past(n, 2 * cap) // 2, cap)
+    _refuse_over_cap(f"A{n}", _product_past(range(2, n + 1), 2 * cap) // 2, cap)
     three_cycle = tuple([1, 2, 0] + list(range(3, n)))
     if n % 2 == 1:  # for n = 3 the n-cycle repeats the 3-cycle
         gens = [three_cycle, tuple((i + 1) % n for i in range(n))]
@@ -126,6 +128,20 @@ class CatalogSpec:
 
     entries: tuple[tuple[str, tuple[int, ...]], ...]
 
+
+# family -> the closed-form order of a member, or a partial product of it
+# once that passes `bound`; None for parameters the builder refuses, so
+# that it is built and reports them
+_ORDERS = {
+    "C": lambda bound, n: n if n >= 1 else None,
+    "CxC": lambda bound, m, n: m * n if m >= 1 and n >= 1 else None,
+    "E": lambda bound, p, k: _product_past(repeat(p, k), bound) if k >= 1 and is_prime(p) else None,
+    "D": lambda bound, n: 2 * n if n >= 3 else None,
+    "S": lambda bound, n: _product_past(range(2, n + 1), bound) if n >= 2 else None,
+    "A": lambda bound, n: _product_past(range(2, n + 1), 2 * bound) // 2 if n >= 3 else None,
+    "Q8": lambda bound: 8,
+    "SL": lambda bound, p: p * (p * p - 1) if is_prime(p) else None,
+}
 
 # family -> (parameter count, builder); every builder takes the order cap
 _FAMILIES = {
@@ -194,18 +210,23 @@ def build_entry(family: str, params, cap=None) -> FiniteGroup:
         raise ParseError(f"bad parameters for {family} {params}: {exc}") from None
 
 
-def build_catalog(spec: CatalogSpec | None = None, cap=None) -> list[FiniteGroup]:
+def build_catalog(
+    spec: CatalogSpec | None = None, cap=None, max_order=None
+) -> list[FiniteGroup]:
     """Deterministic list of named groups; identical spec gives identical
-    tables and names across runs."""
+    tables and names across runs.  A valid entry whose closed-form order
+    passes `max_order` is skipped before it is built; an invalid or
+    repeated one is refused, past `max_order` or not."""
     spec = default_catalog_spec() if spec is None else spec
-    groups = []
-    names = set()
+    groups, seen = [], set()
     for family, params in spec.entries:
-        g = build_entry(family, params, cap)
-        if g.name in names:
-            raise ParseError(f"duplicate catalog name {g.name}")
-        names.add(g.name)
-        groups.append(g)
+        family, params = _parse_entry(family, params)
+        if (family, params) in seen:
+            raise ParseError(f"duplicate catalog entry {' '.join(map(str, (family, *params)))!r}")
+        seen.add((family, params))
+        order = None if max_order is None else _ORDERS[family](max_order, *params)
+        if order is None or order <= max_order:
+            groups.append(build_entry(family, params, cap))
     return groups
 
 

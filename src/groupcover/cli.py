@@ -212,9 +212,7 @@ def cmd_verify_all(args) -> int:
         spec = parse_catalog_spec(Path(args.catalog).read_text())
     else:
         spec = default_catalog_spec()
-    groups = [
-        g for g in build_catalog(spec, cap=args.caps.order) if g.order <= args.max_order
-    ]
+    groups = build_catalog(spec, cap=args.caps.order, max_order=args.max_order)
     for path in args.include or ():
         fmt = args.from_format or "cayley"
         groups.append(

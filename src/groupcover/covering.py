@@ -18,7 +18,6 @@ from functools import cache
 from .abelian import max_elementary_rank
 from .errors import CapExceeded, GroupCoverError
 from .fingroup import (
-    ElementSet,
     FiniteGroup,
     _maximal_cover,
     _MeetSearch,
@@ -36,30 +35,31 @@ class CoverReport:
     """Outcome of a covering check.
 
     cover lists every maximal normal proper subgroup (even when a smaller
-    subcover suffices).  When the verdict is true, subcover holds, for each
-    element or n-subset, the first cover entry that contains it: the same
-    subgroups a greedy pass over cover picks.  uncovered is the minimal
-    witness (an element id, or a sorted n-subset) lying in no listed
-    subgroup when the verdict is false.
+    subcover suffices) as an int mask, bit x set when element x lies in it,
+    in cover order: size descending, then mask ascending.  When the verdict
+    is true, subcover holds, for each element or n-subset, the first cover
+    entry that contains it: the same subgroups a greedy pass over cover
+    picks.  uncovered is the minimal witness (an element id, or a sorted
+    n-subset) lying in no listed subgroup when the verdict is false.
     """
 
     group_name: str
     property_name: str
     verdict: bool
-    cover: tuple[ElementSet, ...]
+    cover: tuple[int, ...]
     uncovered: tuple[int, ...]
-    subcover: tuple[ElementSet, ...] | None = None
+    subcover: tuple[int, ...] | None = None
 
     def as_dict(self) -> dict:
         payload = {
             "group": self.group_name,
             "property": self.property_name,
             "verdict": self.verdict,
-            "cover": [s.to_hex() for s in self.cover],
+            "cover": [hex(m) for m in self.cover],
             "uncovered": list(self.uncovered),
         }
         if self.subcover is not None:
-            payload["subcover"] = [s.to_hex() for s in self.subcover]
+            payload["subcover"] = [hex(m) for m in self.subcover]
         return payload
 
 
@@ -186,7 +186,7 @@ def verify_finite_theorems(
     # adds a check only when the two disagree
     if group.order > 1:
         try:
-            agree = set(_normal_subgroup_sets(group, cap)[1]) == {s.members for s in fa.cover}
+            agree = _normal_subgroup_sets(group, cap)[1] == fa.cover
         except CapExceeded:
             raise
         except GroupCoverError as exc:

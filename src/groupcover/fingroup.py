@@ -90,41 +90,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class ElementSet:
-    """Subset of a group's elements, used for subgroups and covers."""
-
-    group: FiniteGroup
-    members: frozenset[int]
-
-    def __contains__(self, x):
-        return x in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-    @property
-    def mask(self) -> int:
-        return _mask(self.members)
-
-    def to_hex(self) -> str:
-        return hex(self.mask)
-
-    def is_subgroup(self) -> bool:
-        t = self.group.table
-        mem = self.members
-        if 0 not in mem:
-            return False
-        return all(t[a][b] in mem for a in mem for b in mem)
-
-    def is_normal(self) -> bool:
-        if not self.is_subgroup():
-            return False
-        g = self.group
-        mem = self.members
-        return all(g.conjugate(x, s) in mem for x in range(g.order) for s in mem)
-
-
 # ---------------------------------------------------------------------------
 # table validation
 
@@ -329,9 +294,8 @@ def direct_product(g, h, cap=None):
 
 
 def subgroup_closure(group, seeds):
-    """Smallest subgroup containing the seed elements."""
-    members = _closure_members(group.table, seeds)
-    return ElementSet(group, frozenset(members))
+    """Members of the smallest subgroup containing the seed elements."""
+    return frozenset(_closure_members(group.table, seeds))
 
 
 def _closure_members(table, seeds):
@@ -427,12 +391,13 @@ def _check_normal_cap(group, cap):
 
 
 def _normal_subgroup_sets(group, cap=None):
-    """(all normal subgroups as int masks, the maximal proper ones as member
-    sets), each sorted by (size, mask); computed once per group of order <=
-    cap.  A join N.B is B when N lies in B, and else the OR of the cosets
-    yN = Ny of the y of B outside it so far, each built once per N with |N|
-    products and kept under its members.  Every product and every member of
-    B a join tests counts against LATTICE_BUDGET."""
+    """(all normal subgroups sorted by (size, mask), the maximal proper ones
+    in cover order), as int masks; computed once per group of order <= cap.
+    A join N.B is B when N lies in B, and else the OR of the cosets yN = Ny
+    of the y of B outside it so far, each built once per N with |N| products
+    and kept under its members.  Every product, every member of B a join
+    tests and every class closure a popped N walks over counts against
+    LATTICE_BUDGET."""
     _check_normal_cap(group, cap)
     cached = group._cache.get("normal_sets")
     if cached is not None:
@@ -459,6 +424,7 @@ def _normal_subgroup_sets(group, cap=None):
         if m in found:
             continue
         found.add(m)
+        spent += len(base)
         coset_of = itemgetter(*_members(m))  # row y to the members of yN
         coset = [0] * n  # the mask of yN under each y built so far
         is_maximal = m != full
@@ -489,30 +455,31 @@ def _normal_subgroup_sets(group, cap=None):
         if spent > LATTICE_BUDGET:
             raise SearchBudgetExceeded(
                 f"normal-subgroup lattice of {group.name} found {len(found)} subgroups and spent "
-                f"{spent} coset products and member tests, past the budget of {LATTICE_BUDGET}"
+                f"{spent} closure visits, coset products and member tests, past the budget "
+                f"of {LATTICE_BUDGET}"
             )
     result = (
-        tuple(sorted(found, key=_size_and_mask)),
-        tuple(frozenset(_members(m)) for m in sorted(maximal, key=_size_and_mask)),
+        tuple(sorted(found, key=lambda m: (m.bit_count(), m))),
+        tuple(sorted(maximal, key=_cover_order)),
     )
     group._cache["normal_sets"] = result
     return result
 
 
-def _size_and_mask(m):
-    return m.bit_count(), m
+def _cover_order(m):
+    """Size descending, then mask ascending."""
+    return -m.bit_count(), m
 
 
 def normal_subgroups(group, cap=None):
-    """All normal subgroups, including {e} and G, sorted by (size, mask)."""
-    masks = _normal_subgroup_sets(group, cap)[0]
-    return [ElementSet(group, frozenset(_members(m))) for m in masks]
+    """Masks of all normal subgroups, {e} and G included, by (size, mask)."""
+    return _normal_subgroup_sets(group, cap)[0]
 
 
 def maximal_normal_subgroups(group, cap=None):
-    """Proper normal subgroups maximal under inclusion (the quotient by each
-    is simple), sorted by (size, mask); found once per group of order <= cap
-    and kept in its cache.
+    """Masks of the proper normal subgroups maximal under inclusion (the
+    quotient by each is simple) in cover order: size descending, then mask
+    ascending.  Found once per group of order <= cap and kept in its cache.
 
     A solvable group's have prime index and are read off its abelianisation
     (`_hyperplane_masks`).  Any other group's are read from the lattice
@@ -524,11 +491,11 @@ def maximal_normal_subgroups(group, cap=None):
     maximal = group._cache.get("maximal")
     if maximal is None:
         if _is_solvable(group):
-            maximal = tuple(frozenset(_members(m)) for m in _hyperplane_masks(group))
+            maximal = _hyperplane_masks(group)
         else:
             maximal = _normal_subgroup_sets(group, cap)[1]
         group._cache["maximal"] = maximal
-    return [ElementSet(group, s) for s in maximal]
+    return maximal
 
 
 def _is_solvable(group):
@@ -536,7 +503,7 @@ def _is_solvable(group):
     closure of the commutators of a generating set of the term before: that
     closure lies in the term's commutator subgroup, which is normal in G,
     and contains it."""
-    term = derived_subgroup(group).members
+    term = derived_subgroup(group)
     while len(term) > 1:
         gens = _greedy_generators(group.table, term)
         below = _normal_closure_members(group, _commutators(group, gens))
@@ -547,8 +514,8 @@ def _is_solvable(group):
 
 
 def _hyperplane_masks(group):
-    """Masks of the maximal normal subgroups of a solvable group, sorted by
-    (size, mask).
+    """Masks of the maximal normal subgroups of a solvable group, as a tuple
+    in cover order (size descending, then mask ascending).
 
     Each has prime index p, so it contains K = G'G^p, and G/K is an F_p
     space; they are its hyperplanes, lifted to G as unions of cosets of K.
@@ -579,7 +546,7 @@ def _hyperplane_masks(group):
             )
         spent += cost
         masks += _hyperplanes(cosets, p)
-    return sorted(masks, key=_size_and_mask)
+    return tuple(sorted(masks, key=_cover_order))
 
 
 def _coset_masks(table, kernel, p):
@@ -632,11 +599,11 @@ def _hyperplanes(cosets, p):
 
 
 def quotient(group, nset, name=None):
-    """Coset group G/N; cosets numbered ascending by smallest member, so the
-    identity coset is id 0."""
-    members = nset.members if isinstance(nset, ElementSet) else frozenset(nset)
+    """Coset group G/N, N a mask or element ids and checked normal; cosets
+    numbered ascending by smallest member, so the identity coset is id 0."""
+    members = frozenset(_members(nset) if isinstance(nset, int) else nset)
     table = group.table
-    if 0 not in members or not ElementSet(group, frozenset(members)).is_normal():
+    if not _is_normal(group, members):
         raise NotNormal(f"subset of size {len(members)} is not normal in {group.name}")
     coset_of = [None] * group.order
     reps = []
@@ -652,14 +619,23 @@ def quotient(group, nset, name=None):
     return FiniteGroup(qname, qtable)
 
 
+def _is_normal(group, members):
+    """Whether the set `members` holds the identity and is closed under
+    products and conjugation; a table that skipped validation may fail."""
+    t = group.table
+    if 0 not in members or any(t[a][b] not in members for a in members for b in members):
+        return False
+    return all(group.conjugate(x, s) in members for x in range(group.order) for s in members)
+
+
 def derived_subgroup(group):
-    """The commutator subgroup G': the normal closure of the commutators of
-    a generating set (normal)."""
-    cached = group._cache.get("derived")
-    if cached is None:
+    """Members of the commutator subgroup G': the normal closure of the
+    commutators of a generating set; kept in the group's cache."""
+    derived = group._cache.get("derived")
+    if derived is None:
         commutators = _commutators(group, _generators(group))
-        cached = group._cache["derived"] = frozenset(_normal_closure_members(group, commutators))
-    return ElementSet(group, cached)
+        derived = group._cache["derived"] = frozenset(_normal_closure_members(group, commutators))
+    return derived
 
 
 def _commutators(group, gens):
@@ -716,16 +692,14 @@ def _p_component_exponents(orders, p, n):
 
 
 def _maximal_cover(group, cap=None):
-    """Maximal normal proper subgroups sorted by (size desc, mask asc), and
-    for each element g its mask c(g): bit i set when the i-th of them
-    contains g.  The masks are built once per group (ints only: an
-    ElementSet in the cache would tie the group into a reference cycle)."""
-    cover = tuple(sorted(maximal_normal_subgroups(group, cap), key=lambda s: (-len(s), s.mask)))
+    """The maximal normal subgroups in cover order, and for each element g
+    its mask c(g): bit i set when the i-th of them contains g."""
+    cover = maximal_normal_subgroups(group, cap)
     containing = group._cache.get("containing")
     if containing is None:
         containing = [0] * group.order
-        for idx, sub in enumerate(cover):
-            for x in sub.members:
+        for idx, m in enumerate(cover):
+            for x in _members(m):
                 containing[x] |= 1 << idx
         group._cache["containing"] = containing
     return cover, containing

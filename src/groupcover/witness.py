@@ -186,7 +186,7 @@ def _target_abelianisation(target: FiniteGroup) -> AbelianInvariants:
         if _generators_commute(target):
             orders = target.element_orders()
         else:
-            t, derived = target.table, derived_subgroup(target).members
+            t, derived = target.table, derived_subgroup(target)
             seen = bytearray(target.order)
             orders = []
             for x in range(target.order):

@@ -27,7 +27,7 @@ from groupcover.snf import mat_det, smith_diagonal_reference, smith_normal_form
 from groupcover.witness import evaluate_word
 from groupcover.words import EMPTY_WORD, exponent_vector, reduced_words
 from tests.conftest import HIGMAN_TEXT, HNN_TEXT, K235_TEXT
-from tests.test_covering import referee_fa_witness
+from tests.test_covering import members, referee_fa_witness
 from tests.test_snf import determinantal_divisor_diagonal, mat_mul
 from tests.test_witness import CROSS_FIXTURES, assert_json_matches
 
@@ -69,8 +69,8 @@ def test_criterion_2_rank2_criterion_both_directions(catalog):
             mismatches.append(g.name)
         if fa.verdict:
             covered = set()
-            for sub in fa.subcover:
-                covered |= sub.members
+            for m in fa.subcover:
+                covered |= members(m)
             if covered != set(range(g.order)):
                 subcover_failures.append(g.name)
     ok = not mismatches and not subcover_failures

@@ -10,7 +10,7 @@ from groupcover import (
     load_group,
     validate_group,
 )
-from groupcover.catalog import _FAMILIES, CatalogSpec, build_entry, parse_catalog_spec
+from groupcover.catalog import _FAMILIES, _ORDERS, CatalogSpec, build_entry, parse_catalog_spec
 from groupcover.errors import ClosureExceedsCap, NotAGroup, ParseError
 
 
@@ -52,6 +52,31 @@ def test_catalog_small_spec():
     spec = CatalogSpec((("C", (1,)), ("C", (2,)), ("C", (3,))))
     groups = build_catalog(spec)
     assert [g.name for g in groups] == ["C1", "C2", "C3"]
+
+
+def test_closed_form_orders_match_the_builds(catalog):
+    # the orders build_catalog skips entries by, against the built tables of
+    # the default catalog and of a few members past it; a bound below the
+    # order gives a partial product past the bound
+    entries = default_catalog_spec().entries + (("S", (6,)), ("A", (6,)), ("SL", (7,)))
+    groups = catalog + [build_entry(*entry, cap=1024) for entry in entries[len(catalog):]]
+    for (family, params), group in zip(entries, groups):
+        assert _ORDERS[family](group.order, *params) == group.order, group.name
+        assert _ORDERS[family](group.order - 1, *params) >= group.order, group.name
+    assert _ORDERS["E"](12, 2, 10**18) == 16
+    assert _ORDERS["S"](12, 10**18) == 24
+    # invalid parameters have no order, so that their builder reports them
+    for family, params in (("C", (0,)), ("E", (4, 2)), ("E", (2, 0)), ("D", (2,)),
+                           ("S", (1,)), ("A", (2,)), ("SL", (8,)), ("CxC", (-2, -3))):
+        assert _ORDERS[family](1, *params) is None, (family, params)
+
+
+def test_catalog_skips_entries_past_max_order():
+    spec = parse_catalog_spec("C 3\nC 1024\nS 5\nE 2 2\nSL 7\n")
+    assert [g.name for g in build_catalog(spec, max_order=4)] == ["C3", "E2^2"]
+    assert [g.name for g in build_catalog(spec, cap=1024, max_order=120)] == ["C3", "S5", "E2^2"]
+    with pytest.raises(ParseError, match="duplicate catalog entry 'C 1024'"):
+        build_catalog(parse_catalog_spec("C 1024\nC 1024\n"), max_order=4)
 
 
 def test_catalog_cap():

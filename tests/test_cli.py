@@ -290,11 +290,13 @@ def test_covering_budget_keeps_early_answer(capsys):
 )
 def test_lattice_budget_exit_3(capsys, monkeypatch, argv):
     # A5xC2 is not solvable, so `finite` reads it off the lattice, which
-    # spends 240 steps: C2.A5 tests A5's 60 members and builds the 59 cosets
-    # of C2 they meet outside C2 (118 products), A5.C2 tests 2 members and
-    # builds one coset of A5 (60 products), and every other join N.B has N
-    # inside B and is free.  verify-all builds every lattice as the referee
-    # of the solvable route, and E2^3's spends 210
+    # spends 256 steps: each of its 4 normal subgroups visits the 4 class
+    # closures {e}, C2, A5 and G (16 visits), C2.A5 tests A5's 60 members
+    # and builds the 59 cosets of C2 they meet outside C2 (118 products),
+    # A5.C2 tests 2 members and builds one coset of A5 (60 products), and
+    # every other join N.B has N inside B and is free.  verify-all builds
+    # every lattice as the referee of the solvable route, and E2^3's spends
+    # 338
     monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 100)
     assert main(list(argv)) == 3
     err = capsys.readouterr().err
@@ -581,6 +583,33 @@ def test_verify_all_custom_catalog(capsys, tmp_path):
     assert payload["groups_checked"] == 3
 
 
+def test_verify_all_skips_catalog_entries_past_max_order_unbuilt(capsys, tmp_path):
+    # each entry passes --max-order 12 by its closed-form order, so none of
+    # the five tables (1024, 1024, 1024, 1024 and 336 elements) is built
+    spec = tmp_path / "big.spec"
+    spec.write_text("C 1024\nD 512\nE 2 10\nCxC 32 32\nSL 7\n")
+    argv = ["verify-all", "--catalog", str(spec), "--max-order", "12", "--caps", "order=1024"]
+    assert run_within(0.1, argv) == 0
+    assert capsys.readouterr().out == "0 groups checked, 0 with mismatches\n"
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("C 4\nC 1024\nC 1024\n", 2, "parse error: duplicate catalog entry 'C 1024'"),
+    ("C 4\nE 4 2\n", 2, "parse error: bad parameters for E (4, 2): 4 is not prime"),
+    ("SL 8\n", 2, "error: 8 is not prime"),
+    ("C 12\n", 3, "cap exceeded: |G| = 12 exceeds normal-subgroup cap 8"),
+])
+def test_verify_all_refuses_skipped_catalog_entries_that_are_invalid(capsys, tmp_path, text,
+                                                                    code, message):
+    # repeated and invalid entries are refused even past --max-order, and an
+    # entry within it still meets the caps
+    spec = tmp_path / "bad.spec"
+    spec.write_text(text)
+    assert main(["verify-all", "--catalog", str(spec), "--max-order", "12",
+                 "--caps", "order=1024", "normal=8", "--nfa-max", "2"]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_verify_all_cap_hit_exit_3(capsys):
     # a cap hit decides nothing, so it is not a theorem mismatch (exit 1)
     code = main(["verify-all", "--max-order", "12", "--caps", "normal=8"])
@@ -613,6 +642,16 @@ def test_verify_all_corrupted_table_fails(capsys, tmp_path):
     assert code == 1
     assert "loop" in captured.err
     assert "group_axioms" in captured.err
+    # the abelianisation fails at quotient's normality check of the loop's G'
+    argv = ["verify-all", "--max-order", "0", "--include", str(path), "--from", "cayley",
+            "--no-validate"]
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    [loop_report] = payload["reports"]
+    assert loop_report["checks"] == {"group_axioms": False, "abelianisation_computable": False}
+    assert loop_report["details"]["abelianisation_computable"] == (
+        "NotNormal('subset of size 3 is not normal in loop')"
+    )
 
 
 def test_config_file_provides_format(capsys, tmp_path, k235_file):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from groupcover import (
-    ElementSet,
     build_catalog,
     abelian_invariants_finite,
     abelianisation,
@@ -45,13 +44,13 @@ from groupcover.errors import (
 from groupcover import fingroup
 from groupcover.catalog import load_group
 from groupcover.fingroup import FiniteGroup, _check_associativity
-from tests.test_covering import LATTICE_PRODUCT_SPECS
+from tests.test_covering import LATTICE_PRODUCT_SPECS, members
 
 
 def normal_closure(group, seeds):
-    """Smallest normal subgroup containing the seed elements, as the
-    brute-force weight referees below take it."""
-    return ElementSet(group, frozenset(fingroup._normal_closure_members(group, seeds)))
+    """Members of the smallest normal subgroup containing the seed elements,
+    as the brute-force weight referees below take it."""
+    return frozenset(fingroup._normal_closure_members(group, seeds))
 
 
 XOR_TABLE = [[i ^ j for j in range(4)] for i in range(4)]
@@ -431,15 +430,15 @@ def test_finite_group_keeps_the_rows_it_is_given():
 # closures and classes
 
 def test_subgroup_closure_empty_seeds(s3):
-    assert subgroup_closure(s3, set()).members == frozenset({0})
+    assert subgroup_closure(s3, set()) == frozenset({0})
 
 
 def test_subgroup_closure_three_cycle(s3):
     cycle = next(x for x in range(6) if s3.element_orders()[x] == 3)
     sub = subgroup_closure(s3, {cycle})
     # orbit of powers
-    assert sub.members == {0, cycle, s3.table[cycle][cycle]}
-    assert sub.is_subgroup()
+    assert sub == {0, cycle, s3.table[cycle][cycle]}
+    assert all(s3.table[a][b] in sub for a in sub for b in sub)
 
 
 def test_subgroup_closure_everything(s3):
@@ -455,10 +454,7 @@ def test_normal_closure_abelian_equals_span(klein):
     c12 = cyclic_group(12)
     for group in (klein, c12, direct_product(cyclic_group(2), cyclic_group(4))):
         for seeds in ({1}, {1, 2}, set(range(group.order))):
-            assert (
-                normal_closure(group, seeds).members
-                == subgroup_closure(group, seeds).members
-            )
+            assert normal_closure(group, seeds) == subgroup_closure(group, seeds)
 
 
 def test_normal_closure_simple_group(a5):
@@ -469,8 +465,8 @@ def test_normal_closure_simple_group(a5):
 def test_normal_closure_contains_subgroup_closure(s3, q8, d4):
     for group in (s3, q8, d4):
         for seed in range(group.order):
-            sub = subgroup_closure(group, {seed}).members
-            norm = normal_closure(group, {seed}).members
+            sub = subgroup_closure(group, {seed})
+            norm = normal_closure(group, {seed})
             assert sub <= norm
 
 
@@ -522,25 +518,25 @@ def brute_normal_subgroups(group):
         if group.order % size:
             continue
         for sub in combinations(range(1, group.order), size - 1):
-            members = frozenset((0,) + sub)
-            if ElementSet(group, members).is_normal():
-                out.add(members)
+            ids = frozenset((0,) + sub)
+            if fingroup._is_normal(group, ids):
+                out.add(ids)
     return out
 
 
 def test_normal_subgroups_prime_cyclic():
     g = cyclic_group(7)
-    assert [len(s) for s in normal_subgroups(g)] == [1, 7]
+    assert [m.bit_count() for m in normal_subgroups(g)] == [1, 7]
 
 
 def test_normal_subgroups_klein(klein):
     subs = normal_subgroups(klein)
-    assert [len(s) for s in subs] == [1, 2, 2, 2, 4]
+    assert [m.bit_count() for m in subs] == [1, 2, 2, 2, 4]
 
 
 def test_normal_subgroups_s5(s5):
     subs = normal_subgroups(s5, cap=128)
-    assert [len(s) for s in subs] == [1, 60, 120]
+    assert [m.bit_count() for m in subs] == [1, 60, 120]
 
 
 @pytest.mark.parametrize(
@@ -555,23 +551,23 @@ def test_normal_subgroups_s5(s5):
 )
 def test_normal_subgroups_match_exhaustive_scan(maker):
     group = maker()
-    fast = {s.members for s in normal_subgroups(group)}
+    fast = {members(m) for m in normal_subgroups(group)}
     assert fast == brute_normal_subgroups(group)
 
 
 def test_normal_subgroups_match_exhaustive_scan_q8_d4_e8(q8, d4, e8):
     for group in (q8, d4, e8):
-        fast = {s.members for s in normal_subgroups(group)}
+        fast = {members(m) for m in normal_subgroups(group)}
         assert fast == brute_normal_subgroups(group)
 
 
 def test_normal_subgroups_are_class_unions(catalog):
     for group in catalog[:40]:
         classes = conjugacy_classes(group)
-        for sub in normal_subgroups(group):
+        for m in normal_subgroups(group):
             for cls in classes:
-                inside = set(cls) & sub.members
-                assert not inside or set(cls) <= sub.members
+                inside = set(cls) & members(m)
+                assert not inside or set(cls) <= members(m)
 
 
 def test_normal_subgroups_cap():
@@ -581,17 +577,17 @@ def test_normal_subgroups_cap():
 
 def test_maximal_normal_subgroups_c6(c6):
     subs = maximal_normal_subgroups(c6)
-    assert sorted(len(s) for s in subs) == [2, 3]
+    assert sorted(m.bit_count() for m in subs) == [2, 3]
 
 
 def test_maximal_normal_subgroups_klein(klein):
     subs = maximal_normal_subgroups(klein)
-    assert [len(s) for s in subs] == [2, 2, 2]
+    assert [m.bit_count() for m in subs] == [2, 2, 2]
 
 
 def test_maximal_normal_subgroups_simple(a5):
     subs = maximal_normal_subgroups(a5, cap=128)
-    assert len(subs) == 1 and len(subs[0]) == 1
+    assert subs == (1,)  # {e}
 
 
 def test_maximal_normal_trivial_group_raises():
@@ -608,16 +604,10 @@ def test_maximal_equals_maximal_filter_and_simple_quotient(catalog):
         if group.order == 1:
             continue
         normals = normal_subgroups(group)
-        proper = [s for s in normals if len(s) < group.order]
-        byhand = [
-            s
-            for s in proper
-            if not any(
-                s.members < t.members for t in proper if t.members != s.members
-            )
-        ]
+        proper = [members(m) for m in normals if m.bit_count() < group.order]
+        byhand = [s for s in proper if not any(s < t for t in proper)]
         fast = maximal_normal_subgroups(group)
-        assert {s.members for s in fast} == {s.members for s in byhand}
+        assert {members(m) for m in fast} == set(byhand)
         for s in fast:
             q = quotient(group, s)
             assert len(normal_subgroups(q)) == 2  # simple
@@ -676,9 +666,8 @@ def referee_normal_subgroup_sets(group):
         if is_maximal:
             maximal.add(m)
     by_size_and_mask = sorted(found, key=lambda m: (m.bit_count(), m))
-    return tuple(by_size_and_mask), tuple(
-        frozenset(fingroup._members(m)) for m in by_size_and_mask if m in maximal
-    )
+    by_cover_order = sorted(maximal, key=lambda m: (-m.bit_count(), m))
+    return tuple(by_size_and_mask), tuple(by_cover_order)
 
 
 def assert_lattice_matches_referee(group):
@@ -711,34 +700,36 @@ def test_lattice_matches_referee_on_random_permutations(degree_and_gens):
 
 
 def test_lattice_budget_counts_coset_products(monkeypatch):
-    # E2^3: {e} lies in every class closure {e, x}, so its joins are free.
-    # A normal subgroup N of size s = 2 or 4 joins the 8 - s closures
-    # {e, x} outside it, testing 2 members each, and builds its 8/s - 1
-    # cosets outside N once, s products each: 7*(6*2 + 3*2) + 7*(4*2 + 4) = 210.
-    # The last subgroup popped, G or {e}, costs nothing.
-    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 210)
+    # E2^3: each of the 16 normal subgroups popped walks the 8 class
+    # closures {e, x}: 16*8 = 128 visits.  {e} lies in every closure, so
+    # its joins are free.  A normal subgroup N of size s = 2 or 4 joins the
+    # 8 - s closures outside it, testing 2 members each, and builds its
+    # 8/s - 1 cosets outside N once, s products each:
+    # 7*(6*2 + 3*2) + 7*(4*2 + 4) = 210.  G joins nothing.  128 + 210 = 338,
+    # and the budget is checked after each subgroup, so the last one pops.
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 338)
     assert len(normal_subgroups(group_from_spec("E 2 3"))) == 16
-    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 209)
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 337)
     with pytest.raises(
         SearchBudgetExceeded,
-        match="found 15 subgroups and spent 210 coset products and member tests",
+        match="found 16 subgroups and spent 338 closure visits, coset products and member tests",
     ):
         normal_subgroups(group_from_spec("E 2 3"))
 
 
 def test_lattice_budget_stops_early(monkeypatch):
-    # E2^6 spends 463 050 products and member tests on its 2825 normal
-    # subgroups
+    # E2^6 spends 463 050 products and member tests and 2825*64 closure
+    # visits on its 2825 normal subgroups
     monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 1000)
     with pytest.raises(SearchBudgetExceeded, match="past the budget of 1000") as info:
         normal_subgroups(group_from_spec("E 2 6"))
     message = str(info.value)
     assert message.startswith("normal-subgroup lattice of E2^6 found ")
     found, spent = map(int, re.search(r"found (\d+) .* spent (\d+)", message).groups())
-    # a node of size s >= 2 joins at most 64 - s closures {e, x}, testing 2
-    # members each, and builds at most 64/s - 1 cosets of s products:
-    # 3 * (64 - s) <= 186 steps past the budget
-    assert found < 100 and 1000 < spent <= 1000 + 186
+    # a node of size s >= 2 visits the 64 closures {e, x}, joins at most
+    # 64 - s of them, testing 2 members each, and builds at most 64/s - 1
+    # cosets of s products: 64 + 3 * (64 - s) <= 250 steps past the budget
+    assert found < 100 and 1000 < spent <= 1000 + 250
 
 
 # ---------------------------------------------------------------------------
@@ -788,11 +779,9 @@ def assert_hyperplanes_match_lattice(group):
     assert solvable == referee_is_solvable(group), group.name
     lattice = fingroup._normal_subgroup_sets(group, group.order)[1]
     if solvable:
-        expected = [fingroup._mask(s) for s in lattice]
-        assert fingroup._hyperplane_masks(group) == expected, group.name
+        assert fingroup._hyperplane_masks(group) == lattice, group.name
     fresh = FiniteGroup(group.name, group.table)  # nothing cached
-    found = maximal_normal_subgroups(fresh, fresh.order)
-    assert tuple(s.members for s in found) == lattice, group.name
+    assert maximal_normal_subgroups(fresh, fresh.order) == lattice, group.name
 
 
 def test_hyperplanes_match_lattice_on_catalog(catalog):
@@ -835,8 +824,8 @@ def test_hyperplanes_of_elementary_groups():
 def test_maximal_normal_subgroups_are_cached():
     group = group_from_spec("prod(E 2 3, S 3)")
     first = maximal_normal_subgroups(group)
-    assert group._cache["maximal"] == tuple(s.members for s in first)
-    assert maximal_normal_subgroups(group) == first
+    assert group._cache["maximal"] is first
+    assert maximal_normal_subgroups(group) is first
     assert "normal_sets" not in group._cache  # the solvable route builds no lattice
 
 
@@ -882,9 +871,13 @@ def test_quotient_by_whole_group(s3):
 
 
 def test_quotient_s5_a5(s5):
-    a5sub = next(s for s in normal_subgroups(s5, cap=128) if len(s) == 60)
+    a5sub = next(m for m in normal_subgroups(s5, cap=128) if m.bit_count() == 60)
     q = quotient(s5, a5sub)
     assert q.order == 2
+    assert q.name == f"S5/{hex(a5sub)}"
+    # a mask and its member ids give the same quotient
+    by_ids = quotient(s5, members(a5sub))
+    assert (by_ids.name, by_ids.table) == (q.name, q.table)
 
 
 def test_quotients_pass_validator(catalog):
@@ -918,7 +911,7 @@ def test_derived_subgroup_abelian():
 def test_derived_subgroup_s3(s3):
     derived = derived_subgroup(s3)
     assert len(derived) == 3
-    assert derived.is_normal()
+    assert fingroup._is_normal(s3, derived)
 
 
 def test_derived_subgroup_sl25_perfect(sl25):
@@ -930,7 +923,7 @@ def test_derived_subgroup_matches_all_commutators_referee(catalog):
     groups += [group_from_spec(s) for s in LATTICE_POOL_SPECS]
     for group in groups:
         fresh = FiniteGroup(group.name, group.table)
-        assert derived_subgroup(fresh).members == referee_derived_subgroup(group), group.name
+        assert derived_subgroup(fresh) == referee_derived_subgroup(group), group.name
 
 
 def test_abelian_invariants_c15():
@@ -1074,7 +1067,7 @@ def referee_weight_witness(group):
     full = (1 << len(maximal)) - 1
     first_rep = {}  # hit mask -> smallest representative with it
     for cls in conjugacy_classes(group):
-        hit = sum(1 << i for i, sub in enumerate(maximal) if cls[0] not in sub)
+        hit = sum(1 << i for i, m in enumerate(maximal) if not m >> cls[0] & 1)
         if hit:
             first_rep.setdefault(hit, cls[0])
     for k in range(1, len(first_rep) + 1):

@@ -2,14 +2,16 @@
 
 Every public function and method in `src/groupcover` is referenced from
 somewhere in the package or the benchmark other than its own body, or is a
-named referee kept for the tests to compare against.  And every function
-the benchmark's tracer names still exists, since `bench/test_bench.py`
-lies outside the tier-1 test paths.
+named referee kept for the tests to compare against.  Every function the
+benchmark's tracer names still exists, since `bench/test_bench.py` lies
+outside the tier-1 test paths.  And README's list of the package exports
+names what `groupcover/__init__.py` imports, module by module.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,3 +82,30 @@ def test_bench_layers_resolve():
     for module, name in bench_layers():
         assert callable(getattr(importlib.import_module(f"groupcover.{module}"), name))
     from groupcover.snf import smith_diagonal_reference  # noqa: F401  (bench/checks.py)
+
+
+def readme_exports():
+    """module -> the backticked names of its bullet under "The package
+    exports, by module" in README.md."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("The package exports, by module:", 1)[1].lstrip("\n")
+    bullets = re.split(r"^- ", section.split("\n\n", 1)[0], flags=re.M)[1:]
+    exports = {}
+    for bullet in bullets:
+        module, *names = re.findall(r"`([^`]*)`", bullet)
+        exports[module] = set(names)
+    return exports
+
+
+def init_exports():
+    """module -> the names groupcover/__init__.py imports from it."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return {
+        node.module: {alias.name for alias in node.names}
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+
+
+def test_readme_lists_the_package_exports():
+    assert readme_exports() == init_exports()
