@@ -23,7 +23,6 @@ from .fingroup import (
     _MeetSearch,
     _normal_subgroup_sets,
     abelian_invariants_finite,
-    abelianisation,
     derived_subgroup,
     validate_group,
     weight_bruteforce,
@@ -143,31 +142,24 @@ def verify_finite_theorems(
 
     All of these read the maximal normal subgroups, so the lattice
     enumeration referees them; the check `maximal_match_lattice` appears,
-    false, only when the two differ.  A cap or budget hit (CapExceeded)
-    propagates, since it decides nothing; any other package error marks its
-    check as failed.
+    false, only when the two differ.  A table that fails the group axioms
+    gets that check alone.  A cap or budget hit (CapExceeded) propagates,
+    since it decides nothing; any other package error marks its check as
+    failed.
     """
     report = TheoremReport(group.name)
     checks, details = report.checks, report.details
 
     try:
         validate_group(group)
-        checks["group_axioms"] = True
     except GroupCoverError as exc:
         checks["group_axioms"] = False
         details["group_axioms"] = exc
-
-    try:
-        gab = abelianisation(group)
-        inv = abelian_invariants_finite(gab)
-        fa = is_fa_finite(group, cap)
-    except CapExceeded:
-        raise
-    except GroupCoverError as exc:
-        checks["abelianisation_computable"] = False
-        details["abelianisation_computable"] = exc
         return report
+    checks["group_axioms"] = True
 
+    inv = abelian_invariants_finite(group)
+    fa = is_fa_finite(group, cap)
     ab_weight = len(inv.factors)
     details["abelian_invariants"] = inv
     details["fa_verdict"] = fa.verdict
@@ -224,9 +216,8 @@ def verify_finite_theorems(
         return w <= 1
 
     def check_perfect():
-        perfect = len(derived_subgroup(group)) == group.order
-        if perfect and group.order > 1:
-            return details.get("weight") == 1
+        if group.order > 1 and len(derived_subgroup(group)) == group.order:
+            return weight() == 1
         return True
 
     attempt("weight_matches_abelianisation", check_weight)

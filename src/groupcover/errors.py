@@ -41,10 +41,6 @@ class NotNormal(GroupCoverError):
     """The given subgroup is not normal in its parent."""
 
 
-class NotAbelian(GroupCoverError):
-    """The given group is not abelian."""
-
-
 class NotPrime(GroupCoverError):
     """Argument expected to be a prime number."""
 

@@ -21,7 +21,6 @@ from .config import CONSTRUCTION_BUDGET, DEFAULT_CAPS, DEFAULT_SEARCH_BUDGET, LA
 from .errors import (
     ClosureExceedsCap,
     InvalidPermutation,
-    NotAbelian,
     NotAGroup,
     NotNormal,
     NotPrime,
@@ -73,18 +72,6 @@ class FiniteGroup:
                         orders[y] = m // gcd(m, k)
             orders = self._cache["orders"] = tuple(orders)
         return orders
-
-    def is_abelian(self):
-        flag = self._cache.get("abelian")
-        if flag is None:
-            t = self.table
-            flag = all(
-                t[a][b] == t[b][a]
-                for a in range(self.order)
-                for b in range(a + 1, self.order)
-            )
-            self._cache["abelian"] = flag
-        return flag
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -645,44 +632,62 @@ def _commutators(group, gens):
 
 
 def abelianisation(group):
-    """G / G' as a FiniteGroup."""
+    """G / G' as a FiniteGroup, the table that referees the coset route of
+    `abelian_invariants_finite`."""
     return quotient(group, derived_subgroup(group), name=f"{group.name}^ab")
 
 
 def abelian_invariants_finite(group):
-    """Invariant factor decomposition of a finite abelian group, computed by
-    primary decomposition per prime and merged into a divisor chain."""
-    if not group.is_abelian():
-        raise NotAbelian(f"{group.name} is not abelian")
-    return invariants_from_orders(group.element_orders())
-
-
-def invariants_from_orders(orders):
-    """Invariant factors of the finite abelian group with these element
-    orders: the exponent partitions of its primary components, merged."""
-    n = len(orders)
-    per_prime = [(p, _p_component_exponents(orders, p, n)) for p in prime_factors(n)]
-    depth = max((len(exps) for _, exps in per_prime), default=0)
-    factors = [prod(p ** exps[t] for p, exps in per_prime if t < len(exps)) for t in range(depth)]
-    return AbelianInvariants(0, tuple(reversed(factors)))
+    """Invariant factors of G^ab = G/G' for any finite group, kept in its
+    cache: the exponent partitions of the primary components of G^ab, read
+    off the orders of the cosets xG' (the element orders when G' = {e}) and
+    merged.  A power walk that takes |G| steps without reaching G' raises
+    NotAGroup, as `element_orders` does."""
+    inv = group._cache.get("ab")
+    if inv is None:
+        derived = derived_subgroup(group)
+        if len(derived) == 1:
+            orders = group.element_orders()
+        else:
+            t, n = group.table, group.order
+            seen = bytearray(n)
+            orders = []
+            for x in range(n):
+                if not seen[x]:
+                    for s in derived:
+                        seen[t[x][s]] = 1
+                    k, y = 1, x
+                    while y not in derived:
+                        if k >= n:
+                            raise NotAGroup(f"powers of element {x} never reach G'")
+                        k, y = k + 1, t[y][x]
+                    orders.append(k)
+        m = len(orders)  # |G/G'|
+        per_prime = [(p, _p_component_exponents(orders, p, m)) for p in prime_factors(m)]
+        depth = max((len(exps) for _, exps in per_prime), default=0)
+        factors = [prod(p ** exps[i] for p, exps in per_prime if i < len(exps)) for i in range(depth)]
+        inv = group._cache["ab"] = AbelianInvariants(0, tuple(reversed(factors)))
+    return inv
 
 
 def _p_component_exponents(orders, p, n):
-    """Exponent partition (descending) of the p-primary component, read off
-    the counts of elements of order dividing p^j."""
+    """Exponent partition (descending) of the p-primary component of the
+    abelian group with these element orders, read off the counts of elements
+    of order dividing p^j.  Counts that fit no abelian group come only from
+    a table that is not a group."""
     target = gcd(n, p ** n.bit_length())  # the p-part of n
     logs = []
     j = 1
     while True:
         pj = p**j
         if pj > n * p:
-            raise NotAbelian("element order counts never fill the p-component")
+            raise NotAGroup("order counts of G/G' never fill its p-component")
         c = sum(1 for o in orders if pj % o == 0)
         e = 0
         while p**e < c:
             e += 1
         if p**e != c:
-            raise NotAbelian("element order counts are not p-power sized")
+            raise NotAGroup("order counts of G/G' are not p-power sized")
         logs.append(e)
         if c == target:
             break

@@ -162,8 +162,6 @@ class _Parser:
         kind, _, pos = self.peek()
         if kind != "end":
             raise PresentationSyntaxError("trailing input after presentation", pos)
-        if not generators and relators:
-            raise EmptyGeneratorList("relators given without generators")
         return Presentation(tuple(generators), tuple(relators))
 
     def _at_punct(self, *values):

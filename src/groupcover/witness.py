@@ -29,10 +29,9 @@ from .config import DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
 from .fingroup import (
     FiniteGroup,
-    _generators,
+    abelian_invariants_finite,
     conjugacy_classes,
     derived_subgroup,
-    invariants_from_orders,
     subgroup_closure,
 )
 from .presentation import Presentation, abelian_invariants
@@ -164,7 +163,7 @@ def _surjections_cached(pres, target):
     target never hides the SearchBudgetExceeded the search would raise."""
     if 2 * target.order**pres.ngens <= DEFAULT_SEARCH_BUDGET:
         source = _source_abelianisation(pres)
-        if source is not None and not _abelian_surjects(source, _target_abelianisation(target)):
+        if source is not None and not _abelian_surjects(source, abelian_invariants_finite(target)):
             return ()
     return tuple(_surjection_search(pres, target, _orbit_minima(target)))
 
@@ -176,29 +175,6 @@ def _source_abelianisation(pres):
         return abelian_invariants(pres)
     except SearchBudgetExceeded:
         return None
-
-
-def _target_abelianisation(target: FiniteGroup) -> AbelianInvariants:
-    """T^ab, kept in the target's cache: read off the element orders of an
-    abelian target, and otherwise off the orders of the cosets of T'."""
-    inv = target._cache.get("ab")
-    if inv is None:
-        if _generators_commute(target):
-            orders = target.element_orders()
-        else:
-            t, derived = target.table, derived_subgroup(target)
-            seen = bytearray(target.order)
-            orders = []
-            for x in range(target.order):
-                if not seen[x]:
-                    for s in derived:
-                        seen[t[x][s]] = 1
-                    k, y = 1, x
-                    while y not in derived:
-                        k, y = k + 1, t[y][x]
-                    orders.append(k)
-        inv = target._cache["ab"] = invariants_from_orders(orders)
-    return inv
 
 
 def _abelian_surjects(source: AbelianInvariants, target: AbelianInvariants) -> bool:
@@ -219,18 +195,6 @@ def _abelian_surjects(source: AbelianInvariants, target: AbelianInvariants) -> b
     return True
 
 
-def _generators_commute(target: FiniteGroup) -> bool:
-    """Whether the target is abelian, read once off whether its greedy
-    generators commute pairwise and kept in its cache.  Exact on a group
-    table, which every catalog target is."""
-    flag = target._cache.get("generators_commute")
-    if flag is None:
-        t, gens = target.table, _generators(target)
-        flag = all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[:i])
-        target._cache["generators_commute"] = flag
-    return flag
-
-
 def _orbit_minima(target: FiniteGroup) -> bytes:
     """Per element, 1 if it is the least of its orbit under automorphisms:
     its conjugacy class in a nonabelian target, else the generators of its cyclic
@@ -240,7 +204,7 @@ def _orbit_minima(target: FiniteGroup) -> bytes:
     if flags is None:
         t, n = target.table, target.order
         flags = bytearray(n)
-        if not _generators_commute(target):
+        if len(derived_subgroup(target)) > 1:
             for cls in conjugacy_classes(target):
                 flags[cls[0]] = 1
         else:

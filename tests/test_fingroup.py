@@ -28,11 +28,11 @@ from groupcover import (
     validate_group,
     weight_bruteforce,
     weight_witness,
+    witness_targets,
 )
 from groupcover.errors import (
     ClosureExceedsCap,
     InvalidPermutation,
-    NotAbelian,
     NotAGroup,
     NotNormal,
     NotPrime,
@@ -967,9 +967,36 @@ def test_element_orders_refuse_powers_that_never_reach_the_identity():
         loop.element_orders()
 
 
-def test_abelian_invariants_rejects_nonabelian(s3):
-    with pytest.raises(NotAbelian):
-        abelian_invariants_finite(s3)
+def test_abelian_invariants_refuse_powers_that_never_reach_the_derived_subgroup():
+    # 1 * 1 = 1 and G' = {0, 2}: the powers of 1 stay at 1, outside G'
+    table = [[0, 1, 2], [1, 1, 0], [2, 2, 0]]
+    loop = build_from_cayley_table(table, "stuck", validate=False)
+    assert derived_subgroup(loop) == {0, 2}
+    with pytest.raises(NotAGroup, match="powers of element 1 never reach G'"):
+        abelian_invariants_finite(loop)
+
+
+def test_abelian_invariants_of_nonabelian_groups(s3, q8, a5):
+    assert abelian_invariants_finite(s3).factors == (2,)
+    assert abelian_invariants_finite(q8).factors == (2, 2)
+    assert abelian_invariants_finite(a5).factors == ()
+
+
+def commutes_pairwise(group):
+    """Whether every pair of elements commutes: |G|^2 / 2 products."""
+    t = group.table
+    return all(t[a][b] == t[b][a] for a in range(group.order) for b in range(a))
+
+
+def test_abelian_invariants_match_the_quotient(catalog):
+    # the coset route to G^ab against the quotient table G/G', and G' = {e}
+    # against the pairwise check
+    groups = [*catalog, *witness_targets(128)]
+    groups += [group_from_spec(spec) for spec in NONSOLVABLE_LARGE_SPECS]
+    for group in groups:
+        fresh = FiniteGroup(group.name, group.table)  # neither G' nor G^ab cached
+        assert abelian_invariants_finite(fresh) == abelian_invariants_finite(abelianisation(group))
+        assert (len(derived_subgroup(fresh)) == 1) is commutes_pairwise(group), group.name
 
 
 def test_abelianisation_product_of_factors(catalog):

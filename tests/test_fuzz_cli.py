@@ -1,7 +1,9 @@
 """CLI fuzz gate: random group specs, matrix, permutation and Cayley-table
 files, catalog files, config files mixed with `--caps`, scans of and witness
 searches over random presentations and analyses of dense ones, valid or
-not, end in exit 0, 2 or 3 within a few seconds and never in a traceback.
+not, end in exit 0, 2 or 3 within a few seconds and never in a traceback;
+an unvalidated Cayley table in `verify-all` may also exit 1, failing the
+group axioms alone.
 
 The `finite` runs pass `--caps normal=64`.  At the default normal-subgroup
 cap of 128 a valid E2^7 takes about 2.2 s to decide (its lattice spends
@@ -14,10 +16,11 @@ import contextlib
 import io
 import json
 import math
+import re
 import signal
 
 import hypothesis.strategies as st
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from groupcover.abelian import MILLER_RABIN_EXACT_BELOW
 from groupcover.cli import main
@@ -243,6 +246,34 @@ def test_fuzz_group_files(tmp_path, fmt_and_text):
     path = tmp_path / "fuzz.group"
     path.write_text(text)
     assert_clean_exit(["finite", str(path), "--from", fmt, *CAPS])
+
+
+# A table checked unvalidated is a group, and then passes, or fails the group
+# axioms and no other check.  A file that does not read as a table exits 2,
+# and so does one no FiniteGroup can hold: an empty table, or a row without
+# the identity, which leaves an element with no right inverse.
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(cayley_files())
+@example("3\n0 1 2\n1 0 0\n2 2 0\n")
+def test_fuzz_verify_all_unvalidated_tables(tmp_path, text):
+    path = tmp_path / "f"
+    path.write_text(text)
+    argv = ["verify-all", "--max-order", "0", "--include", str(path), "--from", "cayley",
+            "--no-validate"]
+    code, err = run_cli(argv)
+    assert "Traceback" not in err, (text, err)
+    if code == 1:
+        assert err == "mismatch: f: group_axioms\n", (text, err)
+    elif code == 2:
+        assert re.fullmatch(
+            r"parse error: .*\n|error: (empty table|element \d+ has no right inverse)\n", err
+        ), (text, err)
+    else:
+        assert (code, err) == (0, ""), (text, code, err)
 
 
 @st.composite

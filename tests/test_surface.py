@@ -20,9 +20,11 @@ BENCH = ROOT / "bench"
 
 # second implementations that only the tests call, each the referee of a
 # faster route: the lattice for the G^ab route to maximal normal subgroups,
-# the plain surjection search for the orbit-pruned one, and the SNF oracle
+# the quotient table G/G' for the coset route to G^ab, the plain surjection
+# search for the orbit-pruned one, and the SNF oracle
 REFEREES = {
     ("fingroup", "normal_subgroups"),
+    ("fingroup", "abelianisation"),
     ("witness", "enumerate_surjections"),
     ("snf", "smith_diagonal_reference"),
 }

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 
 from groupcover import (
+    abelian_invariants_finite,
+    abelianisation,
     cyclic_group,
+    derived_subgroup,
     direct_product,
     enumerate_surjections,
     fa_scan,
@@ -40,6 +43,7 @@ from groupcover.witness import (
 )
 from groupcover.words import EMPTY_WORD, exponent_vector, free_reduce, reduced_words, render_word
 from tests.test_covering import referee_fa_witness
+from tests.test_fingroup import commutes_pairwise
 
 
 def pres(text):
@@ -128,7 +132,7 @@ def brute_automorphisms(target):
     brute force: conjugation by every element of a nonabelian target, the
     power maps x -> x^u with u prime to the order of an abelian one."""
     n = target.order
-    if target.is_abelian():
+    if commutes_pairwise(target):
         return [
             tuple(evaluate_word_direct(target, (x,), ((0, u),)) for x in range(n))
             for u in range(1, n + 1)
@@ -318,9 +322,11 @@ def test_abelian_surjects(source, target, surjects):
 
 
 def test_generators_commute_exactly_on_abelian_targets():
+    # G' is the normal closure of the commutators of the greedy generators,
+    # so the orbit rule reads "abelian" as G' = {e}
     for target in witness_targets(128):
-        fresh = FiniteGroup(target.name, target.table)  # neither answer cached
-        assert witness._generators_commute(fresh) is fresh.is_abelian(), target.name
+        fresh = FiniteGroup(target.name, target.table)  # G' not cached
+        assert (len(derived_subgroup(fresh)) == 1) is commutes_pairwise(fresh), target.name
 
 
 def test_refused_targets_build_no_classes():
@@ -333,11 +339,11 @@ def test_refused_targets_build_no_classes():
 
 
 def test_target_abelianisation_matches_the_quotient():
-    from groupcover import abelian_invariants_finite, abelianisation
-
+    # the prune reads T^ab off the cosets of T'; the quotient T/T' referees it
     for target in witness_targets(128):
+        fresh = FiniteGroup(target.name, target.table)  # T^ab not cached
         expected = abelian_invariants_finite(abelianisation(target))
-        assert witness._target_abelianisation(target) == expected, target.name
+        assert abelian_invariants_finite(fresh) == expected, target.name
 
 
 # (2,3,7) and (2,4,5) triangle groups, < a, b | a^p, r > with b of exponent
@@ -368,7 +374,7 @@ def test_prune_refuses_only_targets_without_surjections(text, stated):
     targets = prune_targets(text)
     skipped = [
         t for t in targets
-        if not witness._abelian_surjects(inv(*stated), witness._target_abelianisation(t))
+        if not witness._abelian_surjects(inv(*stated), abelian_invariants_finite(t))
     ]
     assert skipped  # the prune is not idle on any of them
     for target in skipped:
@@ -719,8 +725,6 @@ def test_cross_engine_witness_agreement(text, maker, images):
 
 @pytest.mark.parametrize("text,maker,images", CROSS_FIXTURES)
 def test_cross_engine_invariant_agreement(text, maker, images):
-    from groupcover import abelian_invariants, abelian_invariants_finite, abelianisation
-
     p = pres(text)
     group = maker()
     assert abelian_invariants(p) == abelian_invariants_finite(abelianisation(group))
