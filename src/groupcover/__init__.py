@@ -36,6 +36,7 @@ from .covering import (
     is_fa_finite,
     is_nfa_finite,
     verify_finite_theorems,
+    weight_from_abelianisation,
 )
 from .fingroup import (
     FiniteGroup,

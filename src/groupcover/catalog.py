@@ -393,6 +393,8 @@ def _load_cayley(text, name, validate):
         n = int(header)
     except ValueError:
         raise ParseError("first line must be the order n", lineno) from None
+    if n < 1:
+        raise ParseError(f"the order must be at least 1, got {n}", lineno)
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} table rows, found {len(lines) - 1}")
     table = []

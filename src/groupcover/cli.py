@@ -23,7 +23,12 @@ from .catalog import (
 )
 from .classify import HINTS, classify_fa, classify_nfa, rho_annihilated_checks
 from .config import Caps
-from .covering import is_fa_finite, is_nfa_finite, verify_finite_theorems
+from .covering import (
+    is_fa_finite,
+    is_nfa_finite,
+    verify_finite_theorems,
+    weight_from_abelianisation,
+)
 from .errors import (
     CapExceeded,
     EmptyGeneratorList,
@@ -32,7 +37,6 @@ from .errors import (
     PresentationSyntaxError,
     UnknownGenerator,
 )
-from .fingroup import weight_bruteforce
 from .presentation import abelian_invariants, parse_presentation, parse_word_text
 from .witness import fa_scan, find_annihilator
 
@@ -142,7 +146,7 @@ def cmd_finite(args) -> int:
         reports.append(nfa.as_dict())
         lines.append(_cover_line(nfa))
     if args.weight:
-        w = weight_bruteforce(group, args.caps.normal)
+        w = weight_from_abelianisation(group)
         reports.append({"group": group.name, "weight": w})
         lines.append(f"weight: {w}")
     if args.verify:

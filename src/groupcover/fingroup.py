@@ -298,9 +298,8 @@ def _closure_members(table, seeds):
             if y not in known:
                 known.add(y)
                 frontier.append(y)
-    # seeds may not include inverses; in a finite group closing under right
-    # multiplication by the seed set from the identity yields the subgroup,
-    # provided we start from all of them
+    # no inverses needed: in a finite group, closing {e} and the seeds under
+    # right multiplication by the seeds yields the subgroup they generate
     return known
 
 
@@ -486,18 +485,18 @@ def maximal_normal_subgroups(group, cap=None):
 
 
 def _is_solvable(group):
-    """Whether the derived series reaches {e}.  Each term is the normal
-    closure of the commutators of a generating set of the term before: that
-    closure lies in the term's commutator subgroup, which is normal in G,
-    and contains it."""
-    term = derived_subgroup(group)
-    while len(term) > 1:
-        gens = _greedy_generators(group.table, term)
-        below = _normal_closure_members(group, _commutators(group, gens))
-        if len(below) >= len(term):
-            return False
-        term = below
-    return True
+    """Whether the derived series reaches {e}, kept in the group's cache.
+    Each term is the normal closure of the commutators of a generating set
+    of the term before (that closure lies in the term's commutator subgroup,
+    which is normal in G, and contains it) until a term does not shrink."""
+    if "solvable" not in group._cache:
+        term, below = range(group.order + 1), derived_subgroup(group)
+        while 1 < len(below) < len(term):
+            term = below
+            gens = _greedy_generators(group.table, term)
+            below = _normal_closure_members(group, _commutators(group, gens))
+        group._cache["solvable"] = len(below) == 1
+    return group._cache["solvable"]
 
 
 def _hyperplane_masks(group):

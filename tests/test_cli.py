@@ -210,7 +210,10 @@ def test_finite_searches_the_weight_once(capsys, monkeypatch, flags):
     monkeypatch.setattr(fingroup, "weight_witness", counted)
     code, payload = run_json(capsys, "finite", "Q8", *flags)
     assert code == 0
-    assert searched == ["Q8"]
+    # --weight reads G^ab; only the harness searches, as the referee
+    assert searched == (["Q8"] if "--verify" in flags else [])
+    if "--weight" in flags:
+        assert {"group": "Q8", "weight": 2} in payload["reports"]
     if "--verify" in flags:
         assert payload["reports"][-1]["details"]["weight"] == "2"
 
@@ -246,14 +249,18 @@ def test_finite_cap_exit_3(capsys):
 
 
 def test_finite_weight_budget_exit_3(capsys, monkeypatch):
-    # F-A spends 8 AND products, within the budget; the weight search, with
-    # a budget of its own, runs out on level 2
+    # F-A spends 8 AND products, within the budget; the harness's weight
+    # search, with a budget of its own, runs out on level 2.  --weight alone
+    # reads G^ab and searches nothing
     monkeypatch.setattr(fingroup, "DEFAULT_SEARCH_BUDGET", 20)
-    assert main(["finite", "E 2 3", "--weight"]) == 3
+    assert main(["finite", "E 2 3", "--weight", "--verify"]) == 3
     assert capsys.readouterr().err == (
         "cap exceeded: weight search of E2^3 reached 11 intersections and spent 14 AND "
         "products; 7 more would pass the budget of 20\n"
     )
+    code, payload = run_json(capsys, "finite", "E 2 3", "--weight")
+    assert code == 0
+    assert payload["reports"][-1] == {"group": "E2^3", "weight": 3}
 
 
 @pytest.mark.parametrize(
@@ -286,23 +293,41 @@ def test_covering_budget_keeps_early_answer(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("finite", "prod(A 5, C 2)"), ("verify-all", "--max-order", "8")], ids=" ".join
+    "argv, module, budget, message",
+    [
+        # A5xC2 is not solvable, so `finite` reads it off the lattice, which
+        # spends 256 steps: each of its 4 normal subgroups visits the 4 class
+        # closures {e}, C2, A5 and G (16 visits), C2.A5 tests A5's 60 members
+        # and builds the 59 cosets of C2 they meet outside C2 (118 products),
+        # A5.C2 tests 2 members and builds one coset of A5 (60 products), and
+        # every other join N.B has N inside B and is free; the budget is
+        # checked after each subgroup, so the last one pops
+        pytest.param(
+            ("finite", "prod(A 5, C 2)"), fingroup, 255,
+            "normal-subgroup lattice of A5xC2 found 4 subgroups and spent 256 closure visits, "
+            "coset products and member tests, past the budget of 255",
+            id="finite prod(A 5, C 2)",
+        ),
+        # verify-all referees each solvable group's hyperplanes with its
+        # kernels onto C_p.  E2^3 walks 8 elements x 3 generators (24 edge
+        # checks) and reads its 7 kernels onto C2 off the tree, 8 steps
+        # each (56): 80 steps.  Every other group of order <= 8 spends at
+        # most 40 (C2xC4, D4, Q8: 8 x 2 + 3 x 8)
+        pytest.param(
+            ("verify-all", "--max-order", "8"), covering, 79,
+            "prime-index kernels of E2^3 spent 24 edge checks and kernel steps; the 7 kernels "
+            "of index 2 would spend 56 more, past the budget of 79",
+            id="verify-all --max-order 8",
+        ),
+    ],
 )
-def test_lattice_budget_exit_3(capsys, monkeypatch, argv):
-    # A5xC2 is not solvable, so `finite` reads it off the lattice, which
-    # spends 256 steps: each of its 4 normal subgroups visits the 4 class
-    # closures {e}, C2, A5 and G (16 visits), C2.A5 tests A5's 60 members
-    # and builds the 59 cosets of C2 they meet outside C2 (118 products),
-    # A5.C2 tests 2 members and builds one coset of A5 (60 products), and
-    # every other join N.B has N inside B and is free.  verify-all builds
-    # every lattice as the referee of the solvable route, and E2^3's spends
-    # 338
-    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 100)
+def test_lattice_budget_exit_3(capsys, monkeypatch, argv, module, budget, message):
+    monkeypatch.setattr(module, "LATTICE_BUDGET", budget)
     assert main(list(argv)) == 3
     err = capsys.readouterr().err
-    assert "cap exceeded: normal-subgroup lattice of " in err
-    assert "coset products and member tests, past the budget of 100" in err
-    assert "Traceback" not in err
+    assert err == f"cap exceeded: {message}\n"
+    monkeypatch.setattr(module, "LATTICE_BUDGET", budget + 1)
+    assert main(list(argv)) == 0
 
 
 def test_hyperplane_budget_exit_3(capsys, monkeypatch):
@@ -327,6 +352,16 @@ def test_finite_e2_8_past_the_lattice(capsys):
     assert code == 0
     assert [r["verdict"] for r in payload["reports"]] == [True, True]
     assert len(payload["reports"][0]["cover"]) == 255
+
+
+def test_finite_e2_8_weight_reads_the_abelianisation(capsys):
+    # the brute-force weight search of E2^8 passes its budget after about
+    # 16 s; G^ab has 8 invariant factors
+    code = run_within(2, ["finite", "E 2 8", "--weight", "--format", "json",
+                          "--caps", "order=256", "normal=256"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reports"][-1] == {"group": "E2^8", "weight": 8}
 
 
 def test_finite_trivial_verify(capsys):
@@ -650,6 +685,22 @@ def test_verify_all_corrupted_table_fails(capsys, tmp_path):
     [loop_report] = payload["reports"]
     assert loop_report["checks"] == {"group_axioms": False}
     assert loop_report["details"]["group_axioms"].startswith("NotAGroup('associativity fails")
+
+
+@pytest.mark.parametrize("text, line", [("#2\n0\n", 2), ("-1\n", 1), ("0\n0\n", 1)])
+@pytest.mark.parametrize("validate", [True, False], ids=["validated", "no-validate"])
+def test_cayley_header_below_one_exit_2(capsys, tmp_path, text, line, validate):
+    path = tmp_path / "empty.cayley"
+    path.write_text(text)
+    if validate:
+        argv = ["finite", str(path), "--from", "cayley"]
+    else:
+        argv = ["verify-all", "--max-order", "0", "--include", str(path), "--from", "cayley",
+                "--no-validate"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    header = text.split("\n")[line - 1]
+    assert err == f"parse error: the order must be at least 1, got {header} (line {line})\n"
 
 
 def test_config_file_provides_format(capsys, tmp_path, k235_file):

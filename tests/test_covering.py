@@ -1,12 +1,17 @@
+import re
 from itertools import combinations
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from groupcover import abelian, covering, fingroup
 from groupcover import (
+    FiniteGroup,
     abelian_invariants_finite,
     abelianisation,
     build_from_cayley_table,
+    build_from_permutations,
     cyclic_group,
     direct_product,
     elementary_group,
@@ -17,6 +22,8 @@ from groupcover import (
     normal_subgroups,
     subgroup_closure,
     verify_finite_theorems,
+    weight_bruteforce,
+    weight_from_abelianisation,
 )
 from groupcover.errors import NotAGroup, OrderCapExceeded, SearchBudgetExceeded, TrivialGroup
 
@@ -300,6 +307,21 @@ LATTICE_PRODUCT_SPECS = tuple(f"prod({a}, {b})" for a, b in (
     ("A 4", "E 3 2"), ("CxC 2 2", "CxC 2 6"), ("Q8", "Q8"), ("D 4", "Q8"),
 ))
 
+# the groups of the finite-lattice benchmark pools (LATTICE_PRODUCT_SPECS
+# holds the two heavy products and the middle band) and the solvable groups
+# of finite-large
+LATTICE_POOL_SPECS = LATTICE_PRODUCT_SPECS + ("E 2 5", "E 2 4") + tuple(
+    f"prod({a}, {b})" for a, b in (
+        ("A 4", "S 3"), ("C 6", "E 2 2"), ("C 5", "D 4"), ("C 4", "CxC 2 4"),
+        ("C 3", "SL 3"), ("E 2 2", "E 2 2"), ("C 5", "C 8"), ("C 2", "S 4"),
+        ("E 3 2", "E 2 2"), ("C 2", "E 2 3"), ("C 4", "Q8"), ("A 4", "E 2 2"),
+        ("C 6", "C 6"), ("C 8", "S 3"), ("C 4", "D 4"), ("C 5", "E 3 2"),
+        ("C 2", "SL 3"), ("D 4", "E 3 2"), ("A 4", "C 5"), ("C 4", "S 4"),
+        ("S 3", "Q8"), ("A 4", "Q8"), ("C 5", "E 2 3"), ("E 2 2", "Q8"),
+    )
+)
+LARGE_SOLVABLE_SPECS = ("D 95", "D 102", "CxC 6 32", "CxC 12 20", "D 86", "D 85")
+
 
 def test_covering_matches_subset_referee(catalog):
     # E2^5 (order 32) is a catalog group; E2^6 is 4-F-A, so the referee
@@ -355,11 +377,121 @@ def test_verify_referees_maximal_subgroups_with_the_lattice(monkeypatch):
 
 
 def test_verify_stops_at_the_lattice_budget_of_a_solvable_group(monkeypatch):
-    # the referee lattice is built even though F-A never needs it; E2^3's
-    # spends 338 steps (tests/test_fingroup.py derives them)
-    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 337)
-    with pytest.raises(SearchBudgetExceeded, match="normal-subgroup lattice of E2\\^3"):
+    # the kernel referee of E2^3 walks 8 elements x 3 generators (24 edge
+    # checks) and reads its 7 kernels onto C2 off the tree, 8 steps each
+    # (56): 80 steps, charged apart from the hyperplane route's own 56
+    monkeypatch.setattr(covering, "LATTICE_BUDGET", 80)
+    assert verify_finite_theorems(group_from_spec("E 2 3")).passed
+    monkeypatch.setattr(covering, "LATTICE_BUDGET", 79)
+    with pytest.raises(SearchBudgetExceeded, match=re.escape(
+        "prime-index kernels of E2^3 spent 24 edge checks and kernel steps; the 7 kernels "
+        "of index 2 would spend 56 more, past the budget of 79"
+    )):
         verify_finite_theorems(group_from_spec("E 2 3"))
+    # the walk is refused before it starts
+    monkeypatch.setattr(covering, "LATTICE_BUDGET", 23)
+    with pytest.raises(SearchBudgetExceeded, match=re.escape(
+        "spent 0 edge checks and kernel steps; the walk over 3 generators would spend 24 more"
+    )):
+        verify_finite_theorems(group_from_spec("E 2 3"))
+
+
+def test_verify_catches_a_dropped_kernel(monkeypatch):
+    # the theorems read the true cover and pass; only the referee disagrees
+    kernels = covering._prime_index_kernels
+    monkeypatch.setattr(covering, "_prime_index_kernels", lambda group: kernels(group)[1:])
+    report = verify_finite_theorems(group_from_spec("prod(S 3, C 4)"))
+    assert report.failing() == ["maximal_match_lattice"]
+
+
+def test_verify_fails_a_walk_that_misses_elements(monkeypatch):
+    # one generator of E2^2 reaches 2 of its 4 elements
+    monkeypatch.setattr(covering, "_generators", lambda group: fingroup._generators(group)[:1])
+    report = verify_finite_theorems(group_from_spec("E 2 2"))
+    assert report.failing() == ["maximal_match_lattice"]
+    assert "reach 2 of its 4 elements" in str(report.details["maximal_match_lattice"])
+
+
+def test_verify_builds_the_lattice_only_for_nonsolvable_groups():
+    solvable = group_from_spec("prod(S 3, C 4)")
+    assert verify_finite_theorems(solvable).passed
+    assert "normal_sets" not in solvable._cache
+    nonsolvable = group_from_spec("prod(A 5, C 2)")
+    assert verify_finite_theorems(nonsolvable).passed
+    assert "normal_sets" in nonsolvable._cache
+
+
+def test_verify_walks_the_derived_series_once(monkeypatch):
+    # S4 > A4 > V4 > 1: the walk past G' = A4 closes two terms, each from
+    # the greedy generators of the term before; the F-A route and the
+    # referee's dispatch share the cached answer
+    walked = []
+    greedy = fingroup._greedy_generators
+
+    def counted(table, members=None):
+        if members is not None:
+            walked.append(len(members))
+        return greedy(table, members)
+
+    monkeypatch.setattr(fingroup, "_greedy_generators", counted)
+    group = group_from_spec("S 4")
+    assert verify_finite_theorems(group).passed
+    assert walked == [12, 4]
+    assert group._cache["solvable"] is True
+
+
+def assert_kernels_match_lattice(group):
+    """The kernel referee against the lattice's maximal members of prime
+    index, which for a solvable group are all of its maximal members."""
+    maximal = fingroup._normal_subgroup_sets(group, group.order)[1]
+    prime_index = tuple(m for m in maximal if abelian.is_prime(group.order // m.bit_count()))
+    if fingroup._is_solvable(group):
+        assert prime_index == maximal, group.name
+    assert covering._prime_index_kernels(group) == prime_index, group.name
+
+
+def test_kernels_match_lattice_on_catalog(catalog):
+    for group in catalog:
+        if group.order <= 128:
+            assert_kernels_match_lattice(group)
+
+
+@pytest.mark.parametrize("spec", LATTICE_POOL_SPECS + LARGE_SOLVABLE_SPECS)
+def test_kernels_match_lattice_on_benchmark_groups(spec):
+    assert_kernels_match_lattice(group_from_spec(spec))
+
+
+# permutation generators whose tables have three or four greedy generators,
+# so that a later pivot of the relations mod p meets an earlier pivot row
+# that must be cleared at its column
+REDUCTION_CASES = (
+    (4, [[2, 1, 3, 0], [0, 1, 3, 2], [2, 0, 3, 1]]),
+    (4, [[2, 1, 0, 3], [1, 2, 3, 0], [1, 3, 0, 2], [1, 3, 2, 0]]),
+    (6, [[3, 0, 2, 4, 1, 5], [4, 1, 2, 5, 3, 0], [0, 5, 1, 4, 3, 2]]),
+)
+
+
+@pytest.mark.parametrize("degree, gens", REDUCTION_CASES)
+def test_kernels_match_lattice_when_pivots_are_cleared(degree, gens):
+    assert_kernels_match_lattice(build_from_permutations(degree, gens, cap=1024))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), max_size=3).map(lambda gens: (n, gens))
+))
+def test_kernels_match_lattice_on_random_permutations(degree_and_gens):
+    assert_kernels_match_lattice(build_from_permutations(*degree_and_gens))
+
+
+def test_weight_from_abelianisation_matches_bruteforce(catalog):
+    groups = [g for g in catalog if g.order <= 128]
+    groups += [group_from_spec(s) for s in LATTICE_POOL_SPECS]
+    for group in groups:
+        fresh = FiniteGroup(group.name, group.table)
+        weight = weight_from_abelianisation(fresh)
+        assert "weight" not in fresh._cache  # the brute-force key stays the referee's
+        assert weight == weight_bruteforce(fresh, fresh.order), group.name
 
 
 def test_verify_catalog(catalog):

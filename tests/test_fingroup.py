@@ -44,7 +44,12 @@ from groupcover.errors import (
 from groupcover import fingroup
 from groupcover.catalog import load_group
 from groupcover.fingroup import FiniteGroup, _check_associativity
-from tests.test_covering import LATTICE_PRODUCT_SPECS, members
+from tests.test_covering import (
+    LARGE_SOLVABLE_SPECS,
+    LATTICE_POOL_SPECS,
+    LATTICE_PRODUCT_SPECS,
+    members,
+)
 
 
 def normal_closure(group, seeds):
@@ -734,21 +739,6 @@ def test_lattice_budget_stops_early(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # maximal normal subgroups of solvable groups, read off G^ab
-
-# the groups of the finite-lattice benchmark pools (LATTICE_PRODUCT_SPECS
-# holds the two heavy products and the middle band) and the solvable groups
-# of finite-large
-LATTICE_POOL_SPECS = LATTICE_PRODUCT_SPECS + ("E 2 5", "E 2 4") + tuple(
-    f"prod({a}, {b})" for a, b in (
-        ("A 4", "S 3"), ("C 6", "E 2 2"), ("C 5", "D 4"), ("C 4", "CxC 2 4"),
-        ("C 3", "SL 3"), ("E 2 2", "E 2 2"), ("C 5", "C 8"), ("C 2", "S 4"),
-        ("E 3 2", "E 2 2"), ("C 2", "E 2 3"), ("C 4", "Q8"), ("A 4", "E 2 2"),
-        ("C 6", "C 6"), ("C 8", "S 3"), ("C 4", "D 4"), ("C 5", "E 3 2"),
-        ("C 2", "SL 3"), ("D 4", "E 3 2"), ("A 4", "C 5"), ("C 4", "S 4"),
-        ("S 3", "Q8"), ("A 4", "Q8"), ("C 5", "E 2 3"), ("E 2 2", "Q8"),
-    )
-)
-LARGE_SOLVABLE_SPECS = ("D 95", "D 102", "CxC 6 32", "CxC 12 20", "D 86", "D 85")
 
 
 def referee_derived_subgroup(group):
