@@ -135,7 +135,12 @@ class CatalogSpec:
 _ORDERS = {
     "C": lambda bound, n: n if n >= 1 else None,
     "CxC": lambda bound, m, n: m * n if m >= 1 and n >= 1 else None,
-    "E": lambda bound, p, k: _product_past(repeat(p, k), bound) if k >= 1 and is_prime(p) else None,
+    # a prime p has p^j past the bound by j = bound.bit_length() + 1, so no
+    # more factors are drawn, and k may pass what itertools can count
+    "E": lambda bound, p, k: (
+        _product_past(repeat(p, min(k, bound.bit_length() + 1)), bound)
+        if k >= 1 and is_prime(p) else None
+    ),
     "D": lambda bound, n: 2 * n if n >= 3 else None,
     "S": lambda bound, n: _product_past(range(2, n + 1), bound) if n >= 2 else None,
     "A": lambda bound, n: _product_past(range(2, n + 1), 2 * bound) // 2 if n >= 3 else None,

@@ -13,7 +13,6 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import product
 
 from .abelian import max_elementary_rank, prime_factors
@@ -26,9 +25,9 @@ from .fingroup import (
     _is_solvable,
     _maximal_cover,
     _MeetSearch,
-    _normal_subgroup_sets,
     abelian_invariants_finite,
     derived_subgroup,
+    normal_subgroups,
     validate_group,
     weight_bruteforce,
 )
@@ -207,6 +206,30 @@ def _prime_index_kernels(group: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(masks, key=_cover_order))
 
 
+def _referee_cover(group: FiniteGroup, cap) -> tuple[int, ...]:
+    """The maximal normal subgroups in cover order by a second route: a
+    solvable group's prime-index kernels, and any other group's proper
+    normal subgroups (`normal_subgroups`) that no other proper one contains,
+    in O(L^2) mask tests for L of them.  That enumeration is shared with
+    `maximal_normal_subgroups`, but not its rule, which marks N maximal when
+    every join of N with a class closure outside it is G."""
+    if _is_solvable(group):
+        return _prime_index_kernels(group)
+    proper = normal_subgroups(group, cap)[:-1]  # by (size, mask), so supersets come later
+    maximal = [m for i, m in enumerate(proper) if all(m & b != m for b in proper[i + 1:])]
+    return tuple(sorted(maximal, key=_cover_order))
+
+
+def _value_or_error(compute, group, cap):
+    """compute(group, cap), or the package error it raised; CapExceeded propagates."""
+    try:
+        return compute(group, cap)
+    except CapExceeded:
+        raise
+    except GroupCoverError as exc:
+        return exc
+
+
 @dataclass
 class TheoremReport:
     """One boolean per theorem instance; all true unless something is wrong
@@ -232,35 +255,26 @@ class TheoremReport:
         }
 
 
-def verify_finite_theorems(
-    group: FiniteGroup,
-    nfa_range=(1, 2, 3),
-    cap=None,
-) -> TheoremReport:
+def verify_finite_theorems(group: FiniteGroup, nfa_range=(1, 2, 3), cap=None) -> TheoremReport:
     """Cross-check the finite-group theorems on one group:
 
     (a) F-A  iff  the abelianisation has >= 2 invariant factors;
     (b) F-A  iff  some elementary p-rank of the abelianisation is >= 2;
     (c) n-F-A, read as weight > n,  iff  the abelianisation needs >= n+1
         generators, for each n in nfa_range, plus monotonicity in n;
-    (d) weight equals the abelianisation weight when the latter is >= 2,
-        and is <= 1 otherwise;
+    (d) weight equals the abelianisation weight when that is >= 2, else <= 1;
     (e) nontrivial perfect groups have weight exactly 1.
 
-    All of these read the maximal normal subgroups, so a second route
-    referees them; the check `maximal_match_lattice` appears, false, only
-    when the two differ.  A solvable group's, the hyperplanes of G/G'G^p,
-    are compared with the kernels of its homomorphisms onto C_p
-    (`_prime_index_kernels`: |G| edge checks per generator and |G| steps
-    per kernel); any other group's with the maximal members of its whole
-    normal-subgroup lattice.  Both charge LATTICE_BUDGET.  A table that
-    fails the group axioms gets that check alone.  A cap or budget hit
-    (CapExceeded) propagates, since it decides nothing; any other package
-    error marks its check as failed.
+    All of these read the maximal normal subgroups, so `_referee_cover`
+    finds them by a second route; the check `maximal_match_lattice`
+    appears, false, only when the two differ.  A table that fails the group
+    axioms gets that check alone.  A cap or budget hit (CapExceeded)
+    propagates, since it decides nothing; any other package error from the
+    referee or `weight_bruteforce` fails each check that reads the value,
+    as that check's detail.
     """
     report = TheoremReport(group.name)
     checks, details = report.checks, report.details
-
     try:
         validate_group(group)
     except GroupCoverError as exc:
@@ -268,72 +282,33 @@ def verify_finite_theorems(
         details["group_axioms"] = exc
         return report
     checks["group_axioms"] = True
-
     inv = abelian_invariants_finite(group)
     fa = is_fa_finite(group, cap)
+    referee = _value_or_error(_referee_cover, group, cap)
+    weight = _value_or_error(weight_bruteforce, group, cap)
     ab_weight = len(inv.factors)
-    details["abelian_invariants"] = inv
-    details["fa_verdict"] = fa.verdict
+    details.update(abelian_invariants=inv, fa_verdict=fa.verdict)
 
-    def attempt(name, thunk):
-        try:
-            checks[name] = bool(thunk())
-        except CapExceeded:
-            raise
-        except GroupCoverError as exc:
-            checks[name] = False
-            details[name] = exc
+    if referee != fa.cover:
+        checks["maximal_match_lattice"] = False
+        if isinstance(referee, GroupCoverError):
+            details["maximal_match_lattice"] = referee
+    checks["fa_iff_noncyclic_abelianisation"] = fa.verdict == (ab_weight >= 2)
+    checks["fa_iff_rank2_elementary_quotient"] = fa.verdict == (max_elementary_rank(inv)[1] >= 2)
 
-    # a second route referees the cover, so that the theorems below do not
-    # check themselves; it adds a check only when the two disagree
-    if group.order > 1:
-        try:
-            if _is_solvable(group):
-                referee = _prime_index_kernels(group)
-            else:
-                referee = _normal_subgroup_sets(group, cap)[1]
-            agree = referee == fa.cover
-        except CapExceeded:
-            raise
-        except GroupCoverError as exc:
-            agree = False
-            details["maximal_match_lattice"] = exc
-        if not agree:
-            checks["maximal_match_lattice"] = False
-
-    attempt("fa_iff_noncyclic_abelianisation", lambda: fa.verdict == (ab_weight >= 2))
-    attempt(
-        "fa_iff_rank2_elementary_quotient",
-        lambda: fa.verdict == (max_elementary_rank(inv)[1] >= 2),
-    )
-
-    # n-F-A holds exactly when the weight exceeds n, so one weight search
-    # answers every n
-    weight = cache(lambda: weight_bruteforce(group, cap))
-    nfa_verdicts = {}
-
-    def check_nfa(n):
-        verdict = nfa_verdicts[n] = weight() > n
-        return verdict == (ab_weight >= n + 1)
-
+    # n-F-A holds exactly when the weight exceeds n, so every n is read off
+    # one weight and the verdicts are monotone in n by construction
+    weighed = not isinstance(weight, GroupCoverError)
+    first = len(checks)
     for n in nfa_range:
-        attempt(f"nfa{n}_iff_ab_weight_ge_{n + 1}", lambda n=n: check_nfa(n))
-    ordered = sorted(nfa_verdicts)
-    checks["nfa_monotone"] = all(
-        nfa_verdicts[b] <= nfa_verdicts[a] for a, b in zip(ordered, ordered[1:])
-    )
-
-    def check_weight():
-        w = details["weight"] = weight()
-        if ab_weight >= 2:
-            return w == ab_weight
-        return w <= 1
-
-    def check_perfect():
-        if group.order > 1 and len(derived_subgroup(group)) == group.order:
-            return weight() == 1
-        return True
-
-    attempt("weight_matches_abelianisation", check_weight)
-    attempt("perfect_weight_one", check_perfect)
+        checks[f"nfa{n}_iff_ab_weight_ge_{n + 1}"] = weighed and (weight > n) == (ab_weight >= n + 1)
+    checks["nfa_monotone"] = True
+    matches = weighed and (weight == ab_weight if ab_weight >= 2 else weight <= 1)
+    checks["weight_matches_abelianisation"] = matches
+    perfect = group.order > 1 and len(derived_subgroup(group)) == group.order
+    checks["perfect_weight_one"] = not perfect or weighed and weight == 1
+    if weighed:
+        details["weight"] = weight
+    else:  # exactly the checks that read the weight are false
+        details.update((name, weight) for name in list(checks)[first:] if not checks[name])
     return report

@@ -75,6 +75,8 @@ def test_catalog_skips_entries_past_max_order():
     spec = parse_catalog_spec("C 3\nC 1024\nS 5\nE 2 2\nSL 7\n")
     assert [g.name for g in build_catalog(spec, max_order=4)] == ["C3", "E2^2"]
     assert [g.name for g in build_catalog(spec, cap=1024, max_order=120)] == ["C3", "S5", "E2^2"]
+    # a rank past sys.maxsize is skipped by its order, not refused by itertools
+    assert build_catalog(parse_catalog_spec("E 2 3317044064679887385961981\n"), max_order=0) == []
     with pytest.raises(ParseError, match="duplicate catalog entry 'C 1024'"):
         build_catalog(parse_catalog_spec("C 1024\nC 1024\n"), max_order=4)
 

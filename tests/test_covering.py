@@ -322,6 +322,11 @@ LATTICE_POOL_SPECS = LATTICE_PRODUCT_SPECS + ("E 2 5", "E 2 4") + tuple(
 )
 LARGE_SOLVABLE_SPECS = ("D 95", "D 102", "CxC 6 32", "CxC 12 20", "D 86", "D 85")
 
+# the nonsolvable groups of the finite-large benchmark
+NONSOLVABLE_LARGE_SPECS = ("S 6", "A 6", "SL 7", "prod(S 5, S 3)") + tuple(
+    f"prod({big}, {partner})" for big in ("S 5", "A 5", "SL 5") for partner in ("C 2", "C 3", "E 2 2")
+)
+
 
 def test_covering_matches_subset_referee(catalog):
     # E2^5 (order 32) is a catalog group; E2^6 is 4-F-A, so the referee
@@ -402,6 +407,54 @@ def test_verify_catches_a_dropped_kernel(monkeypatch):
     monkeypatch.setattr(covering, "_prime_index_kernels", lambda group: kernels(group)[1:])
     report = verify_finite_theorems(group_from_spec("prod(S 3, C 4)"))
     assert report.failing() == ["maximal_match_lattice"]
+
+
+def test_verify_catches_a_dropped_maximal_subgroup_of_a_nonsolvable_group(monkeypatch):
+    # a fault in the lattice's maximality rule, planted in the cached result
+    # that every caller of the enumeration reads: A5 x C2 loses A5 x 1
+    enumerate_lattice = fingroup._normal_subgroup_sets
+
+    def drop_first_maximal(group, cap=None):
+        found, maximal = enumerate_lattice(group, cap)
+        group._cache["normal_sets"] = found, maximal[1:]
+        return group._cache["normal_sets"]
+
+    monkeypatch.setattr(fingroup, "_normal_subgroup_sets", drop_first_maximal)
+    report = verify_finite_theorems(group_from_spec("prod(A 5, C 2)"))
+    assert report.failing() == ["maximal_match_lattice"]
+
+
+def test_referee_cover_matches_maximal_normal_subgroups_on_nonsolvable_groups(catalog):
+    groups = [(g, 128) for g in catalog if g.order <= 128 and not fingroup._is_solvable(g)]
+    assert {g.name for g, _ in groups} >= {"A5", "S5", "SL(2,5)"}
+    groups += [(group_from_spec(spec), 1024) for spec in NONSOLVABLE_LARGE_SPECS]
+    for group, cap in groups:
+        assert not fingroup._is_solvable(group), group.name
+        expected = maximal_normal_subgroups(group, cap)
+        assert covering._referee_cover(group, cap) == expected, group.name
+
+
+@pytest.mark.parametrize("fixture, perfect", [("klein", False), ("a5", True)])
+def test_verify_fails_each_check_that_reads_a_weight_error(monkeypatch, request, fixture, perfect):
+    # every check that reads the weight fails with the error as its detail;
+    # the F-A checks and nfa_monotone, which do not, still pass
+    error = NotAGroup("planted weight error")
+
+    def raise_error(group, cap=None):
+        raise error
+
+    monkeypatch.setattr(covering, "weight_bruteforce", raise_error)
+    report = verify_finite_theorems(request.getfixturevalue(fixture))
+    nfa = ["nfa1_iff_ab_weight_ge_2", "nfa2_iff_ab_weight_ge_3", "nfa3_iff_ab_weight_ge_4"]
+    assert list(report.checks) == [
+        "group_axioms", "fa_iff_noncyclic_abelianisation", "fa_iff_rank2_elementary_quotient",
+        *nfa, "nfa_monotone", "weight_matches_abelianisation", "perfect_weight_one",
+    ]
+    failing = [*nfa, "weight_matches_abelianisation"] + ["perfect_weight_one"] * perfect
+    assert report.failing() == failing
+    assert list(report.details) == ["abelian_invariants", "fa_verdict", *failing]
+    assert all(report.details[name] is error for name in failing)
+    assert report.checks["nfa_monotone"]
 
 
 def test_verify_fails_a_walk_that_misses_elements(monkeypatch):

@@ -48,6 +48,7 @@ from tests.test_covering import (
     LARGE_SOLVABLE_SPECS,
     LATTICE_POOL_SPECS,
     LATTICE_PRODUCT_SPECS,
+    NONSOLVABLE_LARGE_SPECS,
     members,
 )
 
@@ -622,12 +623,6 @@ def whole_class_closure(group, cls):
     """Referee for the lattice's base closures: the subgroup generated by a
     whole conjugacy class, |closure| x |class| products."""
     return frozenset(fingroup._closure_members(group.table, cls))
-
-
-# the nonsolvable groups of the finite-large benchmark
-NONSOLVABLE_LARGE_SPECS = ("S 6", "A 6", "SL 7", "prod(S 5, S 3)") + tuple(
-    f"prod({big}, {partner})" for big in ("S 5", "A 5", "SL 5") for partner in ("C 2", "C 3", "E 2 2")
-)
 
 
 def test_class_closures_match_whole_class_referee(catalog):

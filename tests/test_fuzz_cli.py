@@ -34,16 +34,16 @@ class _TooSlow(Exception):
 
 
 def run_cli(argv):
-    """(exit code, stderr) of main(argv), failing past TIME_LIMIT_S."""
+    """(exit code, stdout, stderr) of main(argv), failing past TIME_LIMIT_S."""
 
     def stop(signum, frame):
         raise _TooSlow(f"{argv!r} ran past {TIME_LIMIT_S} s")
 
     previous = signal.signal(signal.SIGALRM, stop)
     signal.alarm(TIME_LIMIT_S)
-    err = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects a flag value
@@ -51,13 +51,15 @@ def run_cli(argv):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def assert_clean_exit(argv):
-    code, err = run_cli(argv)
+    """(exit code, stdout) of a run that ends in exit 0, 2 or 3."""
+    code, out, err = run_cli(argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    return code, out
 
 
 HUGE = st.sampled_from(
@@ -112,12 +114,33 @@ TREES = st.recursive(leaves(), products, max_leaves=5)
 SPECS = st.one_of(TREES, deep_nesting(), mangled(TREES))
 
 
+@st.composite
+def finite_flags(draw):
+    """An optional `--nfa N`, `--weight`, `--verify` and `--format json`."""
+    flags = []
+    if draw(st.booleans()):
+        flags += ["--nfa", str(draw(st.integers(1, 4)))]
+    flags += [flag for flag in ("--weight", "--verify") if draw(st.booleans())]
+    if draw(st.booleans()):
+        flags += ["--format", "json"]
+    return flags
+
+
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-@given(SPECS)
-def test_fuzz_finite_specs(spec):
-    assert_clean_exit(["finite", spec, *CAPS])
+@given(SPECS, finite_flags())
+@example("A 5", ["--verify", "--format", "json"])
+@example("prod(C 1, A 5)", ["--nfa", "2", "--weight", "--verify"])
+def test_fuzz_finite_specs(spec, flags):
+    # a --verify run that exits 0 has passed every theorem check; A5 is
+    # under the normal cap, so its lattice referee is reached
+    code, out = assert_clean_exit(["finite", spec, *flags, *CAPS])
+    if code == 0 and "--verify" in flags:
+        if "json" in flags:
+            assert [r["passed"] for r in json.loads(out)["reports"] if "passed" in r] == [True]
+        else:
+            assert out.endswith("theorem checks: pass\n"), (spec, flags, out)
 
 
 MATRIX_P = st.one_of(st.sampled_from([2, 3, 5, 7, 1009]), st.integers(-2, 12), HUGE)
@@ -264,7 +287,7 @@ def test_fuzz_verify_all_unvalidated_tables(tmp_path, text):
     path.write_text(text)
     argv = ["verify-all", "--max-order", "0", "--include", str(path), "--from", "cayley",
             "--no-validate"]
-    code, err = run_cli(argv)
+    code, _, err = run_cli(argv)
     assert "Traceback" not in err, (text, err)
     if code == 1:
         assert err == "mismatch: f: group_axioms\n", (text, err)

@@ -18,10 +18,11 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "groupcover"
 BENCH = ROOT / "bench"
 
-# second implementations that only the tests call, each the referee of a
-# faster route: the lattice for the G^ab route to maximal normal subgroups,
-# the quotient table G/G' for the coset route to G^ab, the plain surjection
-# search for the orbit-pruned one, and the SNF oracle
+# second implementations kept as the referee of a faster route: the lattice
+# for the G^ab route to maximal normal subgroups in the tests, and for the
+# nonsolvable route under --verify as well; the quotient table G/G' for the
+# coset route to G^ab, the plain surjection search for the orbit-pruned one,
+# and the SNF oracle
 REFEREES = {
     ("fingroup", "normal_subgroups"),
     ("fingroup", "abelianisation"),
@@ -111,3 +112,34 @@ def init_exports():
 
 def test_readme_lists_the_package_exports():
     assert readme_exports() == init_exports()
+
+
+def readme_harness_checks():
+    """The check names listed under "Theorem harness checks" in README.md."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("### Theorem harness checks", 1)[1].split("\n#", 1)[0]
+    return re.findall(r"^- `([^`]*)`", section, flags=re.M)
+
+
+def check_names(report):
+    """The report's check names in order, each nfa check as its template."""
+    names = (re.sub(r"^nfa\d+_iff_ab_weight_ge_\d+$", "nfa{n}_iff_ab_weight_ge_{n+1}", name)
+             for name in report.checks)
+    return list(dict.fromkeys(names))
+
+
+def test_readme_lists_the_harness_checks(monkeypatch):
+    from groupcover import alternating_group, build_from_cayley_table, covering
+
+    listed = readme_harness_checks()
+    passing = covering.verify_finite_theorems(alternating_group(5))
+    assert passing.passed
+    assert check_names(passing) == [name for name in listed if name != "maximal_match_lattice"]
+    table = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+    table[1], table[2] = table[2], table[1]
+    corrupt = covering.verify_finite_theorems(build_from_cayley_table(table, "t", validate=False))
+    assert check_names(corrupt) == listed[:1] == ["group_axioms"]
+    monkeypatch.setattr(covering, "_referee_cover", lambda group, cap: ())
+    refused = covering.verify_finite_theorems(alternating_group(5))
+    assert refused.failing() == ["maximal_match_lattice"]
+    assert check_names(refused) == listed
