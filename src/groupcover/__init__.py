@@ -67,6 +67,7 @@ from .snf import smith_normal_form
 from .witness import (
     ScanReport,
     Witness,
+    WitnessTarget,
     enumerate_surjections,
     fa_scan,
     find_annihilator,

@@ -118,6 +118,8 @@ def special_linear_group(p: int, cap=None) -> FiniteGroup:
     """SL(2, p), of order p(p^2 - 1)."""
     cap = DEFAULT_CAPS.order if cap is None else cap
     _refuse_over_cap(f"SL(2,{p})", p * (p * p - 1), cap)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     gens = [((1, 1), (0, 1)), ((0, -1), (1, 0))]
     return build_from_matrix_generators(p, 2, gens, cap, name=f"SL(2,{p})")
 

@@ -316,14 +316,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", help="find an annihilation witness for a word")
     p.add_argument("presentation", help="presentation file")
     p.add_argument("word", help="word over the presentation's generators")
-    p.add_argument("--bound", type=int, required=True, metavar="B")
+    p.add_argument("--bound", type=_int_at_least(0), required=True, metavar="B")
     _add_common(p)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("scan", help="witness-scan all short words of a presentation")
     p.add_argument("presentation", help="presentation file")
     p.add_argument("--max-length", type=_int_at_least(0), default=3)
-    p.add_argument("--bound", type=int, required=True, metavar="B")
+    p.add_argument("--bound", type=_int_at_least(0), required=True, metavar="B")
     p.add_argument("--hint", choices=HINTS, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_scan)

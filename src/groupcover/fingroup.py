@@ -158,12 +158,22 @@ def build_from_permutations(degree, generators, cap=None, name=None):
             raise InvalidPermutation(f"{g} is not a permutation of 0..{degree - 1}")
         gens.append(g)
     identity = tuple(range(degree))
-
-    def compose(p, q):
-        return tuple(p[i] for i in q)
-
-    table = _closure_table(identity, gens, compose, cap, degree)
+    # p*q = p read at the points of q, one itemgetter per generator q; an
+    # itemgetter of one index returns a scalar, and degree 1 has only e
+    if degree == 1:
+        getters = [_same for _ in gens]
+    else:
+        getters = [itemgetter(*q) for q in gens]
+    table = _closure_table(identity, getters, _apply, cap, degree)
     return FiniteGroup(name or f"perm{degree}", tuple(table))
+
+
+def _same(p):
+    return p
+
+
+def _apply(p, getter):
+    return getter(p)
 
 
 def build_from_cayley_table(table, name="table", validate=True):
@@ -210,7 +220,8 @@ def _closure_table(identity, gens, op, cap, cost, spent=0):
     """Multiplication table of the closure of `gens`, elements numbered in
     BFS order from the identity, as tuple rows.
 
-    The BFS computes x*g for every element x and generator g; those ids are
+    The BFS computes x*g = op(x, g) for every element x and item g of
+    `gens` (a matrix, or a permutation's itemgetter); those ids are
     kept as `right[k][x]`, with each new element's BFS parent and generator
     (a Schreier vector).  Each call of `op` costs `cost` operations, charged
     with the `spent` ones against CONSTRUCTION_BUDGET.  The rest needs no

@@ -10,9 +10,12 @@ outcome is never evidence that no witness exists beyond the bound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_right
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import attrgetter
 
 from .abelian import AbelianInvariants, prime_factors
 from .catalog import (
@@ -29,7 +32,6 @@ from .config import DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
 from .fingroup import (
     FiniteGroup,
-    abelian_invariants_finite,
     conjugacy_classes,
     derived_subgroup,
     subgroup_closure,
@@ -39,9 +41,10 @@ from .words import Word, max_generator, reduced_words, render_word
 
 MAX_WITNESS_BOUND = 128
 # Most words one scan visits.  At this count `scan` on `< a | >` at bound 128
-# (29 999 words) peaks at 70 MiB (ru_maxrss, 29 MiB of it the bare process)
-# and takes about 1.1 s on 2 vCPU: each word holds its state in all 127 cyclic
-# targets, about 1.4 KiB.  With more generators a word costs about 0.6 KiB.
+# (29 999 words) peaks at 66 MiB (ru_maxrss, 17 MiB of it the process with
+# the package imported) and takes about 1.1 s on 2 vCPU: each word holds its
+# state in all 127 cyclic targets, about 1.4 KiB, and those 127 are the only
+# tables the scan builds.  With more generators a word costs about 0.6 KiB.
 SCAN_WORD_BUDGET = 3 * 10**4
 
 
@@ -76,32 +79,66 @@ def evaluate_word_direct(group: FiniteGroup, images, word: Word) -> int:
     return acc
 
 
-@lru_cache(maxsize=8)
-def witness_targets(bound: int) -> tuple[FiniteGroup, ...]:
+@dataclass(frozen=True, eq=False)
+class WitnessTarget:
+    """A catalog target by its closed forms: order, name and T^ab.  Its
+    table is built by `build` on the first use of `group`, and kept."""
+
+    order: int
+    name: str
+    abelian: AbelianInvariants
+    build: Callable[[], FiniteGroup] = field(repr=False)
+
+    @cached_property
+    def group(self) -> FiniteGroup:
+        return self.build()
+
+
+@lru_cache(maxsize=1)
+def _catalog() -> tuple[WitnessTarget, ...]:
+    """Every target of order <= MAX_WITNESS_BOUND, sorted by (order, name).
+    Each builder looks its family builder up in this module when it runs, so
+    it calls whatever the module attribute is then."""
+    records = [
+        WitnessTarget(n, f"C{n}", AbelianInvariants(0, (n,)), lambda n=n: cyclic_group(n))
+        for n in range(2, MAX_WITNESS_BOUND + 1)
+    ]
+    for p in (2, 3, 5, 7, 11):
+        k = 2
+        while p**k <= MAX_WITNESS_BOUND:
+            records.append(WitnessTarget(
+                p**k, f"E{p}^{k}", AbelianInvariants(0, (p,) * k),
+                lambda p=p, k=k: elementary_group(p, k),
+            ))
+            k += 1
+    records += [
+        WitnessTarget(
+            2 * n, f"D{n}", AbelianInvariants(0, (2, 2) if n % 2 == 0 else (2,)),
+            lambda n=n: dihedral_group(n),
+        )
+        for n in range(3, MAX_WITNESS_BOUND // 2 + 1)
+    ]
+    for order, name, factors, build in (
+        (6, "S3", (2,), lambda: symmetric_group(3)),
+        (24, "S4", (2,), lambda: symmetric_group(4)),
+        (12, "A4", (3,), lambda: alternating_group(4)),
+        (60, "A5", (), lambda: alternating_group(5)),
+        (8, "Q8", (2, 2), lambda: quaternion_group()),
+        (24, "SL(2,3)", (3,), lambda: special_linear_group(3)),
+    ):
+        records.append(WitnessTarget(order, name, AbelianInvariants(0, factors), build))
+    return tuple(sorted(records, key=lambda t: (t.order, t.name)))
+
+
+def witness_targets(bound: int) -> tuple[WitnessTarget, ...]:
     """The fixed search catalog, restricted to orders <= bound and sorted by
-    (order, name)."""
+    (order, name), as records whose tables are built on first use."""
     if bound > MAX_WITNESS_BOUND:
         raise SearchBudgetExceeded(
             f"witness bound {bound} exceeds the catalog maximum {MAX_WITNESS_BOUND}"
         )
-    groups = [cyclic_group(n) for n in range(2, bound + 1)]
-    for p in (2, 3, 5, 7, 11):
-        k = 2
-        while p**k <= bound:
-            groups.append(elementary_group(p, k))
-            k += 1
-    groups += [dihedral_group(n) for n in range(3, bound // 2 + 1)]
-    for builder, order in (
-        (lambda: symmetric_group(3), 6),
-        (lambda: symmetric_group(4), 24),
-        (lambda: alternating_group(4), 12),
-        (lambda: alternating_group(5), 60),
-        (quaternion_group, 8),
-        (lambda: special_linear_group(3), 24),
-    ):
-        if order <= bound:
-            groups.append(builder())
-    return tuple(sorted(groups, key=lambda g: (g.order, g.name)))
+    records = _catalog()
+    return records[: bisect_right(records, bound, key=attrgetter("order"))]
 
 
 @dataclass(frozen=True)
@@ -148,24 +185,38 @@ def enumerate_surjections(pres: Presentation, target: FiniteGroup) -> list[tuple
     in lexicographic order, within DEFAULT_SEARCH_BUDGET.  The witness search
     visits one per automorphism orbit and still finds the lexicographically
     first killing surjection; this full list is its referee."""
+    _refuse_space(target.order, pres.ngens)
     return _surjection_search(pres, target, None)
 
 
+def _refuse_space(order: int, ngens: int) -> None:
+    """Refuse a search over more than DEFAULT_SEARCH_BUDGET assignments of
+    `ngens` images in a target of this order."""
+    budget = DEFAULT_SEARCH_BUDGET
+    if order**ngens > budget:
+        raise SearchBudgetExceeded(f"assignment space {order}^{ngens} exceeds budget {budget}")
+
+
 @lru_cache(maxsize=4096)
-def _surjections_cached(pres, target):
-    """The surjections whose first non-identity image is the least of its orbit
-    (`_orbit_minima`), in lexicographic order.  Automorphisms of the target keep
-    relators, surjectivity and kills, so the first killing surjection stays.
+def _surjections_cached(pres, target: WitnessTarget):
+    """The surjections onto the target's table whose first non-identity
+    image is the least of its orbit (`_orbit_minima`), in lexicographic
+    order.  Automorphisms of the target keep relators, surjectivity and
+    kills, so the first killing surjection stays.
 
     A surjection G -> T induces one G^ab -> T^ab, so a target whose T^ab fails
     `_abelian_surjects` has none and is not searched.  The prune waits while
     the search could pass its budget (at most 2 n^k nodes), so a refused
-    target never hides the SearchBudgetExceeded the search would raise."""
+    target never hides the SearchBudgetExceeded the search would raise.
+    Both read the record's closed forms, so the table is built only for a
+    target that is searched."""
+    _refuse_space(target.order, pres.ngens)
     if 2 * target.order**pres.ngens <= DEFAULT_SEARCH_BUDGET:
         source = _source_abelianisation(pres)
-        if source is not None and not _abelian_surjects(source, abelian_invariants_finite(target)):
+        if source is not None and not _abelian_surjects(source, target.abelian):
             return ()
-    return tuple(_surjection_search(pres, target, _orbit_minima(target)))
+    group = target.group
+    return tuple(_surjection_search(pres, group, _orbit_minima(group)))
 
 
 @lru_cache(maxsize=64)
@@ -233,8 +284,6 @@ def _surjection_search(pres, target, least):
     budget = DEFAULT_SEARCH_BUDGET
     ngens = pres.ngens
     n = target.order
-    if n**ngens > budget:
-        raise SearchBudgetExceeded(f"assignment space {n}^{ngens} exceeds budget {budget}")
     orders = target.element_orders()
     constraint: dict[int, int] = {}
     for rel in pres.relators:
@@ -294,8 +343,12 @@ def find_annihilator(
     """First witness killing the word, searching targets in (order, name)
     order; None when no catalog target within the bound admits one."""
     # lazy, so a target's surjections are searched only once the search
-    # reaches it
-    space = ((t, _surjections_cached(pres, t)) for t in witness_targets(order_bound))
+    # reaches it, and its table is read only when it has some
+    space = (
+        (t.group, surjections)
+        for t in witness_targets(order_bound)
+        if (surjections := _surjections_cached(pres, t))
+    )
     found = _first_kill(space, word)
     if found is None:
         return None
@@ -490,7 +543,7 @@ def fa_scan(
         for target in pending:
             surjections = _surjections_cached(pres, target)
             if surjections:
-                blocks.append(_Block(target, surjections, k))
+                blocks.append(_Block(target.group, surjections, k))
                 return True
         return False
 

@@ -631,7 +631,7 @@ def test_verify_all_skips_catalog_entries_past_max_order_unbuilt(capsys, tmp_pat
 @pytest.mark.parametrize("text, code, message", [
     ("C 4\nC 1024\nC 1024\n", 2, "parse error: duplicate catalog entry 'C 1024'"),
     ("C 4\nE 4 2\n", 2, "parse error: bad parameters for E (4, 2): 4 is not prime"),
-    ("SL 8\n", 2, "error: 8 is not prime"),
+    ("SL 8\n", 2, "parse error: bad parameters for SL (8,): 8 is not prime"),
     ("C 12\n", 3, "cap exceeded: |G| = 12 exceeds normal-subgroup cap 8"),
 ])
 def test_verify_all_refuses_skipped_catalog_entries_that_are_invalid(capsys, tmp_path, text,
@@ -817,6 +817,17 @@ def test_bad_input_exit_2(capsys, tmp_path, klein_file, argv):
         code = exc.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "{k235}", "x", "--bound", "-3"],
+    ["scan", "{k235}", "--bound", "-3"],
+])
+def test_negative_bound_exit_2(capsys, k235_file, argv):
+    # --bound is checked like --max-length, so no "none <= -3" with exit 0
+    code, out, err = _in_process(capsys, [arg.format(k235=k235_file) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --bound: must be at least 0, got -3\n")
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ from groupcover.errors import (
     SingularGenerator,
     TrivialGroup,
 )
-from groupcover import fingroup
+from groupcover import catalog as catalog_module, fingroup
+from groupcover.config import DEFAULT_CAPS
 from groupcover.catalog import load_group
 from groupcover.fingroup import FiniteGroup, _check_associativity
 from tests.test_covering import (
@@ -93,6 +94,11 @@ def test_permutation_cap():
         build_from_permutations(5, [(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], cap=100)
 
 
+def compose_genexpr(p, q):
+    """The permutation p read at the points of q, by a tuple genexpr."""
+    return tuple(p[i] for i in q)
+
+
 def pairwise_closure_table(identity, gens, op, cap):
     """Referee for the Schreier-vector table: BFS closure, then every pair
     of elements composed and looked up (n^2 calls of `op`)."""
@@ -121,14 +127,20 @@ def refereed(monkeypatch):
     fast = fingroup._closure_table
 
     def both(identity, gens, op, cap, cost, spent=0):
+        referee_gens, compose = gens, op
+        if op is fingroup._apply:
+            # a permutation comes as the itemgetter of its images, which
+            # returns them when applied to the identity
+            referee_gens = [g(identity) for g in gens]
+            compose = compose_genexpr
         try:
             table = fast(identity, gens, op, cap, cost, spent)
         except ClosureExceedsCap:
             with pytest.raises(ClosureExceedsCap):
-                pairwise_closure_table(identity, gens, op, cap)
+                pairwise_closure_table(identity, referee_gens, compose, cap)
             raise
         assert all(type(row) is tuple for row in table)
-        assert table == pairwise_closure_table(identity, gens, op, cap)
+        assert table == pairwise_closure_table(identity, referee_gens, compose, cap)
         checked.append(len(table))
         return table
 
@@ -163,6 +175,55 @@ def test_closure_table_matches_referee_on_random_permutations(refereed, degree_a
         build_from_permutations(degree, gens, cap=120)
     except ClosureExceedsCap:
         pass  # past order 120 the referee refused the closure too
+
+
+def genexpr_permutation_table(degree, gens, cap=None):
+    """`build_from_permutations`' table with each product composed by a
+    tuple genexpr, the route before one itemgetter per generator."""
+    gens = [tuple(g) for g in gens]
+    cap = DEFAULT_CAPS.order if cap is None else cap
+    return tuple(fingroup._closure_table(tuple(range(degree)), gens, compose_genexpr, cap, degree))
+
+
+def test_permutation_compose_matches_genexpr_on_the_catalog(monkeypatch):
+    calls = []
+
+    def recording(degree, generators, cap=None, name=None):
+        calls.append((degree, generators, cap))
+        return build_from_permutations(degree, generators, cap, name)
+
+    monkeypatch.setattr(catalog_module, "build_from_permutations", recording)
+    build_catalog()
+    for target in witness_targets(128):
+        target.build()
+    for spec in LARGE_CLOSURE_SPECS:
+        group_from_spec(spec, cap=1024)
+    assert len(calls) > 70  # D3-D64, S2-S6, A3-A6
+    for degree, gens, cap in calls:
+        table = build_from_permutations(degree, gens, cap).table
+        assert table == genexpr_permutation_table(degree, gens, cap), (degree, gens)
+
+
+@pytest.mark.parametrize("gens", [[], [(0,)], [(0,), (0,)]])
+def test_permutation_compose_on_one_point(gens):
+    # an itemgetter of one index returns a scalar, so degree 1 composes apart
+    assert build_from_permutations(1, gens).table == ((0,),)
+    assert genexpr_permutation_table(1, gens) == ((0,),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), max_size=3).map(lambda gens: (n, gens))
+))
+def test_permutation_compose_matches_genexpr_on_random_permutations(degree_and_gens):
+    degree, gens = degree_and_gens
+    try:
+        table = build_from_permutations(degree, gens, cap=120).table
+    except ClosureExceedsCap as exc:
+        with pytest.raises(ClosureExceedsCap, match=re.escape(str(exc))):
+            genexpr_permutation_table(degree, gens, cap=120)
+    else:
+        assert table == genexpr_permutation_table(degree, gens, cap=120)
 
 
 def test_construction_budget_counts_operations(monkeypatch):
@@ -976,7 +1037,7 @@ def commutes_pairwise(group):
 def test_abelian_invariants_match_the_quotient(catalog):
     # the coset route to G^ab against the quotient table G/G', and G' = {e}
     # against the pairwise check
-    groups = [*catalog, *witness_targets(128)]
+    groups = [*catalog, *(t.group for t in witness_targets(128))]
     groups += [group_from_spec(spec) for spec in NONSOLVABLE_LARGE_SPECS]
     for group in groups:
         fresh = FiniteGroup(group.name, group.table)  # neither G' nor G^ab cached

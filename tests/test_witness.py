@@ -11,9 +11,12 @@ from hypothesis import given, settings
 from groupcover import (
     abelian_invariants_finite,
     abelianisation,
+    alternating_group,
     cyclic_group,
     derived_subgroup,
+    dihedral_group,
     direct_product,
+    elementary_group,
     enumerate_surjections,
     fa_scan,
     find_annihilator,
@@ -50,8 +53,17 @@ def pres(text):
     return parse_presentation(text)
 
 
-def by_name(bound, name):
+def record(bound, name):
     return next(t for t in witness_targets(bound) if t.name == name)
+
+
+def by_name(bound, name):
+    return record(bound, name).group
+
+
+def groups(bound):
+    """The built tables of `witness_targets(bound)`."""
+    return [t.group for t in witness_targets(bound)]
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +84,7 @@ def test_surjections_k235_onto_c4(k235):
 
 
 def test_surjections_higman_empty_up_to_30(higman):
-    for target in witness_targets(30):
+    for target in groups(30):
         assert enumerate_surjections(higman, target) == []
 
 
@@ -142,7 +154,7 @@ def brute_automorphisms(target):
 
 
 def test_orbit_minima_match_brute_force():
-    for target in witness_targets(60):
+    for target in groups(60):
         autos = brute_automorphisms(target)
         least = [x == min(a[x] for a in autos) for x in range(target.order)]
         assert list(map(bool, witness._orbit_minima(target))) == least, target.name
@@ -151,10 +163,11 @@ def test_orbit_minima_match_brute_force():
 @pytest.mark.parametrize("text", ORBIT_PRESENTATIONS)
 def test_orbit_search_matches_full_lists(text):
     p = pres(text)
-    for target in witness_targets(60):
+    for rec in witness_targets(60):
+        target = rec.group
         autos = brute_automorphisms(target)
         full = full_surjections(text, target)
-        reduced = witness._surjections_cached(p, target)
+        reduced = witness._surjections_cached(p, rec)
         # every nonempty full list keeps a representative
         assert bool(reduced) == bool(full), (text, target.name)
         # exactly the surjections whose first non-identity image is the
@@ -171,7 +184,7 @@ def test_orbit_search_matches_full_lists(text):
 
 
 def first_kill_over_full_lists(text, word, bound):
-    for target in witness_targets(bound):
+    for target in groups(bound):
         for images in full_surjections(text, target):
             if evaluate_word_direct(target, images, word) == 0:
                 return target.name, images
@@ -324,23 +337,39 @@ def test_abelian_surjects(source, target, surjects):
 def test_generators_commute_exactly_on_abelian_targets():
     # G' is the normal closure of the commutators of the greedy generators,
     # so the orbit rule reads "abelian" as G' = {e}
-    for target in witness_targets(128):
+    for target in groups(128):
         fresh = FiniteGroup(target.name, target.table)  # G' not cached
         assert (len(derived_subgroup(fresh)) == 1) is commutes_pairwise(fresh), target.name
 
 
-def test_refused_targets_build_no_classes():
-    # G^ab = C6 is cyclic, so neither E2^2 nor Q8 (Q8^ab = E2^2) is a quotient
+def built(records):
+    """The names of the records whose tables have been built."""
+    return [t.name for t in records if "group" in vars(t)]
+
+
+@pytest.fixture
+def fresh_catalog():
+    """Target records with no table built, and no surjections cached."""
+    witness._catalog.cache_clear()
+    witness._surjections_cached.cache_clear()
+    yield
+    witness._catalog.cache_clear()
+    witness._surjections_cached.cache_clear()
+
+
+def test_refused_targets_build_no_classes(fresh_catalog):
+    # G^ab = C6 is cyclic, so neither E2^2 nor Q8 (Q8^ab = E2^2) is a
+    # quotient; refused by their closed-form T^ab, they build no table at all
     p = pres("< a, b | a^2, b^3, a b a^-1 b^-1 >")
-    c2 = cyclic_group(2)
-    for target in (direct_product(c2, c2), quaternion_group()):
+    targets = (record(4, "E2^2"), record(8, "Q8"))
+    for target in targets:
         assert witness._surjections_cached(p, target) == ()
-        assert "classes" not in target._cache, target.name
+    assert built(targets) == []
 
 
 def test_target_abelianisation_matches_the_quotient():
     # the prune reads T^ab off the cosets of T'; the quotient T/T' referees it
-    for target in witness_targets(128):
+    for target in groups(128):
         fresh = FiniteGroup(target.name, target.table)  # T^ab not cached
         expected = abelian_invariants_finite(abelianisation(target))
         assert abelian_invariants_finite(fresh) == expected, target.name
@@ -374,19 +403,21 @@ def test_prune_refuses_only_targets_without_surjections(text, stated):
     targets = prune_targets(text)
     skipped = [
         t for t in targets
-        if not witness._abelian_surjects(inv(*stated), abelian_invariants_finite(t))
+        if not witness._abelian_surjects(inv(*stated), abelian_invariants_finite(t.group))
     ]
     assert skipped  # the prune is not idle on any of them
     for target in skipped:
-        assert full_surjections(text, target) == [], (text, target.name)
+        assert full_surjections(text, target.group) == [], (text, target.name)
         assert witness._surjections_cached(p, target) == (), (text, target.name)
     for target in targets:
-        assert bool(witness._surjections_cached(p, target)) == bool(full_surjections(text, target))
+        assert bool(witness._surjections_cached(p, target)) == bool(
+            full_surjections(text, target.group)
+        )
 
 
 def first_kill_unpruned(text, word, bound):
     """`_first_kill` over the full, unpruned surjection lists."""
-    space = ((t, full_surjections(text, t)) for t in witness_targets(bound))
+    space = ((t, full_surjections(text, t)) for t in groups(bound))
     found = witness._first_kill(space, word)
     return None if found is None else (found[0].name, found[1])
 
@@ -447,7 +478,7 @@ def test_prune_waits_where_the_search_could_pass_its_budget(monkeypatch, fresh_c
     # G^ab = C2 x C6 has no quotient C4; below 2 * 4^2 the prune leaves the
     # target to the search, which reports a budget of 10 as before
     p = pres("< a, b | a^2 b^4, a^4 b^2 >")
-    c4 = by_name(4, "C4")
+    c4 = record(4, "C4")
     assert abelian_invariants(p) == inv(0, 2, 6)
     monkeypatch.setattr(witness, "DEFAULT_SEARCH_BUDGET", 10)
     with pytest.raises(SearchBudgetExceeded):
@@ -465,7 +496,7 @@ def referee_fa_scan(pres, max_word_length, order_bound, hint=None):
     """The scan as one `_first_kill` search per word over `reduced_words`,
     re-evaluating every word from the identity under every surjection."""
     verdict = classify_fa(pres, hint)
-    space = [(t, enumerate_surjections(pres, t)) for t in witness_targets(order_bound)]
+    space = [(t, enumerate_surjections(pres, t)) for t in groups(order_bound)]
     texts, kills = [], []
     for word in reduced_words(pres.ngens, max_word_length):
         found = witness._first_kill(space, word)
@@ -479,7 +510,7 @@ def referee_fa_scan(pres, max_word_length, order_bound, hint=None):
 def referee_entries(pres, max_word_length, order_bound, hint=None):
     """The scan's entries, one `_first_kill` search per word as above."""
     verdict = classify_fa(pres, hint)
-    space = [(t, enumerate_surjections(pres, t)) for t in witness_targets(order_bound)]
+    space = [(t, enumerate_surjections(pres, t)) for t in groups(order_bound)]
     entries = []
     for word in reduced_words(pres.ngens, max_word_length):
         found = witness._first_kill(space, word)
@@ -747,6 +778,63 @@ def test_witness_targets_sorted_and_bounded():
 def test_witness_targets_bound_guard():
     with pytest.raises(SearchBudgetExceeded):
         witness_targets(4096)
+
+
+def eager_witness_targets(bound):
+    """The catalog with every table built at once, sorted by (order, name):
+    the route before the records, kept as their referee."""
+    tables = [cyclic_group(n) for n in range(2, bound + 1)]
+    for p in (2, 3, 5, 7, 11):
+        k = 2
+        while p**k <= bound:
+            tables.append(elementary_group(p, k))
+            k += 1
+    tables += [dihedral_group(n) for n in range(3, bound // 2 + 1)]
+    for builder, order in (
+        (lambda: symmetric_group(3), 6),
+        (lambda: symmetric_group(4), 24),
+        (lambda: alternating_group(4), 12),
+        (lambda: alternating_group(5), 60),
+        (quaternion_group, 8),
+        (lambda: special_linear_group(3), 24),
+    ):
+        if order <= bound:
+            tables.append(builder())
+    return sorted(tables, key=lambda g: (g.order, g.name))
+
+
+def test_records_match_their_tables():
+    # the closed-form order, name and T^ab of every record against its table
+    records = witness_targets(128)
+    assert len(records) == 208
+    for target in records:
+        group = target.group
+        assert (group.order, group.name) == (target.order, target.name)
+        assert abelian_invariants_finite(group) == target.abelian, target.name
+
+
+@pytest.mark.parametrize("bound", [1, 2, 8, 30, 60, 120, 128])
+def test_records_keep_the_eager_order(bound):
+    records = witness_targets(bound)
+    eager = eager_witness_targets(bound)
+    assert [(t.order, t.name) for t in records] == [(g.order, g.name) for g in eager]
+    assert [t.group.table for t in records] == [g.table for g in eager]
+
+
+def test_witness_targets_build_no_table(fresh_catalog):
+    for bound in range(-1, 129):
+        assert built(witness_targets(bound)) == []
+    assert built(witness._catalog()) == []
+
+
+def test_annihilator_builds_only_the_searched_tables(fresh_catalog):
+    # (2,3,7) is perfect, so only a target with trivial T^ab passes the prune
+    p = pres("< x, y | x^2, y^3, (x y)^7 >")
+    assert find_annihilator(p, parse_word_text("x", p), 120) is None
+    records = witness_targets(120)
+    passing = [t.name for t in records if witness._abelian_surjects(inv(0), t.abelian)]
+    assert passing == ["A5"]
+    assert built(records) == passing
 
 
 def test_every_returned_witness_verifies(k235):
