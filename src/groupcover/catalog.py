@@ -1,6 +1,10 @@
 """Named families of small groups used throughout the test suites, plus
 ingestion of externally supplied groups.
 
+Each family is one `_FAMILIES` row (parameter count, builder, name format,
+closed-form order); `_closed_form` reads a member's order and name off it
+unbuilt, for `build_catalog`'s `max_order` skip and the witness targets.
+
 The default catalog covers all cyclic groups up to order 32, products of
 two cyclics, elementary p-groups and dihedral groups within the same order
 bound, and the named groups S3, S4, S5, A4, A5, Q8, SL(2,3), SL(2,5).
@@ -131,36 +135,35 @@ class CatalogSpec:
     entries: tuple[tuple[str, tuple[int, ...]], ...]
 
 
-# family -> the closed-form order of a member, or a partial product of it
-# once that passes `bound`; None for parameters the builder refuses, so
-# that it is built and reports them
-_ORDERS = {
-    "C": lambda bound, n: n if n >= 1 else None,
-    "CxC": lambda bound, m, n: m * n if m >= 1 and n >= 1 else None,
+# family -> (parameter count, builder, name format, closed-form order); every
+# builder takes the order cap.  The order is that of a member, or a partial
+# product of it once that passes `bound`, and None for parameters the
+# builder refuses, so that it is built and reports them.
+_FAMILIES = {
+    "C": (1, cyclic_group, "C{}", lambda bound, n: n if n >= 1 else None),
+    "CxC": (2, cyclic_product, "C{}xC{}", lambda bound, m, n: m * n if m >= 1 and n >= 1 else None),
     # a prime p has p^j past the bound by j = bound.bit_length() + 1, so no
     # more factors are drawn, and k may pass what itertools can count
-    "E": lambda bound, p, k: (
+    "E": (2, elementary_group, "E{}^{}", lambda bound, p, k: (
         _product_past(repeat(p, min(k, bound.bit_length() + 1)), bound)
         if k >= 1 and is_prime(p) else None
-    ),
-    "D": lambda bound, n: 2 * n if n >= 3 else None,
-    "S": lambda bound, n: _product_past(range(2, n + 1), bound) if n >= 2 else None,
-    "A": lambda bound, n: _product_past(range(2, n + 1), 2 * bound) // 2 if n >= 3 else None,
-    "Q8": lambda bound: 8,
-    "SL": lambda bound, p: p * (p * p - 1) if is_prime(p) else None,
+    )),
+    "D": (1, dihedral_group, "D{}", lambda bound, n: 2 * n if n >= 3 else None),
+    "S": (1, symmetric_group, "S{}",
+          lambda bound, n: _product_past(range(2, n + 1), bound) if n >= 2 else None),
+    "A": (1, alternating_group, "A{}",
+          lambda bound, n: _product_past(range(2, n + 1), 2 * bound) // 2 if n >= 3 else None),
+    "Q8": (0, quaternion_group, "Q8", lambda bound: 8),
+    "SL": (1, special_linear_group, "SL(2,{})",
+           lambda bound, p: p * (p * p - 1) if is_prime(p) else None),
 }
 
-# family -> (parameter count, builder); every builder takes the order cap
-_FAMILIES = {
-    "C": (1, cyclic_group),
-    "CxC": (2, cyclic_product),
-    "E": (2, elementary_group),
-    "D": (1, dihedral_group),
-    "S": (1, symmetric_group),
-    "A": (1, alternating_group),
-    "Q8": (0, quaternion_group),
-    "SL": (1, special_linear_group),
-}
+
+def _closed_form(family: str, params, bound: int):
+    """(order, name) of a member of `family` by its row, without building
+    it; the order as `_FAMILIES` gives it for `bound`."""
+    _, _, name, order = _FAMILIES[family]
+    return order(bound, *params), name.format(*params)
 
 
 def default_catalog_spec(order_bound: int = 32) -> CatalogSpec:
@@ -231,7 +234,7 @@ def build_catalog(
         if (family, params) in seen:
             raise ParseError(f"duplicate catalog entry {' '.join(map(str, (family, *params)))!r}")
         seen.add((family, params))
-        order = None if max_order is None else _ORDERS[family](max_order, *params)
+        order = None if max_order is None else _closed_form(family, params, max_order)[0]
         if order is None or order <= max_order:
             groups.append(build_entry(family, params, cap))
     return groups

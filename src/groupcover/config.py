@@ -30,9 +30,15 @@ DEFAULT_CAPS = Caps()
 # during homomorphism search (pruning usually visits far fewer nodes), and
 # on the AND products of the search behind F-A, n-F-A and the weight.
 DEFAULT_SEARCH_BUDGET = 10**8
-# Steps per lattice: one per base closure a popped subgroup walks over, one
-# per coset product and one per member of B a join N.B tests; E2^6 spends
-# 643 850 and E2^7 13 792 202.
+# Steps one search for normal subgroups may spend; three routes count
+# against it, each on its own:
+# - the lattice: one per base closure a popped subgroup walks over, one per
+#   coset product and one per member of B a join N.B tests; E2^6 spends
+#   643 850 and E2^7 13 792 202;
+# - `_hyperplane_masks`: one per coset union and one per membership that
+#   builds a hyperplane of G/G'G^p;
+# - `_prime_index_kernels`: one per Cayley-graph edge checked and one per
+#   element of each kernel it reads off.
 LATTICE_BUDGET = DEFAULT_SEARCH_BUDGET
 # Operations a group construction may spend: one per point of a permutation
 # product, d^3 per product or determinant of d x d matrices.  S6 spends

@@ -4,7 +4,9 @@ small finite groups that kill a given word.
 The target catalog is a fixed, documented family list (cyclic, elementary
 abelian, dihedral, S3, S4, A4, A5, Q8, SL(2,3)); completeness over *all*
 groups of a given order is deliberately not claimed, and a "none <= B"
-outcome is never evidence that no witness exists beyond the bound.
+outcome is never evidence that no witness exists beyond the bound.  Each
+target is a family member of the group catalog plus its T^ab; its order,
+name and builder come from the family's one row there.
 """
 
 from __future__ import annotations
@@ -13,20 +15,12 @@ import json
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import gcd
 from operator import attrgetter
 
 from .abelian import AbelianInvariants, prime_factors
-from .catalog import (
-    alternating_group,
-    cyclic_group,
-    dihedral_group,
-    elementary_group,
-    quaternion_group,
-    special_linear_group,
-    symmetric_group,
-)
+from .catalog import _closed_form, build_entry
 from .classify import FA, classify_fa
 from .config import DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
@@ -97,37 +91,24 @@ class WitnessTarget:
 @lru_cache(maxsize=1)
 def _catalog() -> tuple[WitnessTarget, ...]:
     """Every target of order <= MAX_WITNESS_BOUND, sorted by (order, name).
-    Each builder looks its family builder up in this module when it runs, so
-    it calls whatever the module attribute is then."""
-    records = [
-        WitnessTarget(n, f"C{n}", AbelianInvariants(0, (n,)), lambda n=n: cyclic_group(n))
-        for n in range(2, MAX_WITNESS_BOUND + 1)
-    ]
-    for p in (2, 3, 5, 7, 11):
-        k = 2
-        while p**k <= MAX_WITNESS_BOUND:
+    An entry is (family, params, T^ab factors), kept when the order its
+    family's catalog row gives is within the bound; the record's name also
+    comes from that row, and its table is built by `build_entry`."""
+    bound = MAX_WITNESS_BOUND
+    entries = [("C", (n,), (n,)) for n in range(2, bound + 1)]
+    entries += [("E", (p, k), (p,) * k) for p in (2, 3, 5, 7, 11)
+                for k in range(2, bound.bit_length())]
+    entries += [("D", (n,), (2, 2) if n % 2 == 0 else (2,)) for n in range(3, bound + 1)]
+    entries += [("S", (3,), (2,)), ("S", (4,), (2,)), ("A", (4,), (3,)), ("A", (5,), ()),
+                ("Q8", (), (2, 2)), ("SL", (3,), (3,))]
+    records = []
+    for family, params, factors in entries:
+        order, name = _closed_form(family, params, bound)
+        if order <= bound:
             records.append(WitnessTarget(
-                p**k, f"E{p}^{k}", AbelianInvariants(0, (p,) * k),
-                lambda p=p, k=k: elementary_group(p, k),
+                order, name, AbelianInvariants(0, factors), partial(build_entry, family, params)
             ))
-            k += 1
-    records += [
-        WitnessTarget(
-            2 * n, f"D{n}", AbelianInvariants(0, (2, 2) if n % 2 == 0 else (2,)),
-            lambda n=n: dihedral_group(n),
-        )
-        for n in range(3, MAX_WITNESS_BOUND // 2 + 1)
-    ]
-    for order, name, factors, build in (
-        (6, "S3", (2,), lambda: symmetric_group(3)),
-        (24, "S4", (2,), lambda: symmetric_group(4)),
-        (12, "A4", (3,), lambda: alternating_group(4)),
-        (60, "A5", (), lambda: alternating_group(5)),
-        (8, "Q8", (2, 2), lambda: quaternion_group()),
-        (24, "SL(2,3)", (3,), lambda: special_linear_group(3)),
-    ):
-        records.append(WitnessTarget(order, name, AbelianInvariants(0, factors), build))
-    return tuple(sorted(records, key=lambda t: (t.order, t.name)))
+    return tuple(sorted(records, key=attrgetter("order", "name")))
 
 
 def witness_targets(bound: int) -> tuple[WitnessTarget, ...]:

@@ -10,7 +10,13 @@ from groupcover import (
     load_group,
     validate_group,
 )
-from groupcover.catalog import _FAMILIES, _ORDERS, CatalogSpec, build_entry, parse_catalog_spec
+from groupcover.catalog import (
+    _FAMILIES,
+    CatalogSpec,
+    _closed_form,
+    build_entry,
+    parse_catalog_spec,
+)
 from groupcover.errors import ClosureExceedsCap, NotAGroup, ParseError
 
 
@@ -55,20 +61,25 @@ def test_catalog_small_spec():
 
 
 def test_closed_form_orders_match_the_builds(catalog):
-    # the orders build_catalog skips entries by, against the built tables of
-    # the default catalog and of a few members past it; a bound below the
-    # order gives a partial product past the bound
-    entries = default_catalog_spec().entries + (("S", (6,)), ("A", (6,)), ("SL", (7,)))
+    # the orders and names of the family rows, which build_catalog skips
+    # entries by and the witness records read, against the built tables of
+    # the default catalog (SL 3 among them), of a few members past it and of
+    # one member of each parameter range only the witness targets use; a
+    # bound below the order gives a partial product past the bound
+    entries = default_catalog_spec().entries + (
+        ("S", (6,)), ("A", (6,)), ("SL", (7,)),
+        ("E", (7, 2)), ("E", (11, 2)), ("D", (64,)),
+    )
     groups = catalog + [build_entry(*entry, cap=1024) for entry in entries[len(catalog):]]
     for (family, params), group in zip(entries, groups):
-        assert _ORDERS[family](group.order, *params) == group.order, group.name
-        assert _ORDERS[family](group.order - 1, *params) >= group.order, group.name
-    assert _ORDERS["E"](12, 2, 10**18) == 16
-    assert _ORDERS["S"](12, 10**18) == 24
+        assert _closed_form(family, params, group.order) == (group.order, group.name)
+        assert _closed_form(family, params, group.order - 1)[0] >= group.order, group.name
+    assert _closed_form("E", (2, 10**18), 12)[0] == 16
+    assert _closed_form("S", (10**18,), 12)[0] == 24
     # invalid parameters have no order, so that their builder reports them
     for family, params in (("C", (0,)), ("E", (4, 2)), ("E", (2, 0)), ("D", (2,)),
                            ("S", (1,)), ("A", (2,)), ("SL", (8,)), ("CxC", (-2, -3))):
-        assert _ORDERS[family](1, *params) is None, (family, params)
+        assert _closed_form(family, params, 1)[0] is None, (family, params)
 
 
 def test_catalog_skips_entries_past_max_order():

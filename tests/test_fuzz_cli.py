@@ -1,9 +1,10 @@
 """CLI fuzz gate: random group specs, matrix, permutation and Cayley-table
 files, catalog files, config files mixed with `--caps`, scans of and witness
 searches over random presentations and analyses of dense ones, valid or
-not, end in exit 0, 2 or 3 within a few seconds and never in a traceback;
-an unvalidated Cayley table in `verify-all` may also exit 1, failing the
-group axioms alone.
+not, with random flags, end in exit 0, 2 or 3 within a few seconds and
+never in a traceback; an unvalidated Cayley table in `verify-all` may also
+exit 1, failing the group axioms alone.  A `--format json` run that exits 0
+prints one JSON document.
 
 The `finite` runs pass `--caps normal=64`.  At the default normal-subgroup
 cap of 128 a valid E2^7 takes about 2.2 s to decide (its lattice spends
@@ -23,6 +24,8 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, example, given, settings
 
 from groupcover.abelian import MILLER_RABIN_EXACT_BELOW
+from groupcover.catalog import _FAMILIES
+from groupcover.classify import HINTS
 from groupcover.cli import main
 
 TIME_LIMIT_S = 5
@@ -55,10 +58,13 @@ def run_cli(argv):
 
 
 def assert_clean_exit(argv):
-    """(exit code, stdout) of a run that ends in exit 0, 2 or 3."""
+    """(exit code, stdout) of a run that ends in exit 0, 2 or 3, and prints
+    JSON if it asked for it and exits 0."""
     code, out, err = run_cli(argv)
     assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    if code == 0 and ("--format", "json") in zip(argv, argv[1:]):
+        json.loads(out)
     return code, out
 
 
@@ -66,7 +72,6 @@ HUGE = st.sampled_from(
     [10**6, 10**9 + 7, 10**18 + 3, 2**61 - 1, MILLER_RABIN_EXACT_BELOW, 10**40]
 )
 SPACE = st.sampled_from(["", " ", "  ", "\t"])
-ARITY = {"C": 1, "CxC": 2, "E": 2, "D": 1, "S": 1, "A": 1, "Q8": 0, "SL": 1}
 SMALL = st.integers(1, 8)
 PARAM = st.one_of(SMALL, SMALL, SMALL, st.integers(-1, 0), HUGE).map(str)
 
@@ -75,8 +80,9 @@ PARAM = st.one_of(SMALL, SMALL, SMALL, st.integers(-1, 0), HUGE).map(str)
 def leaves(draw):
     """A family entry, usually well formed; sometimes with a wrong family,
     parameter count or parameter."""
-    family = draw(st.sampled_from(sorted(ARITY)))
-    params = draw(st.lists(PARAM, min_size=ARITY[family], max_size=ARITY[family]))
+    family = draw(st.sampled_from(sorted(_FAMILIES)))
+    arity = _FAMILIES[family][0]
+    params = draw(st.lists(PARAM, min_size=arity, max_size=arity))
     if draw(st.integers(0, 9)) == 0:
         family = draw(st.sampled_from(["Z", "", "prod", "c"]))
     if draw(st.integers(0, 9)) == 0:
@@ -317,11 +323,12 @@ def catalog_files(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-@given(catalog_files(), st.integers(0, 12))
-def test_fuzz_verify_all_catalog_files(tmp_path, text, max_order):
+@given(catalog_files(), st.integers(0, 12), st.integers(0, 3), st.sampled_from(["text", "json"]))
+def test_fuzz_verify_all_catalog_files(tmp_path, text, max_order, nfa_max, fmt):
     path = tmp_path / "fuzz.catalog"
     path.write_text(text)
-    assert_clean_exit(["verify-all", "--catalog", str(path), "--max-order", str(max_order)])
+    assert_clean_exit(["verify-all", "--catalog", str(path), "--max-order", str(max_order),
+                       "--nfa-max", str(nfa_max), "--format", fmt])
 
 
 CAP_VALUE = st.one_of(
@@ -415,6 +422,8 @@ def presentations(draw):
 # slow work on good input, not an unbounded path.
 LENGTH = st.one_of(st.integers(0, 6), st.integers(0, 10**4), st.just(10**12))
 BOUND = st.one_of(st.integers(1, 12), st.sampled_from([-1, 0, 129, 10**9]))
+# no hint, or one of the classes `analyze` and `scan` accept
+HINT = st.one_of(st.just([]), st.sampled_from(HINTS).map(lambda hint: ["--hint", hint]))
 
 
 @settings(
@@ -422,13 +431,12 @@ BOUND = st.one_of(st.integers(1, 12), st.sampled_from([-1, 0, 129, 10**9]))
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-@given(presentations(), LENGTH, BOUND, st.sampled_from(["text", "json"]))
-def test_fuzz_scan(tmp_path, text, length, bound, fmt):
+@given(presentations(), LENGTH, BOUND, st.sampled_from(["text", "json"]), HINT)
+def test_fuzz_scan(tmp_path, text, length, bound, fmt, hint):
     path = tmp_path / "fuzz.pres"
     path.write_text(text + "\n")
-    assert_clean_exit(
-        ["scan", str(path), "--max-length", str(length), "--bound", str(bound), "--format", fmt]
-    )
+    assert_clean_exit(["scan", str(path), "--max-length", str(length), "--bound", str(bound),
+                       "--format", fmt, *hint])
 
 
 @st.composite
@@ -489,8 +497,8 @@ def dense_presentations(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-@given(dense_presentations(), st.integers(1, 3))
-def test_fuzz_analyze(tmp_path, text, n):
+@given(dense_presentations(), st.integers(1, 3), HINT)
+def test_fuzz_analyze(tmp_path, text, n, hint):
     path = tmp_path / "fuzz.pres"
     path.write_text(text + "\n")
-    assert_clean_exit(["analyze", str(path), "--nfa", str(n)])
+    assert_clean_exit(["analyze", str(path), "--nfa", str(n), *hint])
