@@ -32,9 +32,10 @@ DEFAULT_CAPS = Caps()
 DEFAULT_SEARCH_BUDGET = 10**8
 # Steps one search for normal subgroups may spend; three routes count
 # against it, each on its own:
-# - the lattice: one per base closure a popped subgroup walks over, one per
-#   coset product and one per member of B a join N.B tests; E2^6 spends
-#   643 850 and E2^7 13 792 202;
+# - the lattice, which runs on masks of conjugacy classes: one per base
+#   closure a popped subgroup walks over, one per coset product and one per
+#   class of B a join N.B tests; E2^6 spends 643 850 and E2^7 13 792 202
+#   (their classes are single elements), A5xC2 91;
 # - `_hyperplane_masks`: one per coset union and one per membership that
 #   builds a hyperplane of G/G'G^p;
 # - `_prime_index_kernels`: one per Cayley-graph edge checked and one per

@@ -40,13 +40,13 @@ class FiniteGroup:
 
     __slots__ = ("name", "order", "table", "inverse", "_cache")
 
-    def __init__(self, name, table):
+    def __init__(self, name, table, inverse=None):
         self.name = str(name)
         self.table = table
         self.order = len(table)
         if self.order == 0:
             raise NotAGroup("empty table")
-        self.inverse = _inverse_table(table)
+        self.inverse = _inverse_table(table) if inverse is None else inverse
         self._cache = {}
 
     def conjugate(self, g, x):
@@ -160,10 +160,7 @@ def build_from_permutations(degree, generators, cap=None, name=None):
     identity = tuple(range(degree))
     # p*q = p read at the points of q, one itemgetter per generator q; an
     # itemgetter of one index returns a scalar, and degree 1 has only e
-    if degree == 1:
-        getters = [_same for _ in gens]
-    else:
-        getters = [itemgetter(*q) for q in gens]
+    getters = [_same if degree == 1 else itemgetter(*q) for q in gens]
     table = _closure_table(identity, getters, _apply, cap, degree)
     return FiniteGroup(name or f"perm{degree}", tuple(table))
 
@@ -284,7 +281,8 @@ def direct_product(g, h, cap=None):
         tuple(chain.from_iterable(map(blocks.__getitem__, grow)))
         for grow in g.table for blocks in shifted
     )
-    return FiniteGroup(f"{g.name}x{h.name}", table)
+    inverse = tuple(a * hn + b for a in g.inverse for b in h.inverse)
+    return FiniteGroup(f"{g.name}x{h.name}", table, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +295,11 @@ def subgroup_closure(group, seeds):
 
 
 def _closure_members(table, seeds):
-    seeds = [s for s in seeds]
+    """{0} closed under x -> table[x][s]: the subgroup the seeds generate
+    (a finite group needs no inverses), or on class rows its classes."""
+    seeds = list(seeds)
     known = {0}
-    known.update(seeds)
-    frontier = list(known)
+    frontier = [0]
     while frontier:
         x = frontier.pop()
         row = table[x]
@@ -309,8 +308,6 @@ def _closure_members(table, seeds):
             if y not in known:
                 known.add(y)
                 frontier.append(y)
-    # no inverses needed: in a finite group, closing {e} and the seeds under
-    # right multiplication by the seeds yields the subgroup they generate
     return known
 
 
@@ -363,8 +360,7 @@ def conjugacy_classes(group):
                     seen[z] = 1
                     orbit.append(z)
         classes.append(tuple(sorted(orbit)))
-    result = tuple(classes)
-    group._cache["classes"] = result
+    result = group._cache["classes"] = tuple(classes)
     return result
 
 
@@ -389,41 +385,45 @@ def _check_normal_cap(group, cap):
 
 def _normal_subgroup_sets(group, cap=None):
     """(all normal subgroups sorted by (size, mask), the maximal proper ones
-    in cover order), as int masks; computed once per group of order <= cap.
-    A join N.B is B when N lies in B, and else the OR of the cosets yN = Ny
-    of the y of B outside it so far, each built once per N with |N| products
-    and kept under its members.  Every product, every member of B a join
-    tests and every class closure a popped N walks over counts against
-    LATTICE_BUDGET."""
+    in cover order), as int masks; computed once per group of order <= cap,
+    over class masks (bit a set when class a lies in the subgroup).  A join
+    N.B is B when N lies in B, else the OR, over the classes a of B outside
+    it so far, of the classes rep(a)N meets; each class c met gives the same
+    set, so it is built once per N, |N| products, and kept under each c.
+    Every product, class of B a join tests and class closure a popped N
+    walks over counts against LATTICE_BUDGET."""
     _check_normal_cap(group, cap)
     cached = group._cache.get("normal_sets")
     if cached is not None:
         return cached
-    table, n = group.table, group.order
-    bit = [1 << x for x in range(n)]
-    full = (1 << n) - 1
-    # every normal subgroup is the join of the normal closures of the
-    # conjugacy classes it contains, and the join of two normal subgroups is
-    # their product set; so close the class-closures under products.  The
-    # subgroup a class generates is the normal closure of any one member.
+    classes = conjugacy_classes(group)
+    rows, masks = group.table, None  # abelian: class a is {a}
+    if len(classes) < group.order:
+        class_of = [0] * group.order
+        for a, cls in enumerate(classes):
+            for x in cls:
+                class_of[x] = a
+        rows = [itemgetter(*rows[cls[0]])(class_of) for cls in classes]  # rep(a)x's class
+        masks = [_mask(cls) for cls in classes]
+    bit = [1 << a for a in range(len(classes))]
+    full = sum(bit)
+    # a normal subgroup is the product of those its classes generate; C
+    # generates {e} closed under a -> the classes rep(a)C meets (as gCg^-1 = C)
     base = {}
-    for cls in conjugacy_classes(group):
-        closure = tuple(_normal_closure_members(group, cls[:1]))
-        base.setdefault(_mask(closure), closure)
+    for cls in classes:
+        closure = _closure_members(rows, cls)
+        base.setdefault(_mask(closure), tuple(closure))
     # a proper N is maximal exactly when every strict join N.B with a class
     # closure B is the whole group, and the enumeration forms all of those
-    found = set()
-    maximal = []
-    stack = list(base)
-    spent = 0
+    found, maximal, stack, spent = {}, [], list(base), 0  # class mask -> element mask
     while stack:
         m = stack.pop()
         if m in found:
             continue
-        found.add(m)
+        elements = found[m] = sum(map(masks.__getitem__, _members(m))) if masks else m
         spent += len(base)
-        coset_of = itemgetter(*_members(m))  # row y to the members of yN
-        coset = [0] * n  # the mask of yN under each y built so far
+        coset_of = itemgetter(*_members(elements))  # row a to rep(a)N's classes
+        coset = [0] * len(classes)
         is_maximal = m != full
         for bm, b in base.items():
             if not bm & ~m:
@@ -432,34 +432,33 @@ def _normal_subgroup_sets(group, cap=None):
             if m & ~bm:
                 jm = m
                 spent += len(b)
-                for y in b:
-                    if not jm & bit[y]:
-                        c = coset[y]
+                for a in b:
+                    if not jm & bit[a]:
+                        c = coset[a]
                         if not c:
-                            ys = coset_of(table[y])
-                            for z in ys:
+                            zs = coset_of(rows[a])
+                            for z in zs:
                                 c |= bit[z]
-                            for z in ys:
+                            for z in zs:
                                 coset[z] = c
-                            spent += len(ys)
+                            spent += len(zs)
                         jm |= c
             if jm != full:
                 is_maximal = False
             if jm not in found:
                 stack.append(jm)
         if is_maximal:
-            maximal.append(m)
+            maximal.append(elements)
         if spent > LATTICE_BUDGET:
             raise SearchBudgetExceeded(
                 f"normal-subgroup lattice of {group.name} found {len(found)} subgroups and spent "
-                f"{spent} closure visits, coset products and member tests, past the budget "
+                f"{spent} closure visits, coset products and class tests, past the budget "
                 f"of {LATTICE_BUDGET}"
             )
-    result = (
-        tuple(sorted(found, key=lambda m: (m.bit_count(), m))),
+    result = group._cache["normal_sets"] = (
+        tuple(sorted(found.values(), key=lambda m: (m.bit_count(), m))),
         tuple(sorted(maximal, key=_cover_order)),
     )
-    group._cache["normal_sets"] = result
     return result
 
 
@@ -602,18 +601,14 @@ def quotient(group, nset, name=None):
     table = group.table
     if not _is_normal(group, members):
         raise NotNormal(f"subset of size {len(members)} is not normal in {group.name}")
-    coset_of = [None] * group.order
-    reps = []
+    coset_of, reps = [None] * group.order, []
     for x in range(group.order):
-        if coset_of[x] is not None:
-            continue
-        cid = len(reps)
-        reps.append(x)
-        for s in members:
-            coset_of[table[x][s]] = cid
+        if coset_of[x] is None:
+            for s in members:
+                coset_of[table[x][s]] = len(reps)
+            reps.append(x)
     qtable = tuple(tuple(coset_of[table[a][b]] for b in reps) for a in reps)
-    qname = name or f"{group.name}/{hex(_mask(members))}"
-    return FiniteGroup(qname, qtable)
+    return FiniteGroup(name or f"{group.name}/{hex(_mask(members))}", qtable)
 
 
 def _is_normal(group, members):

@@ -296,16 +296,18 @@ def test_covering_budget_keeps_early_answer(capsys):
     "argv, module, budget, message",
     [
         # A5xC2 is not solvable, so `finite` reads it off the lattice, which
-        # spends 256 steps: each of its 4 normal subgroups visits the 4 class
-        # closures {e}, C2, A5 and G (16 visits), C2.A5 tests A5's 60 members
-        # and builds the 59 cosets of C2 they meet outside C2 (118 products),
-        # A5.C2 tests 2 members and builds one coset of A5 (60 products), and
-        # every other join N.B has N inside B and is free; the budget is
+        # runs on its 10 classes (A5's 5 times C2's 2) and spends 91 steps:
+        # each of its 4 normal subgroups visits the 4 class closures {e},
+        # C2, A5 and G (16 visits); C2.A5 tests A5's 5 classes and, for each
+        # of the 4 outside C2, builds the classes its coset rep(a)C2 meets
+        # (8 products); A5.C2 tests C2's 2 classes and builds the classes of
+        # the one coset of A5 (60 products); every other join N.B has N
+        # inside B and is free: 16 + 5 + 8 + 2 + 60 = 91.  The budget is
         # checked after each subgroup, so the last one pops
         pytest.param(
-            ("finite", "prod(A 5, C 2)"), fingroup, 255,
-            "normal-subgroup lattice of A5xC2 found 4 subgroups and spent 256 closure visits, "
-            "coset products and member tests, past the budget of 255",
+            ("finite", "prod(A 5, C 2)"), fingroup, 90,
+            "normal-subgroup lattice of A5xC2 found 4 subgroups and spent 91 closure visits, "
+            "coset products and class tests, past the budget of 90",
             id="finite prod(A 5, C 2)",
         ),
         # verify-all referees each solvable group's hyperplanes with its

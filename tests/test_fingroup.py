@@ -486,6 +486,16 @@ def test_direct_product_matches_table_product(left, right):
     validate_group(product)
 
 
+def test_direct_product_inverses_match_the_table(catalog):
+    # direct_product reads (a, b)^-1 off the factors' inverses; the table's
+    # own scan for the identity in each row is the referee
+    for g in catalog:
+        for h in catalog:
+            if g.order * h.order <= 256:
+                product = direct_product(g, h)
+                assert product.inverse == fingroup._inverse_table(product.table), product.name
+
+
 def test_finite_group_keeps_the_rows_it_is_given():
     rows = ((0, 1), (1, 0))
     g = FiniteGroup("C2", rows)
@@ -687,11 +697,17 @@ def whole_class_closure(group, cls):
 
 
 def test_class_closures_match_whole_class_referee(catalog):
+    # the lattice's base closures run on class rows, row a holding the class
+    # of rep(a)*x for each element x: {e} closed under a -> the classes that
+    # rep(a)C meets gives the classes of the subgroup C generates
     groups = [g for g in catalog if g.order <= 128]
     groups += [group_from_spec(spec) for spec in NONSOLVABLE_LARGE_SPECS]
     for group in groups:
-        for cls in conjugacy_classes(group):
-            fast = fingroup._normal_closure_members(group, cls[:1])
+        classes = conjugacy_classes(group)
+        class_of = {x: a for a, cls in enumerate(classes) for x in cls}
+        rows = [[class_of[y] for y in group.table[cls[0]]] for cls in classes]
+        for cls in classes:
+            fast = {x for a in fingroup._closure_members(rows, cls) for x in classes[a]}
             assert fast == whole_class_closure(group, cls), (group.name, cls[0])
 
 
@@ -738,10 +754,12 @@ def assert_lattice_matches_referee(group):
 
 
 # the nonsolvable groups of the finite-large benchmark, with its D 95, and
-# the products that mix abelian and nonabelian factors
+# the products that mix abelian and nonabelian factors, where one class
+# mask stands for up to 20 elements and a class coset meets several classes
 REFEREE_SPECS = (
     "S 6", "A 6", "SL 7", "prod(S 5, S 3)", "prod(SL 5, E 2 2)", "D 95", "E 2 6",
-    "prod(S 5, E 2 2)",
+    "prod(S 5, E 2 2)", "prod(A 5, E 2 3)", "prod(S 5, C 4)", "prod(A 5, C 6)",
+    "prod(SL 5, C 4)",
 )
 
 
@@ -761,25 +779,41 @@ def test_lattice_matches_referee_on_random_permutations(degree_and_gens):
 
 
 def test_lattice_budget_counts_coset_products(monkeypatch):
-    # E2^3: each of the 16 normal subgroups popped walks the 8 class
-    # closures {e, x}: 16*8 = 128 visits.  {e} lies in every closure, so
-    # its joins are free.  A normal subgroup N of size s = 2 or 4 joins the
-    # 8 - s closures outside it, testing 2 members each, and builds its
-    # 8/s - 1 cosets outside N once, s products each:
-    # 7*(6*2 + 3*2) + 7*(4*2 + 4) = 210.  G joins nothing.  128 + 210 = 338,
-    # and the budget is checked after each subgroup, so the last one pops.
+    # E2^3 is abelian, so its 8 classes are {x} and a class mask is an
+    # element mask.  Each of the 16 normal subgroups popped walks the 8
+    # class closures {e, x}: 16*8 = 128 visits.  {e} lies in every closure,
+    # so its joins are free.  A normal subgroup N of size s = 2 or 4 joins
+    # the 8 - s closures outside it, testing their 2 classes each, and
+    # builds the classes of its 8/s - 1 cosets outside N once, s products
+    # each: 7*(6*2 + 3*2) + 7*(4*2 + 4) = 210.  G joins nothing.
+    # 128 + 210 = 338, and the budget is checked after each subgroup, so
+    # the last one pops.
     monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 338)
     assert len(normal_subgroups(group_from_spec("E 2 3"))) == 16
     monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 337)
     with pytest.raises(
         SearchBudgetExceeded,
-        match="found 16 subgroups and spent 338 closure visits, coset products and member tests",
+        match="found 16 subgroups and spent 338 closure visits, coset products and class tests",
     ):
         normal_subgroups(group_from_spec("E 2 3"))
 
 
+def test_abelian_lattice_work_is_bounded(monkeypatch):
+    # in an abelian group each class is one element, so the class masks
+    # cost no extra steps: E2^6 spends 643 850 exactly and E2^7 at most
+    # 13 792 202 (the budget is checked after each subgroup, so a budget
+    # that lets the lattice finish bounds its total)
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 643_850)
+    assert len(normal_subgroups(group_from_spec("E 2 6"))) == 2825
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 643_849)
+    with pytest.raises(SearchBudgetExceeded, match="found 2825 subgroups and spent 643850 "):
+        normal_subgroups(group_from_spec("E 2 6"))
+    monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 13_792_202)
+    assert len(normal_subgroups(group_from_spec("E 2 7"))) == 29212
+
+
 def test_lattice_budget_stops_early(monkeypatch):
-    # E2^6 spends 463 050 products and member tests and 2825*64 closure
+    # E2^6 spends 463 050 products and class tests and 2825*64 closure
     # visits on its 2825 normal subgroups
     monkeypatch.setattr(fingroup, "LATTICE_BUDGET", 1000)
     with pytest.raises(SearchBudgetExceeded, match="past the budget of 1000") as info:
@@ -788,7 +822,7 @@ def test_lattice_budget_stops_early(monkeypatch):
     assert message.startswith("normal-subgroup lattice of E2^6 found ")
     found, spent = map(int, re.search(r"found (\d+) .* spent (\d+)", message).groups())
     # a node of size s >= 2 visits the 64 closures {e, x}, joins at most
-    # 64 - s of them, testing 2 members each, and builds at most 64/s - 1
+    # 64 - s of them, testing 2 classes each, and builds at most 64/s - 1
     # cosets of s products: 64 + 3 * (64 - s) <= 250 steps past the budget
     assert found < 100 and 1000 < spent <= 1000 + 250
 
