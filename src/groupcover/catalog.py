@@ -23,10 +23,10 @@ from .errors import ClosureExceedsCap, ParseError
 from .fingroup import (
     FiniteGroup,
     _charge,
-    build_from_cayley_table,
     build_from_matrix_generators,
     build_from_permutations,
     direct_product,
+    validate_group,
 )
 
 
@@ -53,9 +53,10 @@ def cyclic_group(n: int, cap=None) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic order must be positive")
     _refuse_over_cap(f"C{n}", n, cap)
-    _charge(0, n * n, "cyclic table")
-    ids = tuple(range(n))
-    return FiniteGroup(f"C{n}", tuple(ids[i:] + ids[:i] for i in range(n)))
+    _charge(0, n * n, "cyclic table")  # the table a route may build
+    # one generator, 1: x + 1 is x's child in the tree
+    tree = ([0, *range(n - 1)], [0] * n, range(1, n))
+    return FiniteGroup(f"C{n}", columns=[[*range(1, n), 0]], tree=tree)
 
 
 def cyclic_product(m: int, n: int, cap=None) -> FiniteGroup:
@@ -407,16 +408,19 @@ def _load_cayley(text, name, validate):
         raise ParseError(f"the order must be at least 1, got {n}", lineno)
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} table rows, found {len(lines) - 1}")
-    table = []
+    rows = []
     for lineno, line in lines[1:]:
         try:
-            row = [int(x) for x in line.split()]
+            row = tuple(map(int, line.split()))
         except ValueError:
             raise ParseError(f"non-integer entry in {line!r}", lineno) from None
         if len(row) != n:
             raise ParseError(f"row has {len(row)} entries, expected {n}", lineno)
-        table.append(row)
-    return build_from_cayley_table(table, name, validate)
+        rows.append(row)
+    group = FiniteGroup(name, tuple(rows))  # parsed once, so not copied again
+    if validate:
+        validate_group(group)
+    return group
 
 
 def _load_matrix(text, name, cap):

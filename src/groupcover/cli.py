@@ -136,6 +136,8 @@ def _resolve_group(args):
 
 def cmd_finite(args) -> int:
     group = _resolve_group(args)
+    if args.weight or args.verify:
+        group.table  # G^ab and the harness read it, so every route may share it
     reports = []
     lines = [f"group: {group.name} (order {group.order})"]
     fa = is_fa_finite(group, args.caps.normal)

@@ -1,12 +1,15 @@
-"""Small finite groups as explicit multiplication tables, plus the
-structural computations every other module builds on: closures, conjugacy
+"""The structural computations on small finite groups (`group.FiniteGroup`)
+that every other module builds on: constructions, closures, conjugacy
 classes, the full normal subgroup lattice, maximal normal subgroups (read
 off the abelianisation for solvable groups), quotients, abelian invariants
 and exact weight.
 
-Elements are ids 0..order-1 with 0 the identity.  Groups built from
-generators are numbered in BFS order from the identity, following the given
-generator order, so constructions are reproducible.
+A group built from generators is a frame: the right-multiplication column
+of each generator and a spanning tree, elements numbered in BFS order from
+the identity following the given generator order, so constructions are
+reproducible.
+The plain F-A check reads rows, columns and inverses built from the frame;
+only referees and table routes read the n^2 table.
 """
 
 from __future__ import annotations
@@ -29,52 +32,8 @@ from .errors import (
     SingularGenerator,
     TrivialGroup,
 )
+from .group import FiniteGroup
 from .snf import mat_det
-
-
-class FiniteGroup:
-    """Finite group given by its full multiplication table: a tuple of tuple
-    rows, kept as given and trusted.  The builders in this package hand over
-    tables that are groups by construction; a raw table from outside goes
-    through `build_from_cayley_table`, which checks it."""
-
-    __slots__ = ("name", "order", "table", "inverse", "_cache")
-
-    def __init__(self, name, table, inverse=None):
-        self.name = str(name)
-        self.table = table
-        self.order = len(table)
-        if self.order == 0:
-            raise NotAGroup("empty table")
-        self.inverse = _inverse_table(table) if inverse is None else inverse
-        self._cache = {}
-
-    def conjugate(self, g, x):
-        """g x g^-1."""
-        return self.table[self.table[g][x]][self.inverse[g]]
-
-    def element_orders(self):
-        """Each element's order.  One walk of the powers of an element not yet
-        reached sets its whole cyclic subgroup: ord(x^k) = m / gcd(m, k)."""
-        orders = self._cache.get("orders")
-        if orders is None:
-            t, n = self.table, self.order
-            orders = [0] * n
-            for x in range(n):
-                if not orders[x]:
-                    powers = [x]
-                    while powers[-1]:
-                        if len(powers) >= n:
-                            raise NotAGroup(f"powers of element {x} never reach the identity")
-                        powers.append(t[powers[-1]][x])
-                    m = len(powers)
-                    for k, y in enumerate(powers, 1):
-                        orders[y] = m // gcd(m, k)
-            orders = self._cache["orders"] = tuple(orders)
-        return orders
-
-    def __repr__(self):
-        return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +61,7 @@ def _check_associativity(table, gens=None):
     generators) of the table.  The g that pass are closed under products, so
     passing for a generating set means associativity on every triple."""
     table = tuple(map(tuple, table))  # no copy of rows that are tuples already
-    for g in _greedy_generators(table) if gens is None else gens:
+    for g in _greedy_generators(FiniteGroup("table", table)) if gens is None else gens:
         tg = table[g]
         times_g = itemgetter(*tg)
         for x, tx in enumerate(table):
@@ -112,28 +71,21 @@ def _check_associativity(table, gens=None):
                 raise NotAGroup(f"associativity fails on triple ({x},{g},{y})")
 
 
-def _greedy_generators(table, members=None):
-    """Ascending elements of `members` (default: the whole table), each the
-    least one not yet reached by right-multiplying by the earlier ones;
-    together they generate the subgroup `members` under products."""
-    members = range(len(table)) if members is None else sorted(members)
-    gens = []
+def _greedy_generators(group, members=None):
+    """Ascending elements of `members` (default: the whole group), each the
+    least one not yet reached by multiplying by the earlier ones; together
+    they generate the subgroup `members` under products."""
+    members = range(group.order) if members is None else sorted(members)
+    gens, rows = [], []
     known = {0}
     for x in members:
         if x not in known:
             gens.append(x)
-            known = _closure_members(table, gens)
+            rows.append(group.row(x))
+            known = _generated(rows)
             if len(known) == len(members):
                 break
     return gens
-
-
-def _inverse_table(table):
-    try:
-        return tuple(row.index(0) for row in table)
-    except ValueError:
-        x = next(x for x, row in enumerate(table) if 0 not in row)
-        raise NotAGroup(f"element {x} has no right inverse") from None
 
 
 def validate_group(group):
@@ -161,8 +113,8 @@ def build_from_permutations(degree, generators, cap=None, name=None):
     # p*q = p read at the points of q, one itemgetter per generator q; an
     # itemgetter of one index returns a scalar, and degree 1 has only e
     getters = [_same if degree == 1 else itemgetter(*q) for q in gens]
-    table = _closure_table(identity, getters, _apply, cap, degree)
-    return FiniteGroup(name or f"perm{degree}", tuple(table))
+    columns, tree = _closure_table(identity, getters, _apply, cap, degree)
+    return FiniteGroup(name or f"perm{degree}", columns=columns, tree=tree)
 
 
 def _same(p):
@@ -177,11 +129,10 @@ def build_from_cayley_table(table, name="table", validate=True):
     """Group from a raw multiplication table, copied once into tuple rows and,
     unless `validate` is false (a fault-injection aid), checked: Latin
     square, identity, and the generator-based complete associativity check."""
-    rows = tuple(tuple(map(int, row)) for row in table)
-    if validate and rows:  # FiniteGroup refuses an empty table
-        _check_structure(rows)
-        _check_associativity(rows)
-    return FiniteGroup(name, rows)
+    group = FiniteGroup(name, tuple(tuple(map(int, row)) for row in table))
+    if validate:
+        validate_group(group)
+    return group
 
 
 def build_from_matrix_generators(p, d, generators, cap=None, name=None):
@@ -209,26 +160,23 @@ def build_from_matrix_generators(p, d, generators, cap=None, name=None):
             for i in range(d)
         )
 
-    table = _closure_table(identity, gens, matmul, cap, d**3, spent)
-    return FiniteGroup(name or f"mat({p},{d})", tuple(table))
+    columns, tree = _closure_table(identity, gens, matmul, cap, d**3, spent)
+    return FiniteGroup(name or f"mat({p},{d})", columns=columns, tree=tree)
 
 
 def _closure_table(identity, gens, op, cap, cost, spent=0):
-    """Multiplication table of the closure of `gens`, elements numbered in
-    BFS order from the identity, as tuple rows.
-
-    The BFS computes x*g = op(x, g) for every element x and item g of
-    `gens` (a matrix, or a permutation's itemgetter); those ids are
-    kept as `right[k][x]`, with each new element's BFS parent and generator
-    (a Schreier vector).  Each call of `op` costs `cost` operations, charged
-    with the `spent` ones against CONSTRUCTION_BUDGET.  The rest needs no
-    `op`: g*b = (g*parent(b))*gen(b) gives the row of each generator, and
-    the row of y = x*g is the row of x read at the ids in the row of g,
-    since y*b = x*(g*b).
+    """Frame (columns, tree) of the closure of `gens`, elements numbered in
+    BFS order from the identity: the BFS computes x*g = op(x, g) for every
+    element x and item g of `gens` (a matrix, or a permutation's
+    itemgetter), kept as `right[k][x]`, with each new element's BFS parent
+    and generator position (a Schreier vector), so every parent id is
+    smaller.  Each call of `op` costs `cost` operations, charged with the
+    `spent` ones against CONSTRUCTION_BUDGET; the rows, if a route reads
+    them, need no `op`.
     """
     elems = [identity]  # also the BFS queue
     index = {identity: 0}
-    tree = [None]  # (parent id, generator position) per element
+    parent, via = [0], [0]
     right = [[] for _ in gens]
     step = cost * len(gens)
     for x, elem in enumerate(elems):
@@ -241,18 +189,10 @@ def _closure_table(identity, gens, op, cap, cost, spent=0):
                     raise ClosureExceedsCap(f"closure exceeds cap {cap}")
                 j = index[y] = len(elems)
                 elems.append(y)
-                tree.append((x, k))
+                parent.append(x)
+                via.append(k)
             right[k].append(j)
-    lefts = []
-    for r in right:
-        left = [r[0]]
-        for parent, k in tree[1:]:
-            left.append(right[k][left[parent]])
-        lefts.append(itemgetter(*left))
-    rows = [tuple(range(len(elems)))]
-    for parent, k in tree[1:]:
-        rows.append(lefts[k](rows[parent]))
-    return rows
+    return right, (parent, via, range(1, len(elems)))
 
 
 def _charge(spent, cost, what):
@@ -268,21 +208,46 @@ def _charge(spent, cost, what):
 
 
 def direct_product(g, h, cap=None):
-    """Componentwise product; id of (a, b) is a*|H| + b.  Row (a, b) joins,
-    over x in row a of G, row b of H shifted by x*|H|: `shifted[b][x]`."""
+    """Componentwise product; id of (a, b) is a*|H| + b.  Its frame lifts
+    the factors' frames: the generators (g, e), then (e, h), and a tree
+    reaching (a, 0) as G's tree reaches a, then (a, b) from (a, 0) as H's
+    reaches b.  The n^2 charge is for the table a route may build."""
     cap = DEFAULT_CAPS.order if cap is None else cap
     n = g.order * h.order
     if n > cap:
         raise ClosureExceedsCap(f"product order {n} exceeds cap {cap}")
     _charge(0, n * n, "product table")
     hn = h.order
-    shifted = [[tuple(y + off for y in hrow) for off in range(0, n, hn)] for hrow in h.table]
-    table = tuple(
-        tuple(chain.from_iterable(map(blocks.__getitem__, grow)))
-        for grow in g.table for blocks in shifted
-    )
-    inverse = tuple(a * hn + b for a in g.inverse for b in h.inverse)
-    return FiniteGroup(f"{g.name}x{h.name}", table, inverse)
+    gright, (gparent, gvia, gwalk) = _frame(g)
+    hright, (hparent, hvia, hwalk) = _frame(h)
+    right = [[y * hn + b for y in c for b in range(hn)] for c in gright]
+    right += [[a + y for a in range(0, n, hn) for y in c] for c in hright]
+    parent, via, walk = [], [], []
+    for a in range(g.order):
+        parent += [gparent[a] * hn, *[a * hn + p for p in hparent[1:]]]
+        via += [gvia[a], *[len(gright) + k for k in hvia[1:]]]
+    for a in chain((0,), gwalk):
+        if a:
+            walk.append(a * hn)
+        walk += [a * hn + b for b in hwalk]
+    return FiniteGroup(f"{g.name}x{h.name}", columns=right, tree=(parent, via, walk))
+
+
+def _frame(group):
+    """The group's frame; a table's is the BFS tree over the columns of its
+    greedy generators."""
+    if group._right is not None:
+        return group._right, group._tree
+    right = [group.col(x) for x in _generators(group)]
+    parent, via, walk = [None] * group.order, [0] * group.order, [0]
+    parent[0] = 0
+    for x in walk:  # grows while it is walked
+        for k, col in enumerate(right):
+            y = col[x]
+            if parent[y] is None:
+                parent[y], via[y] = x, k
+                walk.append(y)
+    return right, (parent, via, walk[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +256,29 @@ def direct_product(g, h, cap=None):
 
 def subgroup_closure(group, seeds):
     """Members of the smallest subgroup containing the seed elements."""
-    return frozenset(_closure_members(group.table, seeds))
+    return frozenset(_generated([group.row(s) for s in seeds]))
+
+
+def _generated(rows):
+    """{0} closed under x -> row[x] for each of the rows: the subgroup
+    generated by the elements whose rows they are (a finite group needs no
+    inverses)."""
+    known = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for row in rows:
+            y = row[x]
+            if y not in known:
+                known.add(y)
+                frontier.append(y)
+    return known
 
 
 def _closure_members(table, seeds):
-    """{0} closed under x -> table[x][s]: the subgroup the seeds generate
-    (a finite group needs no inverses), or on class rows its classes."""
+    """{0} closed under x -> table[x][s]: over class rows (row a holding the
+    class of rep(a) y for each element y), the classes of the subgroup the
+    seeds generate; over a table, that subgroup."""
     seeds = list(seeds)
     known = {0}
     frontier = [0]
@@ -315,7 +297,7 @@ def _generators(group):
     """The group's greedy generators, found once and kept in its cache."""
     gens = group._cache.get("gens")
     if gens is None:
-        gens = group._cache["gens"] = _greedy_generators(group.table)
+        gens = group._cache["gens"] = _greedy_generators(group)
     return gens
 
 
@@ -324,17 +306,23 @@ def _normal_closure_members(group, seeds):
     subgroup grows one generator at a time; the conjugates of each new
     generator by the group's generators join it when they fall outside, so
     the last subgroup is normalised by a generating set of G."""
-    t, inv = group.table, group.inverse
-    conj = _generators(group)
-    gens, known = [], {0}
+    conj = _conjugations(group)
+    rows, known = [], {0}
     pending = list(seeds)
     while pending:
         x = pending.pop()
         if x not in known:
-            gens.append(x)
-            known = _closure_members(t, gens)
-            pending += [t[t[g][x]][inv[g]] for g in conj]
+            rows.append(group.row(x))
+            known = _generated(rows)
+            pending += [c[r[x]] for r, c in conj]
     return known
+
+
+def _conjugations(group):
+    """(row of g, column of g^-1) for each greedy generator g: x -> g x g^-1
+    is the column read at the row."""
+    inv = group.inverse
+    return [(group.row(g), group.col(inv[g])) for g in _generators(group)]
 
 
 def conjugacy_classes(group):
@@ -344,8 +332,7 @@ def conjugacy_classes(group):
     cached = group._cache.get("classes")
     if cached is not None:
         return cached
-    t, inv = group.table, group.inverse
-    gens = [(t[g], inv[g]) for g in _generators(group)]
+    gens = _conjugations(group)
     seen = bytearray(group.order)
     classes = []
     for x in range(group.order):
@@ -354,8 +341,8 @@ def conjugacy_classes(group):
         seen[x] = 1
         orbit = [x]
         for y in orbit:  # grows while it is walked
-            for row, g_inv in gens:
-                z = t[row[y]][g_inv]
+            for row, col in gens:
+                z = col[row[y]]
                 if not seen[z]:
                     seen[z] = 1
                     orbit.append(z)
@@ -397,13 +384,14 @@ def _normal_subgroup_sets(group, cap=None):
     if cached is not None:
         return cached
     classes = conjugacy_classes(group)
-    rows, masks = group.table, None  # abelian: class a is {a}
-    if len(classes) < group.order:
+    if len(classes) == group.order:
+        rows, masks = group.table, None  # abelian: class a is {a}
+    else:
         class_of = [0] * group.order
         for a, cls in enumerate(classes):
             for x in cls:
                 class_of[x] = a
-        rows = [itemgetter(*rows[cls[0]])(class_of) for cls in classes]  # rep(a)x's class
+        rows = [itemgetter(*group.row(cls[0]))(class_of) for cls in classes]  # rep(a)x's class
         masks = [_mask(cls) for cls in classes]
     bit = [1 << a for a in range(len(classes))]
     full = sum(bit)
@@ -503,7 +491,7 @@ def _is_solvable(group):
         term, below = range(group.order + 1), derived_subgroup(group)
         while 1 < len(below) < len(term):
             term = below
-            gens = _greedy_generators(group.table, term)
+            gens = _greedy_generators(group, term)
             below = _normal_closure_members(group, _commutators(group, gens))
         group._cache["solvable"] = len(below) == 1
     return group._cache["solvable"]
@@ -518,7 +506,7 @@ def _hyperplane_masks(group):
     Each hyperplane costs one OR per coset in it and one membership per
     element of it (the masks c(g) of `_maximal_cover`), counted against
     LATTICE_BUDGET before any of a prime's hyperplanes is built."""
-    t, n = group.table, group.order
+    n = group.order
     gens = _generators(group)
     commutators = _commutators(group, gens)
     masks, spent = [], 0
@@ -527,11 +515,11 @@ def _hyperplane_masks(group):
         # generators: modulo it they commute and have order p
         powers = []
         for g in gens:
-            y = 0
+            row, y = group.row(g), 0
             for _ in range(p):
-                y = t[y][g]
+                y = row[y]
             powers.append(y)
-        cosets = _coset_masks(t, _normal_closure_members(group, commutators + powers), p)
+        cosets = _coset_masks(group, _normal_closure_members(group, commutators + powers), p)
         count = (len(cosets) - 1) // (p - 1)
         cost = count * (len(cosets) // p + n // p)
         if spent + cost > LATTICE_BUDGET:
@@ -545,30 +533,28 @@ def _hyperplane_masks(group):
     return tuple(sorted(masks, key=_cover_order))
 
 
-def _coset_masks(table, kernel, p):
+def _coset_masks(group, kernel, p):
     """Masks of the cosets of a normal subgroup `kernel` for which G/kernel
     is elementary abelian of exponent p.  The basis b_0, b_1, ... is the
     least element outside the span of the ones before, and the coset at
-    index sum d_i p^i is kernel.b_0^d_0.b_1^d_1..."""
-    n = len(table)
-    members = sorted(kernel)
-    cosets, reps = [_mask(members)], [0]
+    index sum d_i p^i is kernel.b_0^d_0.b_1^d_1...; as G/kernel is
+    abelian, the members of yKx = xyK are those of yK read off x's row."""
+    n = group.order
+    members = [sorted(kernel)]  # of each coset, by index
+    cosets = [_mask(members[0])]
     span = cosets[0]
     for x in range(n):
-        if len(cosets) * len(members) >= n:
+        if len(cosets) * len(kernel) >= n:
             break
         if span >> x & 1:
             continue
-        w = len(cosets)
-        y = 0
+        times_x, block = group.row(x).__getitem__, members[:]
         for _ in range(p - 1):
-            y = table[y][x]
-            for rep in reps[:w]:
-                z = table[rep][y]
-                m = _mask(map(table[z].__getitem__, members))
-                cosets.append(m)
-                reps.append(z)
-                span |= m
+            block = [list(map(times_x, coset)) for coset in block]
+            for coset in block:
+                cosets.append(_mask(coset))
+                span |= cosets[-1]
+            members += block
     return cosets
 
 
@@ -632,8 +618,8 @@ def derived_subgroup(group):
 
 def _commutators(group, gens):
     """a b a^-1 b^-1 for each pair of the given elements."""
-    t, inv = group.table, group.inverse
-    return [t[t[t[a][b]][inv[a]]][inv[b]] for i, a in enumerate(gens) for b in gens[:i]]
+    inv, col = group.inverse, group.col
+    return [col(inv[b])[col(inv[a])[group.row(a)[b]]] for i, a in enumerate(gens) for b in gens[:i]]
 
 
 def abelianisation(group):

@@ -45,13 +45,13 @@ SCAN_WORD_BUDGET = 3 * 10**4
 def evaluate_word(group: FiniteGroup, images, word: Word) -> int:
     """Image of a word under generator images, with each syllable exponent
     reduced modulo the image's order."""
-    orders = group.element_orders()
+    orders, t = group.element_orders(), group.table
     acc = 0
     for g, e in word:
         x = images[g]
         k = e % orders[x]
         for _ in range(k):
-            acc = group.table[acc][x]
+            acc = t[acc][x]
     return acc
 
 
@@ -59,10 +59,10 @@ def evaluate_word_direct(group: FiniteGroup, images, word: Word) -> int:
     """Evaluation by square-and-multiply on the table and inverse alone (no
     element orders, no modular shortcut); the independent re-verification
     route, logarithmic in each exponent."""
-    t = group.table
+    t, inv = group.table, group.inverse
     acc = 0
     for g, e in word:
-        x = images[g] if e > 0 else group.inverse[images[g]]
+        x = images[g] if e > 0 else inv[images[g]]
         k = abs(e)
         while k:
             if k & 1:
@@ -452,9 +452,10 @@ class _Block:
         self.kill = (target.name, target.order)
         self.table = target.table
         self.letter_images = []
+        inv = target.inverse
         for g in range(ngens):
             column = [images[g] for images in surjections]
-            self.letter_images += [column, [target.inverse[x] for x in column]]
+            self.letter_images += [column, [inv[x] for x in column]]
         identity = (0,) * len(surjections)
         self.ids = {identity: 0}
         self.rows = [identity]

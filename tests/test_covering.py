@@ -481,10 +481,10 @@ def test_verify_walks_the_derived_series_once(monkeypatch):
     walked = []
     greedy = fingroup._greedy_generators
 
-    def counted(table, members=None):
+    def counted(group, members=None):
         if members is not None:
             walked.append(len(members))
-        return greedy(table, members)
+        return greedy(group, members)
 
     monkeypatch.setattr(fingroup, "_greedy_generators", counted)
     group = group_from_spec("S 4")

@@ -41,7 +41,7 @@ from groupcover.errors import (
     SingularGenerator,
     TrivialGroup,
 )
-from groupcover import catalog as catalog_module, fingroup
+from groupcover import catalog as catalog_module, fingroup, group as group_module
 from groupcover.config import DEFAULT_CAPS
 from groupcover.catalog import load_group
 from groupcover.fingroup import FiniteGroup, _check_associativity
@@ -120,9 +120,9 @@ def pairwise_closure_table(identity, gens, op, cap):
 
 @pytest.fixture()
 def refereed(monkeypatch):
-    """Every table built from generators, and every cap hit, is compared
-    tuple for tuple with the pairwise referee; returns the list of orders
-    checked."""
+    """Every group built from generators, and every cap hit, is compared
+    with the pairwise referee, its lazily built table tuple for tuple;
+    returns the list of orders checked."""
     checked = []
     fast = fingroup._closure_table
 
@@ -134,15 +134,16 @@ def refereed(monkeypatch):
             referee_gens = [g(identity) for g in gens]
             compose = compose_genexpr
         try:
-            table = fast(identity, gens, op, cap, cost, spent)
+            columns, tree = fast(identity, gens, op, cap, cost, spent)
         except ClosureExceedsCap:
             with pytest.raises(ClosureExceedsCap):
                 pairwise_closure_table(identity, referee_gens, compose, cap)
             raise
+        table = FiniteGroup("refereed", columns=columns, tree=tree).table
         assert all(type(row) is tuple for row in table)
-        assert table == pairwise_closure_table(identity, referee_gens, compose, cap)
+        assert table == tuple(pairwise_closure_table(identity, referee_gens, compose, cap))
         checked.append(len(table))
-        return table
+        return columns, tree
 
     monkeypatch.setattr(fingroup, "_closure_table", both)
     return checked
@@ -182,7 +183,8 @@ def genexpr_permutation_table(degree, gens, cap=None):
     tuple genexpr, the route before one itemgetter per generator."""
     gens = [tuple(g) for g in gens]
     cap = DEFAULT_CAPS.order if cap is None else cap
-    return tuple(fingroup._closure_table(tuple(range(degree)), gens, compose_genexpr, cap, degree))
+    columns, tree = fingroup._closure_table(tuple(range(degree)), gens, compose_genexpr, cap, degree)
+    return FiniteGroup("genexpr", columns=columns, tree=tree).table
 
 
 def test_permutation_compose_matches_genexpr_on_the_catalog(monkeypatch):
@@ -487,13 +489,13 @@ def test_direct_product_matches_table_product(left, right):
 
 
 def test_direct_product_inverses_match_the_table(catalog):
-    # direct_product reads (a, b)^-1 off the factors' inverses; the table's
-    # own scan for the identity in each row is the referee
+    # a product reads (a, b)^-1 off its tree; the table's own scan for the
+    # identity in each row is the referee
     for g in catalog:
         for h in catalog:
             if g.order * h.order <= 256:
                 product = direct_product(g, h)
-                assert product.inverse == fingroup._inverse_table(product.table), product.name
+                assert product.inverse == group_module._inverse_table(product.table), product.name
 
 
 def test_finite_group_keeps_the_rows_it_is_given():
@@ -768,6 +770,74 @@ def test_lattice_matches_referee(catalog):
     groups += [group_from_spec(spec, cap=1024) for spec in REFEREE_SPECS + LATTICE_POOL_SPECS]
     for group in groups:
         assert_lattice_matches_referee(group)
+
+
+def structure_read_off(group):
+    """What the plain F-A route reads off a group."""
+    n = group.order
+    return [
+        [group.row(x) for x in range(n)],
+        [group.col(s) for s in range(n)],
+        group.inverse,
+        fingroup._generators(group),
+        conjugacy_classes(group),
+        derived_subgroup(group),
+        maximal_normal_subgroups(group, n) if n > 1 else None,
+    ]
+
+
+def assert_frame_matches_table(group):
+    """A group built as a frame against the same group given by its table,
+    the referee: rows, columns and inverses built along the tree, and the
+    structure read off them, build no table; G^ab, which reads it, is
+    compared too."""
+    assert group._right is not None, group.name
+    frame_side = structure_read_off(group)
+    assert group._right is not None, group.name
+    referee = FiniteGroup(group.name, group.table)
+    assert frame_side == structure_read_off(referee), group.name
+    assert abelian_invariants_finite(group) == abelian_invariants_finite(referee), group.name
+
+
+def test_frames_match_tables_on_the_catalog():
+    for group in build_catalog():
+        if group.order <= 128:
+            assert_frame_matches_table(group)
+
+
+@pytest.mark.parametrize("spec", sorted(set(NONSOLVABLE_LARGE_SPECS + REFEREE_SPECS)))
+def test_frames_match_tables_on_large_specs(spec):
+    assert_frame_matches_table(group_from_spec(spec, cap=1024))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), max_size=3).map(lambda gens: (n, gens))
+))
+def test_frames_match_tables_on_random_permutations(degree_and_gens):
+    try:
+        group = build_from_permutations(*degree_and_gens, cap=120)
+    except ClosureExceedsCap:
+        return
+    assert_frame_matches_table(group)
+
+
+def test_frames_match_tables_over_a_cayley_factor(tmp_path):
+    # D5 relabelled so that its BFS tree over its greedy generators reaches
+    # elements out of id order; its frame lifts into the product's
+    d5 = group_from_spec("D 5")
+    perm = [0, 7, 3, 9, 1, 5, 8, 2, 6, 4]
+    path = tmp_path / "d5.cayley"
+    rows = relabel(d5.table, perm)
+    path.write_text("10\n" + "\n".join(" ".join(map(str, row)) for row in rows) + "\n")
+    cayley = load_group(path, "cayley")
+    for left, right in ((cayley, group_from_spec("S 3")), (group_from_spec("C 2"), cayley)):
+        product = direct_product(left, right)
+        parent, _, walk = product._tree
+        assert any(parent[x] > x for x in walk)
+        assert_frame_matches_table(product)
+        assert product.table == tuple(map(tuple, table_product(left.table, right.table)))
+
 
 
 @settings(max_examples=40, deadline=None)
