@@ -23,6 +23,7 @@ from .errors import ClosureExceedsCap, ParseError
 from .fingroup import (
     FiniteGroup,
     _charge,
+    _closure_table,
     build_from_matrix_generators,
     build_from_permutations,
     direct_product,
@@ -82,9 +83,16 @@ def dihedral_group(n: int, cap=None) -> FiniteGroup:
     if n < 3:
         raise ValueError("dihedral groups need n >= 3 here")
     _refuse_over_cap(f"D{n}", 2 * n, cap)
-    rotation = tuple((i + 1) % n for i in range(n))
-    reflection = tuple((n - i) % n for i in range(n))
-    return build_from_permutations(n, [rotation, reflection], cap, name=f"D{n}")
+    # x -> e*x + t (mod n) on the n-gon's vertices is the int t (e = 1) or
+    # n + t (e = -1); as permutations compose, (e, t)(f, u) = (ef, t + eu).
+    # The rotation is 1, the reflection n, and a product is charged n.
+    def times(x, y):
+        e, t = divmod(x, n)
+        f, u = divmod(y, n)
+        return (e ^ f) * n + (t - u if e else t + u) % n
+
+    columns, tree = _closure_table(0, [1, n], times, cap, n)
+    return FiniteGroup(f"D{n}", columns=columns, tree=tree)
 
 
 def symmetric_group(n: int, cap=None) -> FiniteGroup:

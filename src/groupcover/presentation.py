@@ -1,6 +1,10 @@
 """Group presentations: a small grammar, exact abelianisation via Smith
 normal form, and the presentation-level combinators.
 
+G^ab is Z^ngens modulo the row lattice of the relators' exponent sums; the
+Smith normal form engine sees only the distinct nonzero rows, which span
+that lattice (a commutator's row is zero).
+
 Grammar (whitespace insignificant, ``1`` is the empty word)::
 
     presentation := '<' genlist '|' relist '>'
@@ -14,7 +18,9 @@ Grammar (whitespace insignificant, ``1`` is the empty word)::
 
 ``[u, v]`` expands to u v u^-1 v^-1 and ``u = v`` to u v^-1.  A word or a
 power ``(u)^N`` longer than ``MAX_WORD_SYLLABLES`` syllables is a syntax
-error; powers are checked before they are expanded.
+error; powers are checked before they are expanded.  Text is tokenized in
+one regex scan, and every term comes back freely reduced, so a word is
+reduced once, when its terms are joined.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .words import (
     commutator_word,
     concat,
     exponent_vector,
-    free_reduce,
     invert_word,
     render_word,
     word_power,
@@ -87,28 +92,19 @@ class Presentation:
 # parsing
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[<>|,^=()\[\]]))"
+    r"\s*(?:(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[<>|,^=()\[\]])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            where = len(text) - len(stripped)
-            raise PresentationSyntaxError(f"unexpected character {text[where]!r}", where)
-        if m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        elif m.group("int"):
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        else:
-            tokens.append(("punct", m.group("punct"), m.start("punct")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value, pos = m.group(kind), m.start(kind)
+        if kind == "bad":
+            raise PresentationSyntaxError(f"unexpected character {value!r}", pos)
+        tokens.append((kind, int(value) if kind == "int" else value, pos))
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -198,7 +194,8 @@ class _Parser:
                 break
         if not terms:
             self.fail("expected a word")
-        return concat(*terms)
+        # each term comes back freely reduced, so a lone term needs no concat
+        return terms[0] if len(terms) == 1 else concat(*terms)
 
     def parse_term(self) -> Word:
         kind, value, pos = self.next()
@@ -206,7 +203,7 @@ class _Parser:
             if value not in self.gen_index:
                 raise UnknownGenerator(f"unknown generator {value!r} at position {pos}")
             exp = self._maybe_exponent()
-            return free_reduce(((self.gen_index[value], exp),))
+            return ((self.gen_index[value], exp),) if exp else ()
         if kind == "punct" and value == "[":
             u = self.parse_word()
             self.expect(",")
@@ -262,6 +259,11 @@ def exponent_matrix(pres: Presentation) -> list[list[int]]:
 @lru_cache(maxsize=64)
 def abelian_invariants(pres: Presentation) -> AbelianInvariants:
     """Invariants of the presented group's abelianisation, from the Smith
-    normal form of the exponent matrix (computed once per presentation)."""
-    result = smith_normal_form(exponent_matrix(pres))
+    normal form of the exponent matrix's distinct nonzero rows in
+    first-occurrence order (computed once per presentation).  Zero and
+    repeated rows add nothing to the row lattice, so the nonzero invariant
+    factors and the free rank are those of the full matrix."""
+    rows = dict.fromkeys(map(tuple, exponent_matrix(pres)))
+    rows.pop((0,) * pres.ngens, None)
+    result = smith_normal_form(list(rows))
     return invariants_from_diagonal(result.diagonal, pres.ngens)

@@ -4,8 +4,10 @@ import pytest
 
 from groupcover import (
     build_catalog,
+    build_from_permutations,
     cyclic_group,
     default_catalog_spec,
+    dihedral_group,
     group_from_spec,
     load_group,
     validate_group,
@@ -17,6 +19,7 @@ from groupcover.catalog import (
     build_entry,
     parse_catalog_spec,
 )
+from groupcover import fingroup
 from groupcover.errors import ClosureExceedsCap, NotAGroup, ParseError
 
 
@@ -102,6 +105,38 @@ def test_catalog_cap():
 def test_cyclic_group_cap():
     with pytest.raises(ClosureExceedsCap):
         cyclic_group(3000, cap=1024)
+
+
+def dihedral_permutations(n):
+    """The rotation and the reflection of the n-gon's vertices 0..n-1."""
+    return [tuple((i + 1) % n for i in range(n)), tuple((n - i) % n for i in range(n))]
+
+
+def dihedral_by_permutations(n, cap=None):
+    return build_from_permutations(n, dihedral_permutations(n), cap, name=f"D{n}")
+
+
+@pytest.mark.parametrize("n", [*range(3, 61), 95, 102])
+def test_dihedral_ints_match_permutations(n):
+    # the int route is the permutation route up to an isomorphism that
+    # fixes the generators, so the BFS numbers, frames and tables agree
+    by_ints, by_perms = dihedral_group(n), dihedral_by_permutations(n)
+    assert by_ints.name == by_perms.name
+    assert fingroup._frame(by_ints) == fingroup._frame(by_perms)
+    assert by_ints.table == by_perms.table
+
+
+def test_dihedral_charges_n_per_product(monkeypatch):
+    # D7: 14 BFS steps of 2 products, 7 operations each, as on 7 points
+    monkeypatch.setattr(fingroup, "CONSTRUCTION_BUDGET", 14 * 2 * 7)
+    assert dihedral_group(7).order == 14
+    monkeypatch.setattr(fingroup, "CONSTRUCTION_BUDGET", 14 * 2 * 7 - 1)
+    with pytest.raises(ClosureExceedsCap) as by_perms:
+        dihedral_by_permutations(7)
+    with pytest.raises(ClosureExceedsCap, match="spent 182 operations, and the next BFS "
+                       "step would spend 14 more") as by_ints:
+        dihedral_group(7)
+    assert str(by_ints.value) == str(by_perms.value)
 
 
 @pytest.mark.parametrize(

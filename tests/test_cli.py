@@ -141,15 +141,47 @@ def test_analyze_with_hint(capsys, tmp_path):
     assert payload["verdict"] == "NotFA"
 
 
-def test_analyze_computes_snf_once(capsys, monkeypatch, klein_file):
+def abelian_type_presentation(path, k):
+    """Powers of k generators, every commutator [x_i, x_j] and two mixed
+    relators: k(k-1)/2 zero rows among k(k+1)/2 + 2."""
+    names = [f"x{i}" for i in range(k)]
+    rels = [f"{g}^{2 + i % 5}" for i, g in enumerate(names)]
+    rels += [f"[{g}, {h}]" for i, g in enumerate(names) for h in names[i + 1:]]
+    rels += [" ".join(f"{g}^{(3 * i + s) % 7 - 3 or 1}" for i, g in enumerate(names))
+             for s in (1, 2)]
+    path.write_text(f"< {', '.join(names)} | {', '.join(rels)} >\n")
+    return str(path)
+
+
+def snf_rows_of_analyze(monkeypatch, argv):
+    """Run `analyze` and return the matrices it handed the SNF engine."""
     calls = []
     smith = presentation.smith_normal_form
     monkeypatch.setattr(
         presentation, "smith_normal_form", lambda rows: calls.append(rows) or smith(rows)
     )
     presentation.abelian_invariants.cache_clear()
-    assert main(["analyze", klein_file, "--nfa", "2"]) == 0
+    assert main(["analyze", *argv]) == 0
+    return calls
+
+
+def assert_distinct_nonzero(rows, max_rows):
+    assert len(set(map(tuple, rows))) == len(rows) <= max_rows
+    assert all(any(row) for row in rows)
+
+
+def test_analyze_computes_snf_once(capsys, monkeypatch, klein_file):
+    calls = snf_rows_of_analyze(monkeypatch, [klein_file, "--nfa", "2"])
     assert len(calls) == 1
+    assert_distinct_nonzero(calls[0], 2)  # [a, b]'s row is zero
+
+
+def test_analyze_snf_sees_spanning_rows_only(capsys, monkeypatch, tmp_path):
+    # 16 powers, 120 commutators and 2 mixed relators: at most 18 rows
+    path = abelian_type_presentation(tmp_path / "ab16.pres", 16)
+    calls = snf_rows_of_analyze(monkeypatch, [path])
+    assert len(calls) == 1
+    assert_distinct_nonzero(calls[0], 18)
 
 
 def test_analyze_parse_error_exit_2(capsys, tmp_path):

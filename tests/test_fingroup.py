@@ -45,6 +45,7 @@ from groupcover import catalog as catalog_module, fingroup, group as group_modul
 from groupcover.config import DEFAULT_CAPS
 from groupcover.catalog import load_group
 from groupcover.fingroup import FiniteGroup, _check_associativity
+from tests.test_catalog import dihedral_permutations
 from tests.test_covering import (
     LARGE_SOLVABLE_SPECS,
     LATTICE_POOL_SPECS,
@@ -146,6 +147,7 @@ def refereed(monkeypatch):
         return columns, tree
 
     monkeypatch.setattr(fingroup, "_closure_table", both)
+    monkeypatch.setattr(catalog_module, "_closure_table", both)  # the dihedral ints
     return checked
 
 
@@ -200,6 +202,8 @@ def test_permutation_compose_matches_genexpr_on_the_catalog(monkeypatch):
         target.build()
     for spec in LARGE_CLOSURE_SPECS:
         group_from_spec(spec, cap=1024)
+    # D n is built over ints; its permutations are composed here instead
+    calls += [(n, dihedral_permutations(n), 1024) for n in range(3, 65)]
     assert len(calls) > 70  # D3-D64, S2-S6, A3-A6
     for degree, gens, cap in calls:
         table = build_from_permutations(degree, gens, cap).table
