@@ -24,12 +24,7 @@ from .catalog import _closed_form, build_entry
 from .classify import FA, classify_fa
 from .config import DEFAULT_SEARCH_BUDGET
 from .errors import SearchBudgetExceeded
-from .fingroup import (
-    FiniteGroup,
-    conjugacy_classes,
-    derived_subgroup,
-    subgroup_closure,
-)
+from .fingroup import FiniteGroup, _generators, conjugacy_classes, subgroup_closure
 from .presentation import Presentation, abelian_invariants
 from .words import Word, max_generator, reduced_words, render_word
 
@@ -44,12 +39,16 @@ SCAN_WORD_BUDGET = 3 * 10**4
 
 def evaluate_word(group: FiniteGroup, images, word: Word) -> int:
     """Image of a word under generator images, with each syllable exponent
-    reduced modulo the image's order."""
-    orders, t = group.element_orders(), group.table
+    reduced modulo the image's order, and stepped by the image's inverse
+    when that is fewer steps."""
+    orders, t, inv = group.element_orders(), group.table, group.inverse
     acc = 0
     for g, e in word:
         x = images[g]
-        k = e % orders[x]
+        o = orders[x]
+        k = e % o
+        if 2 * k > o:
+            x, k = inv[x], o - k
         for _ in range(k):
             acc = t[acc][x]
     return acc
@@ -230,13 +229,15 @@ def _abelian_surjects(source: AbelianInvariants, target: AbelianInvariants) -> b
 def _orbit_minima(target: FiniteGroup) -> bytes:
     """Per element, 1 if it is the least of its orbit under automorphisms:
     its conjugacy class in a nonabelian target, else the generators of its cyclic
-    subgroup.  Costs what `conjugacy_classes` costs in a nonabelian target,
+    subgroup.  The target is abelian when its greedy generators commute
+    pairwise.  Costs what `conjugacy_classes` costs in a nonabelian target,
     and the sum of the minima's orders in an abelian one."""
     flags = target._cache.get("orbit_minima")
     if flags is None:
         t, n = target.table, target.order
         flags = bytearray(n)
-        if len(derived_subgroup(target)) > 1:
+        gens = _generators(target)
+        if any(t[a][b] != t[b][a] for i, a in enumerate(gens) for b in gens[:i]):
             for cls in conjugacy_classes(target):
                 flags[cls[0]] = 1
         else:
@@ -260,31 +261,39 @@ def _surjection_search(pres, target, least):
     an image whose earlier images are all the identity must be flagged.
     Pruning: a generator in a one-syllable relator g^m maps only to elements
     of order dividing |m|, so that relator always holds, and each other
-    relator is checked once its generators are.
+    relator is checked at the depth of its last generator, over the frame's
+    whole candidate list at once.  There each syllable on an earlier
+    generator is one element, and a syllable g^e on the frame's generator
+    reads the power map y -> y^e, built once per search.  A frame counts its
+    candidates as search nodes when it starts.
     """
     budget = DEFAULT_SEARCH_BUDGET
-    ngens = pres.ngens
-    n = target.order
-    orders = target.element_orders()
-    constraint: dict[int, int] = {}
+    ngens, n = pres.ngens, target.order
+    t, inv, orders = target.table, target.inverse, target.element_orders()
+    bounds = [0] * ngens
+    by_depth: list[list[Word]] = [[] for _ in range(ngens)]
     for rel in pres.relators:
         if len(rel) == 1:
             g, e = rel[0]
-            constraint[g] = gcd(constraint.get(g, 0), abs(e))
-    candidates = []
-    for g in range(ngens):
-        bound = constraint.get(g, 0)
-        if bound == 0:
-            candidates.append(range(n))
-        else:
-            candidates.append([x for x in range(n) if bound % orders[x] == 0])
-    first = candidates if least is None else [[x for x in c if least[x]] for c in candidates]
-    by_depth: list[list[Word]] = [[] for _ in range(ngens)]
-    for rel in pres.relators:
-        if len(rel) > 1:
+            bounds[g] = gcd(bounds[g], e)
+        elif rel:
             by_depth[max_generator(rel)].append(rel)
-
-    results: list[tuple[int, ...]] = []
+    candidates = [[x for x in range(n) if m % orders[x] == 0] if m else range(n) for m in bounds]
+    first = candidates if least is None else [[x for x in c if least[x]] for c in candidates]
+    # y -> y^e for each exponent of a checked relator, by square-and-multiply
+    # over whole lists; y^-k = (y^-1)^k
+    powers = {}
+    for e in {e for rels in by_depth for rel in rels for _, e in rel}:
+        p, base, k = None, inv if e < 0 else range(n), abs(e)
+        while True:
+            if k & 1:
+                p = base if p is None else [t[a][b] for a, b in zip(p, base)]
+            k >>= 1
+            if not k:
+                break
+            base = [t[b][b] for b in base]
+        powers[e] = p
+    results = []
     images = [0] * ngens
     nodes = 0
 
@@ -294,13 +303,27 @@ def _surjection_search(pres, target, least):
             if len(subgroup_closure(target, set(images))) == n:
                 results.append(tuple(images))
             return
-        for x in (first if trivial else candidates)[depth]:
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"search exceeded {budget} nodes")
+        xs = (first if trivial else candidates)[depth]
+        nodes += len(xs)
+        if nodes > budget:
+            raise SearchBudgetExceeded(f"search exceeded {budget} nodes")
+        for rel in by_depth[depth]:
+            # keep the xs under which rel, c0 x^e1 c1 ... x^em cm, is the
+            # identity: fold the list through it, then compare with cm^-1
+            values, c = None, 0
+            for g, e in rel:
+                p = powers[e]
+                if g < depth:
+                    c = t[c][p[images[g]]]
+                elif values is None:
+                    values, c = [t[c][p[x]] for x in xs], 0
+                else:
+                    values, c = [t[t[v][c]][p[x]] for v, x in zip(values, xs)], 0
+            goal = inv[c]
+            xs = [x for x, v in zip(xs, values) if v == goal]
+        for x in xs:
             images[depth] = x
-            if all(evaluate_word(target, images, rel) == 0 for rel in by_depth[depth]):
-                dfs(depth + 1, trivial and x == 0)
+            dfs(depth + 1, trivial and x == 0)
 
     dfs(0, True)
     del dfs  # dfs holds itself through its closure: free the search now, not at a GC

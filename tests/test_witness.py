@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import time
@@ -25,6 +26,7 @@ from groupcover import (
     parse_word_text,
     quaternion_group,
     special_linear_group,
+    subgroup_closure,
     symmetric_group,
     verify_witness,
     witness_targets,
@@ -183,6 +185,98 @@ def test_orbit_search_matches_full_lists(text):
         assert orbit_minima <= set(reduced), (text, target.name)
 
 
+# ---------------------------------------------------------------------------
+# enumerate_surjections against brute force: every assignment in
+# lexicographic order, relators by direct evaluation, surjectivity by closure
+
+# most assignments |T|^k one brute-force list may try
+BRUTE_ASSIGNMENTS = 15_000
+
+# the fp-witness shapes < a, b | a^p, r >, r with exponents up to +-7 and
+# exponents lifted near 10^6
+FP_WITNESS_SHAPES = [
+    "< a, b | a^2, a^3 b^-1 a^-4 b^2 >",
+    "< a, b | a^4, b^7 a^-2 b^-6 a^3 >",
+    "< a, b | a^6, a^-7 b^5 a b^-4 >",
+    "< a, b | a^3, b^-7 a^5 b^2 a^-4 b^6 >",
+    "< a, b | a^5, a^1000003 b^-999999 a^7 b^1000000 >",
+    "< a, b | a^7, b^-1000001 a^-999997 b^1000002 a^2 >",
+]
+
+
+def brute_surjections(p, target):
+    n = target.order
+    return [
+        images
+        for images in itertools.product(range(n), repeat=p.ngens)
+        if all(evaluate_word_direct(target, images, rel) == 0 for rel in p.relators)
+        and len(subgroup_closure(target, set(images))) == n
+    ]
+
+
+@pytest.mark.parametrize("text", ORBIT_PRESENTATIONS + FP_WITNESS_SHAPES)
+def test_surjections_match_brute_force(text):
+    p = pres(text)
+    for target in groups(60):
+        if target.order**p.ngens <= BRUTE_ASSIGNMENTS:
+            assert enumerate_surjections(p, target) == brute_surjections(p, target), (
+                text, target.name,
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 7),
+    st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.sampled_from([1, 2, 3, 5, 7, 10**6, 10**6 + 1]),
+            st.sampled_from([1, -1]),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+    st.sampled_from([t.name for t in witness_targets(60)]),
+)
+def test_surjections_match_brute_force_on_random_relators(p_order, syllables, name):
+    r = tuple(free_reduce([(g, sign * e) for g, e, sign in syllables]))
+    p = Presentation(("a", "b"), (((0, p_order),),) + ((r,) if r else ()))
+    target = by_name(60, name)
+    assert enumerate_surjections(p, target) == brute_surjections(p, target)
+
+
+@pytest.mark.parametrize(
+    "text, name, full_nodes, orbit_nodes",
+    [
+        # counted by the search that visited one candidate at a time
+        ("< a, b, c | a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^2 >", "S4", 450, 89),
+        ("< a, b | a^4, a b a^-1 b^-2 >", "D10", 252, 72),
+        ("< a, b | a^3, b^-7 a^5 b^2 a^-4 b^6 >", "A4", 117, 31),
+    ],
+)
+def test_search_budget_boundary_is_the_node_count(monkeypatch, text, name, full_nodes, orbit_nodes):
+    p, target = pres(text), by_name(24, name)
+    for least, nodes in ((None, full_nodes), (witness._orbit_minima(target), orbit_nodes)):
+        monkeypatch.setattr(witness, "DEFAULT_SEARCH_BUDGET", nodes)
+        witness._surjection_search(p, target, least)
+        monkeypatch.setattr(witness, "DEFAULT_SEARCH_BUDGET", nodes - 1)
+        with pytest.raises(SearchBudgetExceeded, match=f"^search exceeded {nodes - 1} nodes$"):
+            witness._surjection_search(p, target, least)
+
+
+def test_search_leaves_no_reference_cycles():
+    # the search frees its recursive closure when it returns, not at a collection
+    p = pres("< a, b, c | a^2, b^2, c^2, (a b)^3, (b c)^3, (a c)^2 >")
+    target = by_name(24, "S4")
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_surjections(p, target)) == 24
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def first_kill_over_full_lists(text, word, bound):
     for target in groups(bound):
         for images in full_surjections(text, target):
@@ -336,10 +430,24 @@ def test_abelian_surjects(source, target, surjects):
 
 def test_generators_commute_exactly_on_abelian_targets():
     # G' is the normal closure of the commutators of the greedy generators,
-    # so the orbit rule reads "abelian" as G' = {e}
+    # so G' = {e} exactly when every pair of elements commutes
     for target in groups(128):
         fresh = FiniteGroup(target.name, target.table)  # G' not cached
         assert (len(derived_subgroup(fresh)) == 1) is commutes_pairwise(fresh), target.name
+
+
+def test_orbit_rule_reads_nonabelian_as_a_nontrivial_derived_subgroup(monkeypatch):
+    # the orbit rule takes conjugacy classes exactly when two greedy
+    # generators fail to commute; that is G' > {e} on every record
+    records = witness_targets(128)
+    assert len(records) == 208
+    seen = []
+    monkeypatch.setattr(witness, "conjugacy_classes", lambda g: seen.append(g) or ((0,),))
+    for rec in records:
+        fresh = FiniteGroup(rec.name, rec.group.table)  # no generators, classes or G' cached
+        witness._orbit_minima(fresh)
+        nonabelian = len(derived_subgroup(FiniteGroup(rec.name, rec.group.table))) > 1
+        assert (seen[-1:] == [fresh]) is nonabelian, rec.name
 
 
 def built(records):
@@ -859,16 +967,23 @@ def test_direct_evaluation_of_huge_exponent_is_fast(s3):
     assert evaluate_word_direct(s3, (1,), ((0, 10**12),)) == 0  # order 2 divides it
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    st.sampled_from(["S3", "Q8", "A4", "S4", "SL(2,3)", "A5"]),
-    st.lists(st.integers(0, 119), min_size=2, max_size=2),
+    st.sampled_from(["S3", "Q8", "A4", "S4", "SL(2,3)", "A5", "D50", "D51", "D60", "D64"]),
+    st.lists(st.integers(0, 127), min_size=2, max_size=2),
     st.lists(
-        st.tuples(st.integers(0, 1), st.integers(-(10**9), 10**9)),
+        st.tuples(
+            st.integers(0, 1),
+            st.one_of(
+                st.integers(-(10**9), 10**9),
+                st.integers(-20, 20).map(lambda k: 10**6 + k),
+                st.integers(-20, 20).map(lambda k: -(10**6) - k),
+            ),
+        ),
         max_size=6,
     ),
 )
 def test_direct_evaluation_agrees_with_modular(name, images, word):
-    g = by_name(120, name)
+    g = by_name(128, name)
     images = tuple(x % g.order for x in images)
     assert evaluate_word_direct(g, images, tuple(word)) == evaluate_word(g, images, tuple(word))
