@@ -334,6 +334,7 @@ def _build_spec(tree, cap) -> FiniteGroup:
 
 def load_group(path, fmt: str, cap=None, validate=True) -> FiniteGroup:
     """Load a group from a file; formats: permutations | cayley | matrix.
+    `cap` bounds the order; a Cayley header past it is refused on its own.
 
     ``validate=False`` skips the group-axiom check on Cayley tables so that
     deliberately corrupted tables can reach the verification harness.
@@ -344,7 +345,7 @@ def load_group(path, fmt: str, cap=None, validate=True) -> FiniteGroup:
     if fmt == "permutations":
         return _load_permutations(text, name, cap)
     if fmt == "cayley":
-        return _load_cayley(text, name, validate)
+        return _load_cayley(text, name, cap, validate)
     if fmt == "matrix":
         return _load_matrix(text, name, cap)
     raise ParseError(f"unknown group file format {fmt!r}")
@@ -403,23 +404,38 @@ def _load_permutations(text, name, cap):
     return build_from_permutations(degree, gens, cap, name=name)
 
 
-def _load_cayley(text, name, validate):
-    lines = list(_content_lines(text))
-    if not lines:
+class _Entries(dict):
+    """`str(i)` -> i for the ids i of a table; any other token is read by
+    `int`, so its spelling is accepted or refused as `int` decides."""
+
+    def __missing__(self, token):
+        return int(token)
+
+
+def _load_cayley(text, name, cap, validate):
+    """Header `n`, refused past the order cap before any row is read, then
+    n rows, each token read with one lookup."""
+    cap = DEFAULT_CAPS.order if cap is None else cap
+    lines = _content_lines(text)
+    lineno, header = next(lines, (None, None))
+    if header is None:
         raise ParseError("empty Cayley table file")
-    lineno, header = lines[0]
     try:
         n = int(header)
     except ValueError:
         raise ParseError("first line must be the order n", lineno) from None
     if n < 1:
         raise ParseError(f"the order must be at least 1, got {n}", lineno)
-    if len(lines) != n + 1:
-        raise ParseError(f"expected {n} table rows, found {len(lines) - 1}")
+    if n > cap:
+        raise ClosureExceedsCap(f"Cayley table order {n} exceeds cap {cap}")
+    lines = list(lines)
+    if len(lines) != n:
+        raise ParseError(f"expected {n} table rows, found {len(lines)}")
+    entry = _Entries((str(i), i) for i in range(n)).__getitem__
     rows = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         try:
-            row = tuple(map(int, line.split()))
+            row = tuple(map(entry, line.split()))
         except ValueError:
             raise ParseError(f"non-integer entry in {line!r}", lineno) from None
         if len(row) != n:

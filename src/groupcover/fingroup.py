@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, product
 from math import gcd, prod
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .abelian import AbelianInvariants, is_prime, prime_factors
 from .config import CONSTRUCTION_BUDGET, DEFAULT_CAPS, DEFAULT_SEARCH_BUDGET, LATTICE_BUDGET
@@ -38,22 +38,6 @@ from .snf import mat_det
 
 # ---------------------------------------------------------------------------
 # table validation
-
-
-def _check_structure(table):
-    n = len(table)
-    ids = set(range(n))
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
-        if set(row) != ids:
-            raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
-    for j, col in enumerate(zip(*table)):
-        if set(col) != ids:
-            raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
-    for x, (right, left) in enumerate(zip(table[0], (row[0] for row in table))):
-        if right != x or left != x:
-            raise NotAGroup(f"element 0 is not an identity against {x}")
 
 
 def _check_associativity(table, gens=None):
@@ -89,9 +73,29 @@ def _greedy_generators(group, members=None):
 
 
 def validate_group(group):
-    """Re-run the full group-axiom check on an existing instance."""
-    _check_structure(group.table)
-    _check_associativity(group.table, _generators(group))
+    """Re-run the group-axiom check: rows that are permutations, identity,
+    Light's test.  An associative finite magma with identity whose rows are
+    permutations is a group (each x has a right inverse, and a finite monoid
+    with right inverses is a group), so its columns are permutations; they
+    are checked only once the identity or Light's test fails, before it is
+    raised, so a non-group gets the first error of a column-first check."""
+    table = group.table
+    n, ids = len(table), set(range(len(table)))
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
+        if set(row) != ids:
+            raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
+    try:
+        for x, (right, left) in enumerate(zip(table[0], (row[0] for row in table))):
+            if right != x or left != x:
+                raise NotAGroup(f"element 0 is not an identity against {x}")
+        _check_associativity(table, _generators(group))
+    except NotAGroup:
+        for j, col in enumerate(zip(*table)):
+            if set(col) != ids:
+                raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +131,8 @@ def _apply(p, getter):
 
 def build_from_cayley_table(table, name="table", validate=True):
     """Group from a raw multiplication table, copied once into tuple rows and,
-    unless `validate` is false (a fault-injection aid), checked: Latin
-    square, identity, and the generator-based complete associativity check."""
+    unless `validate` is false (a fault-injection aid), checked by
+    `validate_group`."""
     group = FiniteGroup(name, tuple(tuple(map(int, row)) for row in table))
     if validate:
         validate_group(group)
@@ -136,7 +140,9 @@ def build_from_cayley_table(table, name="table", validate=True):
 
 
 def build_from_matrix_generators(p, d, generators, cap=None, name=None):
-    """Close d x d matrices over F_p under multiplication mod p."""
+    """Close d x d matrices over F_p under multiplication mod p, each the
+    tuple of its row ids sum v_k p^(d-1-k); x g maps x's rows through g's
+    `_RowMap`, charged d^3, which bounds its d^2 per row met first."""
     cap = DEFAULT_CAPS.order if cap is None else cap
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -152,23 +158,37 @@ def build_from_matrix_generators(p, d, generators, cap=None, name=None):
         if mat_det([list(row) for row in mat]) % p == 0:
             raise SingularGenerator(f"matrix {mat} is singular mod {p}")
         gens.append(mat)
-    identity = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-    def matmul(a, b):
-        return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(d)) % p for j in range(d))
-            for i in range(d)
-        )
-
-    columns, tree = _closure_table(identity, gens, matmul, cap, d**3, spent)
+    identity = tuple(p ** (d - 1 - i) for i in range(d))
+    row_maps = [_RowMap(p, mat).__getitem__ for mat in gens]
+    columns, tree = _closure_table(identity, row_maps, _times_rows, cap, d**3, spent)
     return FiniteGroup(name or f"mat({p},{d})", columns=columns, tree=tree)
+
+
+class _RowMap(dict):
+    """Row id v -> the id of v g, filled on first use: d |G| entries at most."""
+
+    def __init__(self, p, mat):
+        self.p, self.mat = p, mat
+
+    def __missing__(self, v):
+        p = self.p
+        row = [v // p**k % p for k in reversed(range(len(self.mat)))]
+        w = 0
+        for col in zip(*self.mat):
+            w = w * p + sum(map(mul, row, col)) % p
+        self[v] = w
+        return w
+
+
+def _times_rows(x, row_map):
+    return tuple(map(row_map, x))
 
 
 def _closure_table(identity, gens, op, cap, cost, spent=0):
     """Frame (columns, tree) of the closure of `gens`, elements numbered in
     BFS order from the identity: the BFS computes x*g = op(x, g) for every
-    element x and item g of `gens` (a matrix, or a permutation's
-    itemgetter), kept as `right[k][x]`, with each new element's BFS parent
+    element x and item g of `gens` (a permutation's itemgetter, or a
+    matrix's row map), kept as `right[k][x]`, with each new element's BFS parent
     and generator position (a Schreier vector), so every parent id is
     smaller.  Each call of `op` costs `cost` operations, charged with the
     `spent` ones against CONSTRUCTION_BUDGET; the rows, if a route reads

@@ -74,12 +74,14 @@ def evaluate_word_direct(group: FiniteGroup, images, word: Word) -> int:
 
 @dataclass(frozen=True, eq=False)
 class WitnessTarget:
-    """A catalog target by its closed forms: order, name and T^ab.  Its
-    table is built by `build` on the first use of `group`, and kept."""
+    """A catalog target by its closed forms: order, name, T^ab and T^ab's
+    `_prime_power_counts`.  Its table is built by `build` on the first use
+    of `group`, and kept."""
 
     order: int
     name: str
     abelian: AbelianInvariants
+    prime_powers: tuple[tuple[int, int], ...]
     build: Callable[[], FiniteGroup] = field(repr=False)
 
     @cached_property
@@ -105,7 +107,8 @@ def _catalog() -> tuple[WitnessTarget, ...]:
         order, name = _closed_form(family, params, bound)
         if order <= bound:
             records.append(WitnessTarget(
-                order, name, AbelianInvariants(0, factors), partial(build_entry, family, params)
+                order, name, AbelianInvariants(0, factors), _prime_power_counts(factors),
+                partial(build_entry, family, params),
             ))
     return tuple(sorted(records, key=attrgetter("order", "name")))
 
@@ -193,7 +196,7 @@ def _surjections_cached(pres, target: WitnessTarget):
     _refuse_space(target.order, pres.ngens)
     if 2 * target.order**pres.ngens <= DEFAULT_SEARCH_BUDGET:
         source = _source_abelianisation(pres)
-        if source is not None and not _abelian_surjects(source, target.abelian):
+        if source is not None and not _abelian_surjects(source, target.prime_powers):
             return ()
     group = target.group
     return tuple(_surjection_search(pres, group, _orbit_minima(group)))
@@ -208,22 +211,29 @@ def _source_abelianisation(pres):
         return None
 
 
-def _abelian_surjects(source: AbelianInvariants, target: AbelianInvariants) -> bool:
-    """Whether Z^r x C_d1 x ... x C_dk (source) maps onto the finite abelian
-    target.  A surjection A -> B maps p^(j-1)A onto p^(j-1)B and so onto its
-    quotient by p^j B, which for every prime p and j >= 1 bounds the number
-    of B's factors divisible by p^j by r plus the number of A's."""
-    if not target.factors:
-        return True
-    top = target.factors[-1]
+def _prime_power_counts(factors) -> tuple[tuple[int, int], ...]:
+    """(q, the number of `factors` divisible by q) for each prime power
+    q > 1 dividing the last (largest) factor."""
+    counts = []
+    top = factors[-1] if factors else 1
     for p in prime_factors(top):
         q = p
         while top % q == 0:
-            need = sum(1 for e in target.factors if e % q == 0)
-            if need > source.free_rank + sum(1 for d in source.factors if d % q == 0):
-                return False
+            counts.append((q, sum(1 for e in factors if e % q == 0)))
             q *= p
-    return True
+    return tuple(counts)
+
+
+def _abelian_surjects(source: AbelianInvariants, counts) -> bool:
+    """Whether Z^r x C_d1 x ... x C_dk (source) maps onto the finite abelian
+    target B whose `_prime_power_counts` are `counts`.  A surjection A -> B
+    maps p^(j-1)A onto p^(j-1)B and so onto its quotient by p^j B, which for
+    every prime p and j >= 1 bounds the number of B's factors divisible by
+    p^j by r plus the number of A's."""
+    return all(
+        need <= source.free_rank + sum(1 for d in source.factors if d % q == 0)
+        for q, need in counts
+    )
 
 
 def _orbit_minima(target: FiniteGroup) -> bytes:

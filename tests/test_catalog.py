@@ -1,6 +1,8 @@
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from groupcover import (
     build_catalog,
@@ -19,7 +21,8 @@ from groupcover.catalog import (
     build_entry,
     parse_catalog_spec,
 )
-from groupcover import fingroup
+from groupcover import catalog, fingroup
+from groupcover.fingroup import FiniteGroup, _check_associativity
 from groupcover.errors import ClosureExceedsCap, NotAGroup, ParseError
 
 
@@ -314,6 +317,147 @@ def test_load_cayley_novalidate_skips_check(tmp_path):
         load_group(path, "cayley")
     g = load_group(path, "cayley", validate=False)
     assert g.order == 5
+
+
+def referee_load_cayley(text, name, validate=True):
+    """The Cayley loader before the lookup parse and the header cap: every
+    token read by `int`, then the rows, columns and identity checked in
+    that order before Light's test."""
+    lines = list(catalog._content_lines(text))
+    if not lines:
+        raise ParseError("empty Cayley table file")
+    lineno, header = lines[0]
+    try:
+        n = int(header)
+    except ValueError:
+        raise ParseError("first line must be the order n", lineno) from None
+    if n < 1:
+        raise ParseError(f"the order must be at least 1, got {n}", lineno)
+    if len(lines) != n + 1:
+        raise ParseError(f"expected {n} table rows, found {len(lines) - 1}")
+    rows = []
+    for lineno, line in lines[1:]:
+        try:
+            row = tuple(map(int, line.split()))
+        except ValueError:
+            raise ParseError(f"non-integer entry in {line!r}", lineno) from None
+        if len(row) != n:
+            raise ParseError(f"row has {len(row)} entries, expected {n}", lineno)
+        rows.append(row)
+    group = FiniteGroup(name, tuple(rows))
+    if validate:
+        referee_validate(group)
+    return group
+
+
+def referee_validate(group):
+    """The group-axiom check with a column pass on every table: rows,
+    columns, identity, then Light's test."""
+    table = group.table
+    n = len(table)
+    ids = set(range(n))
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise NotAGroup(f"row {i} has length {len(row)}, expected {n}")
+        if set(row) != ids:
+            raise NotAGroup(f"row {i} is not a permutation of 0..{n - 1}")
+    for j, col in enumerate(zip(*table)):
+        if set(col) != ids:
+            raise NotAGroup(f"column {j} is not a permutation of 0..{n - 1}")
+    for x, (right, left) in enumerate(zip(table[0], (row[0] for row in table))):
+        if right != x or left != x:
+            raise NotAGroup(f"element 0 is not an identity against {x}")
+    _check_associativity(table, fingroup._generators(group))
+
+
+def outcome(load, *args):
+    """The table a loader returns, or its error's type, text and line."""
+    try:
+        return load(*args).table
+    except (ParseError, NotAGroup) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def spell(x, draw):
+    """A spelling of the id x: canonical, one `int` reads as x (`0x`, `+x`,
+    `-0`, `1_0`), or one it refuses."""
+    return draw(st.sampled_from([
+        str(x), str(x), str(x), f"0{x}", f"+{x}", "-0" if x == 0 else f"{x}.0",
+        "_".join(str(x)) if x >= 10 else f"{x}_", "x",
+    ]))
+
+
+@st.composite
+def small_tables(draw):
+    """An order-n table text: the cyclic group relabelled at random (its
+    identity kept at 0 or not), rows that are random permutations (columns
+    usually not), or random entries, some past n; each id sometimes spelled
+    non-canonically, and sometimes a wrong header or a row too long."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["group", "rows", "random"]))
+    if kind == "group":
+        label = draw(st.permutations(range(n)))
+        if draw(st.booleans()):
+            label[label.index(0)], label[0] = label[0], 0
+        back = {x: i for i, x in enumerate(label)}
+        table = [[label[(back[a] + back[b]) % n] for b in range(n)] for a in range(n)]
+    elif kind == "rows":
+        table = [draw(st.permutations(range(n))) for _ in range(n)]
+        if draw(st.booleans()):
+            table[0] = list(range(n))
+    else:
+        table = [draw(st.lists(st.integers(0, n + 1), min_size=n, max_size=n)) for _ in range(n)]
+    rows = [" ".join(spell(x, draw) if draw(st.integers(0, 5)) == 0 else str(x) for x in row)
+            for row in table]
+    header = str(n)
+    if draw(st.integers(0, 7)) == 0:
+        header = draw(st.sampled_from([str(n + 1), f"0{n}", f"+{n}", "x", "0"]))
+    if draw(st.integers(0, 7)) == 0:
+        rows[-1] += " 0"
+    return header + "\n" + "\n".join(rows) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_tables(), st.booleans())
+def test_load_cayley_matches_int_per_token_referee(text, validate):
+    assert outcome(catalog._load_cayley, text, "t", None, validate) == outcome(
+        referee_load_cayley, text, "t", validate
+    ), text
+
+
+def test_load_cayley_reads_spellings_as_int_does():
+    text = "3\n0 01 +2\n1 2 0\n2 -0 1_0\n"
+    assert outcome(referee_load_cayley, text, "t", False) == ((0, 1, 2), (1, 2, 0), (2, 0, 10))
+    assert outcome(catalog._load_cayley, text, "t", None, False) == ((0, 1, 2), (1, 2, 0), (2, 0, 10))
+    for validate in (True, False):
+        bad = "2\n0 1\n1 0.5\n"
+        assert outcome(catalog._load_cayley, bad, "t", None, validate) == (
+            "ParseError", "non-integer entry in '1 0.5' (line 3)", 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.permutations(range(n)), min_size=n, max_size=n)))
+def test_validate_reports_as_the_column_first_referee(rows):
+    # rows that are permutations, columns usually not: the deferred column
+    # pass must still report a bad column before the identity or Light's test
+    def check(validate):
+        group = FiniteGroup("t", tuple(map(tuple, rows)))
+        validate(group)
+        return group
+
+    assert outcome(check, validate_group) == outcome(check, referee_validate)
+
+
+def test_load_cayley_refuses_a_header_past_the_cap(tmp_path):
+    path = tmp_path / "c12.cayley"
+    path.write_text("12\n" + "\n".join(" ".join(str((i + j) % 12) for j in range(12))
+                                         for i in range(12)) + "\n")
+    with pytest.raises(ClosureExceedsCap, match=r"^Cayley table order 12 exceeds cap 11$"):
+        load_group(path, "cayley", cap=11)
+    with pytest.raises(ClosureExceedsCap, match="order 12 exceeds cap 11"):
+        load_group(path, "cayley", cap=11, validate=False)
+    assert load_group(path, "cayley", cap=12).order == 12
 
 
 def test_load_matrix(tmp_path):

@@ -432,6 +432,37 @@ def test_finite_cyclic_factor_cap_exit_3(capsys, spec):
     assert peak < 16 * 2**20
 
 
+@pytest.fixture(scope="module")
+def c1100_cayley(tmp_path_factory):
+    """The cyclic group of order 1100 as a Cayley file, 5.8 MB."""
+    n = 1100
+    path = tmp_path_factory.mktemp("cayley") / "c1100.cayley"
+    path.write_text(f"{n}\n" + "".join(
+        " ".join(map(str, [*range(i, n), *range(i)])) + "\n" for i in range(n)
+    ))
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["finite", "{}", "--from", "cayley"],
+    ["verify-all", "--max-order", "0", "--include", "{}", "--from", "cayley"],
+], ids=["finite", "verify-all"])
+def test_cayley_header_past_the_cap_exit_3(capsys, c1100_cayley, command):
+    # the header alone refuses the table, before any row is parsed; reading
+    # and splitting the file costs about twice its size, parsing and
+    # validating the rows many times more
+    argv = [arg.format(c1100_cayley) for arg in command]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err == "cap exceeded: Cayley table order 1100 exceeds cap 1024\n"
+    assert peak < 3 * c1100_cayley.stat().st_size
+
+
 def run_within(seconds, argv):
     """main(argv), failing the test if it runs past `seconds`."""
 

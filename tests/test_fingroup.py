@@ -2,6 +2,7 @@ import math
 import re
 from collections import deque
 from itertools import combinations
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -45,6 +46,7 @@ from groupcover import catalog as catalog_module, fingroup, group as group_modul
 from groupcover.config import DEFAULT_CAPS
 from groupcover.catalog import load_group
 from groupcover.fingroup import FiniteGroup, _check_associativity
+from groupcover.snf import mat_det
 from tests.test_catalog import dihedral_permutations
 from tests.test_covering import (
     LARGE_SOLVABLE_SPECS,
@@ -119,6 +121,38 @@ def pairwise_closure_table(identity, gens, op, cap):
     return [tuple(index[op(a, b)] for b in elems) for a in elems]
 
 
+def tuple_matmul(a, b, p):
+    """The product of d x d tuple matrices mod p, a genexpr sum per entry:
+    the matrix closure's product before the row maps."""
+    d = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(d)) % p for j in range(d))
+        for i in range(d)
+    )
+
+
+def row_ids_matrix(x, p):
+    """The tuple matrix whose rows have the ids in x, row v having id
+    sum v_k p^(d-1-k)."""
+    d = len(x)
+    return tuple(tuple(v // p ** (d - 1 - k) % p for k in range(d)) for v in x)
+
+
+def tuple_matrix_frame(p, d, generators, cap):
+    """`build_from_matrix_generators`' frame with each matrix a tuple of
+    tuple rows composed by `tuple_matmul`, the route before the row maps,
+    charged as it is: d^3 per determinant and per product."""
+    gens, spent = [], 0
+    for mat in generators:
+        mat = tuple(tuple(int(x) % p for x in row) for row in mat)
+        spent = fingroup._charge(spent, d**3, "determinant")
+        gens.append(mat)
+    identity = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    return fingroup._closure_table(
+        identity, gens, lambda a, b: tuple_matmul(a, b, p), cap, d**3, spent
+    )
+
+
 @pytest.fixture()
 def refereed(monkeypatch):
     """Every group built from generators, and every cap hit, is compared
@@ -128,21 +162,28 @@ def refereed(monkeypatch):
     fast = fingroup._closure_table
 
     def both(identity, gens, op, cap, cost, spent=0):
-        referee_gens, compose = gens, op
+        referee_identity, referee_gens, compose = identity, gens, op
         if op is fingroup._apply:
             # a permutation comes as the itemgetter of its images, which
             # returns them when applied to the identity
             referee_gens = [g(identity) for g in gens]
             compose = compose_genexpr
+        elif op is fingroup._times_rows:
+            # a matrix comes as the lookup of its row map, which keeps it
+            # and p; every matrix group refereed here has a generator
+            p = gens[0].__self__.p
+            referee_identity = row_ids_matrix(identity, p)
+            referee_gens = [g.__self__.mat for g in gens]
+            compose = lambda a, b: tuple_matmul(a, b, p)  # noqa: E731
         try:
             columns, tree = fast(identity, gens, op, cap, cost, spent)
         except ClosureExceedsCap:
             with pytest.raises(ClosureExceedsCap):
-                pairwise_closure_table(identity, referee_gens, compose, cap)
+                pairwise_closure_table(referee_identity, referee_gens, compose, cap)
             raise
         table = FiniteGroup("refereed", columns=columns, tree=tree).table
         assert all(type(row) is tuple for row in table)
-        assert table == tuple(pairwise_closure_table(identity, referee_gens, compose, cap))
+        assert table == tuple(pairwise_closure_table(referee_identity, referee_gens, compose, cap))
         checked.append(len(table))
         return columns, tree
 
@@ -271,6 +312,37 @@ def test_closure_cap_same_as_referee(refereed, kind, gens, order):
         with pytest.raises(ClosureExceedsCap):
             build(cap)
     assert build(order).order == order
+
+
+def nonsingular_matrices(p, d):
+    """d x d matrices with entries in -p..2p-1, nonsingular mod p."""
+    entries = st.integers(-p, 2 * p - 1)
+    square = st.tuples(*[st.tuples(*[entries] * d)] * d)
+    return square.filter(lambda m: mat_det([list(row) for row in m]) % p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.sampled_from([2, 3, 5, 7]), st.integers(1, 3)).flatmap(
+    lambda pd: st.tuples(
+        st.just(pd), st.lists(nonsingular_matrices(*pd), min_size=1, max_size=3),
+        st.integers(1, 400), st.one_of(st.none(), st.integers(0, 20000)),
+    )
+))
+def test_matrix_closure_matches_tuple_referee(case):
+    # the row-id closure gives the tuple route's frames and tables, and stops
+    # at the same cap or budget step with the same message
+    (p, d), gens, cap, budget = case
+    budget = fingroup.CONSTRUCTION_BUDGET if budget is None else budget
+    with mock.patch.object(fingroup, "CONSTRUCTION_BUDGET", budget):
+        try:
+            group = build_from_matrix_generators(p, d, gens, cap=cap)
+        except ClosureExceedsCap as exc:
+            with pytest.raises(ClosureExceedsCap, match=re.escape(str(exc))):
+                tuple_matrix_frame(p, d, gens, cap)
+            return
+        columns, tree = tuple_matrix_frame(p, d, gens, cap)
+    assert (group._right, group._tree) == (columns, tree)
+    assert group.table == FiniteGroup("referee", columns=columns, tree=tree).table
 
 
 def test_cayley_trivial():

@@ -218,14 +218,25 @@ def permutation_files(draw):
     return text
 
 
+# spellings of an id x that `int` reads as x: canonical, zero-padded,
+# signed, and with an underscore between digits (-0 for 0)
+SPELLINGS = (
+    str,
+    lambda x: f"0{x}",
+    lambda x: f"+{x}",
+    lambda x: "_".join(str(x)) if x > 9 else f"0_{x}" if x else "-0",
+)
+
+
 @st.composite
 def cayley_files(draw):
     """An order-n table, mostly a Latin square: the cyclic group, the cyclic
     Latin square (s i + t j) mod n (a group only when s = t = 1), or a loop
     made from a random row and column shuffle of the cyclic group (usually
     not associative), each relabelled at random, half the time keeping its
-    identity at 0; sometimes a wrong header or entry, or one character
-    dropped or inserted."""
+    identity at 0; now and then with ids in non-canonical spellings;
+    sometimes a wrong header or entry, or one character dropped or
+    inserted."""
     n = draw(st.integers(1, 24))
     kind = draw(st.sampled_from(["cyclic", "affine", "loop"]))
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
@@ -249,7 +260,16 @@ def cayley_files(draw):
         i = label.index(0)
         label[i], label[identity] = label[identity], 0
     back = {x: i for i, x in enumerate(label)}
-    rows = [" ".join(str(label[table[back[a]][back[b]]]) for b in range(n)) for a in range(n)]
+    spelling, stride = 0, 1
+    if draw(st.integers(0, 4)) == 0:
+        spelling, stride = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rows = [
+        " ".join(
+            SPELLINGS[spelling if (a * n + b) % stride == 0 else 0](label[table[back[a]][back[b]]])
+            for b in range(n)
+        )
+        for a in range(n)
+    ]
     header = str(n)
     if draw(st.integers(0, 9)) == 0:
         header = draw(st.sampled_from([str(n + 1), str(n - 1), "x", "", str(10**18)]))
@@ -278,7 +298,8 @@ def test_fuzz_group_files(tmp_path, fmt_and_text):
 
 
 # A table checked unvalidated is a group, and then passes, or fails the group
-# axioms and no other check.  A file that does not read as a table exits 2,
+# axioms and no other check.  A header past the order cap exits 3 before any
+# row is read.  A file that does not read as a table exits 2,
 # and so does one no FiniteGroup can hold: an empty table, or a row without
 # the identity, which leaves an element with no right inverse.
 @settings(
@@ -297,6 +318,9 @@ def test_fuzz_verify_all_unvalidated_tables(tmp_path, text):
     assert "Traceback" not in err, (text, err)
     if code == 1:
         assert err == "mismatch: f: group_axioms\n", (text, err)
+    elif code == 3:  # a header past the order cap, refused before any row is read
+        match = re.fullmatch(r"cap exceeded: Cayley table order (\d+) exceeds cap 1024\n", err)
+        assert match and int(match[1]) > 1024, (text, err)
     elif code == 2:
         assert re.fullmatch(
             r"parse error: .*\n|error: (empty table|element \d+ has no right inverse)\n", err

@@ -4,6 +4,7 @@ import json
 import time
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 import hypothesis.strategies as st
 import pytest
@@ -32,7 +33,7 @@ from groupcover import (
     witness_targets,
 )
 from groupcover import witness
-from groupcover.abelian import AbelianInvariants
+from groupcover.abelian import AbelianInvariants, prime_factors
 from groupcover.classify import FA, classify_fa
 from groupcover.errors import SearchBudgetExceeded
 from groupcover.fingroup import FiniteGroup
@@ -425,7 +426,47 @@ def inv(free_rank, *factors):
     ],
 )
 def test_abelian_surjects(source, target, surjects):
-    assert witness._abelian_surjects(source, target) is surjects
+    assert abelian_surjects_referee(source, target) is surjects
+    counts = witness._prime_power_counts(target.factors)
+    assert witness._abelian_surjects(source, counts) is surjects
+
+
+def abelian_surjects_referee(source, target):
+    """The prune read off both invariant lists on every call, factoring the
+    target's top invariant each time: for each prime power q dividing it,
+    at most r plus the number of the source's factors divisible by q of
+    the target's factors may be divisible by q."""
+    if not target.factors:
+        return True
+    top = target.factors[-1]
+    for p in prime_factors(top):
+        q = p
+        while top % q == 0:
+            need = sum(1 for e in target.factors if e % q == 0)
+            if need > source.free_rank + sum(1 for d in source.factors if d % q == 0):
+                return False
+            q *= p
+    return True
+
+
+def abelian_invariants_st():
+    """G^ab as Z^r x C_d1 x ... x C_dk, each d_i dividing the next."""
+    steps = st.lists(st.integers(2, 12), max_size=4)
+    return st.tuples(st.integers(0, 2), steps).map(
+        lambda rs: inv(rs[0], *itertools.accumulate(rs[1], mul))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(abelian_invariants_st())
+def test_record_prime_powers_prune_as_the_referee(source):
+    records = witness_targets(witness.MAX_WITNESS_BOUND)
+    assert len(records) == 208
+    for target in records:
+        assert target.prime_powers == witness._prime_power_counts(target.abelian.factors)
+        assert witness._abelian_surjects(source, target.prime_powers) is abelian_surjects_referee(
+            source, target.abelian
+        ), (source, target.name)
 
 
 def test_generators_commute_exactly_on_abelian_targets():
@@ -511,7 +552,7 @@ def test_prune_refuses_only_targets_without_surjections(text, stated):
     targets = prune_targets(text)
     skipped = [
         t for t in targets
-        if not witness._abelian_surjects(inv(*stated), abelian_invariants_finite(t.group))
+        if not abelian_surjects_referee(inv(*stated), abelian_invariants_finite(t.group))
     ]
     assert skipped  # the prune is not idle on any of them
     for target in skipped:
@@ -940,7 +981,7 @@ def test_annihilator_builds_only_the_searched_tables(fresh_catalog):
     p = pres("< x, y | x^2, y^3, (x y)^7 >")
     assert find_annihilator(p, parse_word_text("x", p), 120) is None
     records = witness_targets(120)
-    passing = [t.name for t in records if witness._abelian_surjects(inv(0), t.abelian)]
+    passing = [t.name for t in records if witness._abelian_surjects(inv(0), t.prime_powers)]
     assert passing == ["A5"]
     assert built(records) == passing
 
