@@ -252,7 +252,7 @@ def build_catalog(
 def parse_catalog_spec(text: str) -> CatalogSpec:
     """Line-oriented ``family param...`` entries; '#' starts a comment."""
     entries = []
-    for lineno, line in _content_lines(text):
+    for lineno, line in _content_lines([text]):
         family, *params = line.split()
         entries.append(_parse_entry(family, params, lineno))
     return CatalogSpec(tuple(entries))
@@ -340,31 +340,39 @@ def load_group(path, fmt: str, cap=None, validate=True) -> FiniteGroup:
     deliberately corrupted tables can reach the verification harness.
     """
     path = Path(path)
-    text = path.read_text()
-    name = path.stem
-    if fmt == "permutations":
-        return _load_permutations(text, name, cap)
-    if fmt == "cayley":
-        return _load_cayley(text, name, cap, validate)
-    if fmt == "matrix":
-        return _load_matrix(text, name, cap)
+    with path.open() as file:
+        lines, name = _content_lines(file), path.stem
+        if fmt == "permutations":
+            return _load_permutations(lines, name, cap)
+        if fmt == "cayley":
+            return _load_cayley(lines, name, cap, validate)
+        if fmt == "matrix":
+            return _load_matrix(lines, name, cap)
     raise ParseError(f"unknown group file format {fmt!r}")
 
 
-def _content_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
+def _content_lines(pieces):
+    """(number, line) of each line with something left once its comment and
+    edge space are cut, numbered as `str.splitlines` numbers the text that
+    `pieces` spell.  Each piece ends at a line break: a text is one piece,
+    and a text file is read one line at a time, so that a Cayley header is
+    refused before the rest of its file is read."""
+    lineno = 0
+    for piece in pieces:
+        for raw in piece.splitlines():
+            lineno += 1
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line
 
 
-def _load_permutations(text, name, cap):
+def _load_permutations(lines, name, cap):
     """Cycle-notation generators, one per line, as disjoint cycles.  The
     points named are numbered 0, 1, ... in sorted order, so the degree is the
     number of points named, not the largest label; relabelling conjugates
     every generator by the same bijection, which leaves the table unchanged."""
     parsed = []
-    for lineno, line in _content_lines(text):
+    for lineno, line in lines:
         cycles = []
         seen = set()
         rest = line
@@ -412,11 +420,10 @@ class _Entries(dict):
         return int(token)
 
 
-def _load_cayley(text, name, cap, validate):
+def _load_cayley(lines, name, cap, validate):
     """Header `n`, refused past the order cap before any row is read, then
     n rows, each token read with one lookup."""
     cap = DEFAULT_CAPS.order if cap is None else cap
-    lines = _content_lines(text)
     lineno, header = next(lines, (None, None))
     if header is None:
         raise ParseError("empty Cayley table file")
@@ -447,10 +454,10 @@ def _load_cayley(text, name, cap, validate):
     return group
 
 
-def _load_matrix(text, name, cap):
+def _load_matrix(lines, name, cap):
     """Header `p d`, then the generators as blocks of d rows; a blank or
     comment-only line ends a block."""
-    lines = list(_content_lines(text))
+    lines = list(lines)
     if not lines:
         raise ParseError("empty matrix file")
     (header_no, header), rows = lines[0], lines[1:]

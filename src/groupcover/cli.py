@@ -38,7 +38,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .presentation import abelian_invariants, parse_presentation, parse_word_text
-from .witness import fa_scan, find_annihilator
+from .witness import ScanReport, _scan_lengths, fa_scan, find_annihilator
 
 # an input file that is not UTF-8 is malformed input, not an I/O failure;
 # so is nesting deeper than the recursion limit, since only the two
@@ -194,10 +194,16 @@ def cmd_witness(args) -> int:
 
 def cmd_scan(args) -> int:
     pres = _read_presentation(args.presentation)
-    report = fa_scan(pres, args.max_length, args.bound, hint=args.hint)
     if args.format == "json":
-        print(report.as_json())
+        # each length is written once the scan completes it, after the word
+        # budget and the classification; a budget hit in a later target's
+        # search exits 3 with the lengths before it written
+        lengths = _scan_lengths(pres, args.max_length, args.bound, args.hint)
+        header = ScanReport(pres, args.max_length, args.bound, next(lengths), (), ())
+        sys.stdout.writelines(header.json_chunks(lengths))
+        sys.stdout.write("\n")
         return 0
+    report = fa_scan(pres, args.max_length, args.bound, hint=args.hint)
     other = [text for text, kill in zip(report.texts, report.kills) if not kill]
     lines = [
         f"scanned {len(report.texts)} words of length <= {args.max_length} "

@@ -16,6 +16,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from itertools import chain, count
 from math import gcd
 from operator import attrgetter
 
@@ -30,10 +31,10 @@ from .words import Word, max_generator, reduced_words, render_word
 
 MAX_WITNESS_BOUND = 128
 # Most words one scan visits.  At this count `scan` on `< a | >` at bound 128
-# (29 999 words) peaks at 66 MiB (ru_maxrss, 17 MiB of it the process with
-# the package imported) and takes about 1.1 s on 2 vCPU: each word holds its
-# state in all 127 cyclic targets, about 1.4 KiB, and those 127 are the only
-# tables the scan builds.  With more generators a word costs about 0.6 KiB.
+# (29 999 words) peaks at 64 MiB (ru_maxrss, 17 MiB of it the process with
+# the package imported) and takes about 1 s on 2 vCPU; each word holds its
+# state in all 127 cyclic targets.  With more generators a word costs about
+# 0.4 KiB in JSON (the longest length's texts and chunk) and 0.2 KiB as text.
 SCAN_WORD_BUDGET = 3 * 10**4
 
 
@@ -401,9 +402,7 @@ class ScanReport:
 
     def status_of(self, kill) -> str:
         """The status of a word with this kill: (name, order), or None."""
-        if kill:
-            return WITNESSED
-        return BOUND_TOO_SMALL if self.classify_status == FA else UNWITNESSED
+        return WITNESSED if kill else BOUND_TOO_SMALL if self.classify_status == FA else UNWITNESSED
 
     @cached_property
     def entries(self) -> tuple[ScanEntry, ...]:
@@ -427,49 +426,38 @@ class ScanReport:
             "max_word_length": self.max_word_length,
             "order_bound": self.order_bound,
             "classify_status": self.classify_status,
-            "words": [
-                {
-                    "word": render_word(e.word, gens),
-                    "status": e.status,
-                    "target": (
-                        {"name": e.target_name, "order": e.target_order}
-                        if e.target_name
-                        else None
-                    ),
-                }
-                for e in self.entries
-            ],
+            "words": [{
+                "word": render_word(e.word, gens),
+                "status": e.status,
+                "target": {"name": e.target_name, "order": e.target_order}
+                if e.target_name else None,
+            } for e in self.entries],
         }
 
-    def as_json(self) -> str:
-        """Exactly ``json.dumps(self.as_dict(), indent=2, sort_keys=True)``,
-        written from the texts: generator names are ASCII letters, digits and
-        underscores, so a text needs no escaping, and the text of an entry
-        before its word depends only on its kill, so it is built once per kill."""
-        heads = {}
-        for kill in set(self.kills):
-            if kill:
-                target = (
-                    "{\n        \"name\": " + json.dumps(kill[0])
-                    + ",\n        \"order\": " + json.dumps(kill[1])
-                    + "\n      }"
-                )
-            else:
-                target = "null"
-            heads[kill] = (
-                "    {\n      \"status\": " + json.dumps(self.status_of(kill))
-                + ",\n      \"target\": " + target + ",\n      \"word\": \""
-            )
-        tail = "\"\n    }"
-        words = [heads[kill] + text + tail for text, kill in zip(self.texts, self.kills)]
-        listing = "[\n" + ",\n".join(words) + "\n  ]" if words else "[]"
-        return (
-            "{\n  \"classify_status\": " + json.dumps(self.classify_status)
-            + ",\n  \"max_word_length\": " + json.dumps(self.max_word_length)
-            + ",\n  \"order_bound\": " + json.dumps(self.order_bound)
-            + ",\n  \"presentation\": " + json.dumps(self.presentation.render())
-            + ",\n  \"words\": " + listing + "\n}"
-        )
+    def json_chunks(self, lengths):
+        """``json.dumps(self.as_dict(), indent=2, sort_keys=True)`` in pieces,
+        with the words of `lengths`, (texts, kills) pairs, in place of the
+        report's own: the header, one piece per pair, then the tail.  A text
+        needs no escaping (generator names are ASCII letters, digits and
+        underscores), and the text between two words depends only on the
+        second's kill: it is built once per kill, from `json.dumps` of an
+        entry whose word is empty."""
+        header = {"classify_status": self.classify_status, "max_word_length": self.max_word_length,
+                  "order_bound": self.order_bound, "presentation": self.presentation.render(),
+                  "words": []}
+        yield json.dumps(header, indent=2, sort_keys=True)[:-3]  # up to the words' "["
+        close, seps, opened = "\"\n    },\n", {}, False  # close ends the previous entry
+        for texts, kills in lengths:
+            for kill in set(kills).difference(seps):
+                entry = {"status": self.status_of(kill), "word": "",
+                         "target": {"name": kill[0], "order": kill[1]} if kill else None}
+                text = json.dumps(entry, indent=2, sort_keys=True).replace("\n", "\n    ")
+                seps[kill] = close + "    " + text[: text.rindex('"')]
+            chunk = "".join(chain.from_iterable(zip(map(seps.__getitem__, kills), texts)))
+            if chunk and not opened:  # the first entry follows the list's "["
+                chunk, opened = "\n" + chunk[len(close):], True
+            yield chunk
+        yield "\"\n    }\n  ]\n}" if opened else "]\n}"
 
 
 class _Block:
@@ -519,14 +507,25 @@ def _word_count(ngens: int, length: int) -> int:
     return 1 + ngens * ((2 * ngens - 1) ** length - 1) // (ngens - 1)
 
 
-def fa_scan(
-    pres: Presentation, max_word_length: int, order_bound: int, hint=None
-) -> ScanReport:
-    """Run the annihilator search over every freely reduced word up to the
-    given length (shortlex order).  Unwitnessed words are candidates only:
-    when classification already says the group is F-A they are flagged as
-    "bound too small" rather than failures, and otherwise the scan draws no
-    conclusion.
+def fa_scan(pres: Presentation, max_word_length: int, order_bound: int, hint=None) -> ScanReport:
+    """The report of `_scan_lengths`: the annihilator search over every freely
+    reduced word up to the given length.  Unwitnessed words are candidates
+    only: when classification already says the group is F-A they are flagged
+    as "bound too small" rather than failures, and otherwise the scan draws
+    no conclusion."""
+    lengths = _scan_lengths(pres, max_word_length, order_bound, hint)
+    status = next(lengths)
+    texts, kills = [], []
+    for level_texts, level_kills in lengths:
+        texts += level_texts
+        kills += level_kills
+    return ScanReport(pres, max_word_length, order_bound, status, tuple(texts), tuple(kills))
+
+
+def _scan_lengths(pres: Presentation, max_word_length: int, order_bound: int, hint=None):
+    """The scan as a stream: first the classification status, once the word
+    budget has passed, then per length from 0 the texts and kills of its
+    words in shortlex order, each as soon as the length is complete.
 
     Each target with a surjection is a `_Block` automaton, and a word's
     first kill is the first block whose state is killed.  A word's state is
@@ -537,8 +536,7 @@ def fa_scan(
     holds first gives the parent (and each ancestor lacking it) the next
     block, and a target's surjections are fetched when the first word
     survives every earlier target.  The words are generated breadth first,
-    which is shortlex order, each text from its parent's.
-    """
+    which is shortlex order, each text from its parent's."""
     k = pres.ngens
     # with L cut where the count surely passes the budget
     cut = SCAN_WORD_BUDGET.bit_length() if k > 1 else SCAN_WORD_BUDGET
@@ -549,7 +547,7 @@ def fa_scan(
             f"a scan to length {max_word_length} passes the budget of {SCAN_WORD_BUDGET} "
             f"words: it visits {words} to length {length}"
         )
-    verdict = classify_fa(pres, hint)
+    yield classify_fa(pres, hint).status
     pending = iter(witness_targets(order_bound))
     blocks: list[_Block] = []
     nletters = 2 * k
@@ -578,14 +576,12 @@ def fa_scan(
             moves.append([None] * nletters)
         return state
 
-    # node j is the j-th word in shortlex order: its state, last letter
-    # (-1 for the empty word), text, the text before its last syllable and
-    # that syllable's letter count
-    nodes = [intern((0,) if reach_next_block() else ())]
-    lasts = [-1]
-    texts = ["1"]
-    bases = [""]
-    runs = [0]
+    # node j is the j-th word in shortlex order: its state and last letter
+    # (-1 for the empty word); the words of the length being read, nodes
+    # `start` on, keep their texts, bases (the text before the last
+    # syllable) and runs (that syllable's letter count)
+    nodes, lasts = [intern((0,) if reach_next_block() else ())], [-1]
+    start, texts, bases, runs = 0, ["1"], [""], [0]
 
     def extend(j: int, b: int) -> None:
         # give node j, and each ancestor lacking it, its state in block b;
@@ -628,33 +624,37 @@ def fa_scan(
     # syllables[letter][n]: the text of the letter repeated n >= 1 times
     syllables = [[None, name + sign] for name in names for sign in ("", "^-1")]
     after = {last: [m for m in range(nletters) if m != last ^ 1] for last in range(-1, nletters)}
-    for j in range(_word_count(k, max_word_length - 1) if max_word_length > 0 else 0):
-        last = lasts[j]
-        children = moves[nodes[j]]
-        text = texts[j]
-        sep = text + " " if j else ""
-        for letter in after[last]:
-            child = children[letter]
-            if child is None:
-                child = descend(j, letter)
-                children = moves[nodes[j]]
-            if letter == last:
-                base, n = bases[j], runs[j] + 1
-                syllable = syllables[letter]
-                if n == len(syllable):
-                    syllable.append(f"{names[letter >> 1]}^{'-' if letter & 1 else ''}{n}")
-            else:
-                base, n = sep, 1
-            nodes.append(child)
-            lasts.append(letter)
-            texts.append(base + syllables[letter][n])
-            bases.append(base)
-            runs.append(n)
-    return ScanReport(
-        pres,
-        max_word_length,
-        order_bound,
-        verdict.status,
-        tuple(texts),
-        tuple([kills[state] for state in nodes]),
-    )
+    # a word's first kill is final once it is made: later blocks reach only killed words
+    for length in count():
+        level = texts, [kills[state] for state in nodes[start:]]
+        if length >= max_word_length:
+            break
+        yield level
+        parents = zip(count(start), texts, bases, runs)
+        start, texts, bases, runs = len(nodes), [], [], []
+        for j, text, parent_base, run in parents:
+            last = lasts[j]
+            children = moves[nodes[j]]
+            sep = text + " " if j else ""
+            for letter in after[last]:
+                child = children[letter]
+                if child is None:
+                    child = descend(j, letter)
+                    children = moves[nodes[j]]
+                if letter == last:
+                    base, n = parent_base, run + 1
+                    syllable = syllables[letter]
+                    if n == len(syllable):
+                        syllable.append(f"{names[letter >> 1]}^{'-' if letter & 1 else ''}{n}")
+                else:
+                    base, n = sep, 1
+                nodes.append(child)
+                lasts.append(letter)
+                texts.append(base + syllables[letter][n])
+                bases.append(base)
+                runs.append(n)
+        if not texts:  # no words of this length, so none longer
+            return
+    # the automata are freed before the last length, the longest, is written
+    blocks = ids = states = kills = moves = nodes = lasts = None
+    yield level

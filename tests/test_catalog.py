@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -323,7 +324,7 @@ def referee_load_cayley(text, name, validate=True):
     """The Cayley loader before the lookup parse and the header cap: every
     token read by `int`, then the rows, columns and identity checked in
     that order before Light's test."""
-    lines = list(catalog._content_lines(text))
+    lines = list(catalog._content_lines([text]))
     if not lines:
         raise ParseError("empty Cayley table file")
     lineno, header = lines[0]
@@ -368,6 +369,11 @@ def referee_validate(group):
         if right != x or left != x:
             raise NotAGroup(f"element 0 is not an identity against {x}")
     _check_associativity(table, fingroup._generators(group))
+
+
+def load_cayley_text(text, name, cap, validate):
+    """`catalog._load_cayley` on the numbered content lines of a text."""
+    return catalog._load_cayley(catalog._content_lines([text]), name, cap, validate)
 
 
 def outcome(load, *args):
@@ -420,7 +426,7 @@ def small_tables(draw):
 @settings(max_examples=300, deadline=None)
 @given(small_tables(), st.booleans())
 def test_load_cayley_matches_int_per_token_referee(text, validate):
-    assert outcome(catalog._load_cayley, text, "t", None, validate) == outcome(
+    assert outcome(load_cayley_text, text, "t", None, validate) == outcome(
         referee_load_cayley, text, "t", validate
     ), text
 
@@ -428,10 +434,10 @@ def test_load_cayley_matches_int_per_token_referee(text, validate):
 def test_load_cayley_reads_spellings_as_int_does():
     text = "3\n0 01 +2\n1 2 0\n2 -0 1_0\n"
     assert outcome(referee_load_cayley, text, "t", False) == ((0, 1, 2), (1, 2, 0), (2, 0, 10))
-    assert outcome(catalog._load_cayley, text, "t", None, False) == ((0, 1, 2), (1, 2, 0), (2, 0, 10))
+    assert outcome(load_cayley_text, text, "t", None, False) == ((0, 1, 2), (1, 2, 0), (2, 0, 10))
     for validate in (True, False):
         bad = "2\n0 1\n1 0.5\n"
-        assert outcome(catalog._load_cayley, bad, "t", None, validate) == (
+        assert outcome(load_cayley_text, bad, "t", None, validate) == (
             "ParseError", "non-integer entry in '1 0.5' (line 3)", 3)
 
 
@@ -458,6 +464,25 @@ def test_load_cayley_refuses_a_header_past_the_cap(tmp_path):
     with pytest.raises(ClosureExceedsCap, match="order 12 exceeds cap 11"):
         load_group(path, "cayley", cap=11, validate=False)
     assert load_group(path, "cayley", cap=12).order == 12
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r", "\r\n", "\x0c", "\u2028", "\x0c\n", "\n\u2028"])
+def test_file_lines_number_lines_as_the_whole_text_does(tmp_path, sep):
+    # a file is read one line at a time, where its text is split at every
+    # line break; each line keeps its number, across the file's read
+    # buffer too, in the lines and in a loader's error
+    path = tmp_path / "t.cayley"
+    rows = ["3", "0 1 2", "1 2 0", "2 0 x"]
+    heads = ["#" * pad + sep for pad in range(8186, 8196)] + [sep * 5000, ""]
+    for head, end in itertools.product(heads, [sep, ""]):
+        path.write_bytes((head + sep.join(rows) + end).encode())
+        text = path.read_text()
+        with path.open() as file:
+            assert list(catalog._content_lines(file)) == list(catalog._content_lines([text]))
+        line = text.splitlines().index("2 0 x") + 1
+        expected = ("ParseError", f"non-integer entry in '2 0 x' (line {line})", line)
+        assert outcome(load_group, path, "cayley") == expected
+        assert outcome(load_cayley_text, text, "t", None, True) == expected
 
 
 def test_load_matrix(tmp_path):

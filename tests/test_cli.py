@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import signal
@@ -9,13 +10,13 @@ from pathlib import Path
 import pytest
 
 import groupcover
-from groupcover import abelian, covering, fingroup, presentation
+from groupcover import abelian, covering, fingroup, presentation, witness
 from groupcover.cli import build_arg_parser, main
 from groupcover.presentation import parse_presentation
 from groupcover.words import render_word
 from tests.conftest import HIGMAN_TEXT, K235_TEXT
 from tests.test_snf import dense_matrix
-from tests.test_witness import referee_entries, referee_fa_scan
+from tests.test_witness import REFEREE_PRESENTATIONS, referee_entries, referee_fa_scan
 
 
 @pytest.fixture()
@@ -434,7 +435,7 @@ def test_finite_cyclic_factor_cap_exit_3(capsys, spec):
 
 @pytest.fixture(scope="module")
 def c1100_cayley(tmp_path_factory):
-    """The cyclic group of order 1100 as a Cayley file, 5.8 MB."""
+    """The cyclic group of order 1100 as a Cayley file, 4.8 MB."""
     n = 1100
     path = tmp_path_factory.mktemp("cayley") / "c1100.cayley"
     path.write_text(f"{n}\n" + "".join(
@@ -448,9 +449,9 @@ def c1100_cayley(tmp_path_factory):
     ["verify-all", "--max-order", "0", "--include", "{}", "--from", "cayley"],
 ], ids=["finite", "verify-all"])
 def test_cayley_header_past_the_cap_exit_3(capsys, c1100_cayley, command):
-    # the header alone refuses the table, before any row is parsed; reading
-    # and splitting the file costs about twice its size, parsing and
-    # validating the rows many times more
+    # the header alone refuses the table, before the rest of the file is
+    # read; reading and splitting the whole file would cost about twice its
+    # size, parsing and validating the rows many times more
     argv = [arg.format(c1100_cayley) for arg in command]
     tracemalloc.start()
     try:
@@ -460,7 +461,7 @@ def test_cayley_header_past_the_cap_exit_3(capsys, c1100_cayley, command):
         tracemalloc.stop()
     assert code == 3
     assert capsys.readouterr().err == "cap exceeded: Cayley table order 1100 exceeds cap 1024\n"
-    assert peak < 3 * c1100_cayley.stat().st_size
+    assert peak < c1100_cayley.stat().st_size / 10
 
 
 def run_within(seconds, argv):
@@ -640,9 +641,27 @@ def test_scan_k235(capsys, k235_file):
     assert all(w["status"] == "witnessed" for w in payload["words"])
 
 
-def test_scan_json_bytes(capsys, k235_file):
-    assert main(["scan", k235_file, "--max-length", "3", "--bound", "6", "--format", "json"]) == 0
-    report = referee_fa_scan(parse_presentation(K235_TEXT), 3, 6)
+SCAN_JSON_CASES = [
+    pytest.param(K235_TEXT, 3, 6, id="k235-3-6"),
+    pytest.param(K235_TEXT, 4, 5, id="k235-4-5"),
+    pytest.param("< x, y, z | x^7, y^11, z^13 >", 4, 13, id="k7_11_13-4-13"),
+    *(
+        pytest.param(text, length, bound, id=f"referee{i}-{length}-{bound}")
+        for i, text in enumerate(REFEREE_PRESENTATIONS)
+        for length, bound in itertools.product((0, 1, 3), (1, 2, 6, 24))
+    ),
+]
+
+
+@pytest.mark.parametrize("text, length, bound", SCAN_JSON_CASES)
+def test_scan_json_bytes(capsys, tmp_path, text, length, bound):
+    # the streamed document, one length at a time, against the referee's
+    # whole `as_dict` through `json.dumps`
+    path = tmp_path / "g.pres"
+    path.write_text(text + "\n")
+    argv = ["scan", str(path), "--max-length", str(length), "--bound", str(bound), "--format", "json"]
+    assert main(argv) == 0
+    report = referee_fa_scan(parse_presentation(text), length, bound)
     assert capsys.readouterr().out == json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
 
 
@@ -685,6 +704,24 @@ def test_scan_word_budget_exit_3(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "cap exceeded: a scan to length 25 passes the budget of " in err
     assert "Traceback" not in err
+
+
+def test_scan_json_budget_hit_after_a_length_exit_3(capsys, tmp_path, monkeypatch):
+    # < w | w^15 > (used by no other test, so no surjection list is cached)
+    # maps onto C3, which kills the empty word, and not onto C2 or C4; at a
+    # budget of 4 assignments the search onto C5, which the word w first
+    # needs, is refused after length 0 is written
+    text = "< w | w^15 >"
+    full = json.dumps(referee_fa_scan(parse_presentation(text), 2, 5).as_dict(), indent=2,
+                      sort_keys=True)
+    path = tmp_path / "c15.pres"
+    path.write_text(text + "\n")
+    monkeypatch.setattr(witness, "DEFAULT_SEARCH_BUDGET", 4)
+    argv = ["scan", str(path), "--max-length", "2", "--bound", "5", "--format", "json"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err == "cap exceeded: assignment space 5^1 exceeds budget 4\n"
+    assert out == full[: full.index('"word": "1"') + len('"word": "1')]
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,8 @@ from groupcover.abelian import MILLER_RABIN_EXACT_BELOW
 from groupcover.catalog import _FAMILIES
 from groupcover.classify import HINTS
 from groupcover.cli import main
+from groupcover.presentation import parse_presentation
+from groupcover.witness import fa_scan
 
 TIME_LIMIT_S = 5
 CAPS = ("--caps", "normal=64")
@@ -459,8 +461,13 @@ HINT = st.one_of(st.just([]), st.sampled_from(HINTS).map(lambda hint: ["--hint",
 def test_fuzz_scan(tmp_path, text, length, bound, fmt, hint):
     path = tmp_path / "fuzz.pres"
     path.write_text(text + "\n")
-    assert_clean_exit(["scan", str(path), "--max-length", str(length), "--bound", str(bound),
-                       "--format", fmt, *hint])
+    code, out = assert_clean_exit(["scan", str(path), "--max-length", str(length), "--bound",
+                                   str(bound), "--format", fmt, *hint])
+    if code == 0 and fmt == "json":
+        # the document streamed one length at a time against the collected
+        # report's, written in one piece
+        report = fa_scan(parse_presentation(text), length, bound, hint[1] if hint else None)
+        assert out == "".join(report.json_chunks([(report.texts, report.kills)])) + "\n"
 
 
 @st.composite

@@ -672,8 +672,13 @@ def referee_entries(pres, max_word_length, order_bound, hint=None):
     return tuple(entries)
 
 
+def report_json(report):
+    """The report's JSON document, written by its chunk writer in one piece."""
+    return "".join(report.json_chunks([(report.texts, report.kills)]))
+
+
 def assert_json_matches(report):
-    assert report.as_json() == json.dumps(report.as_dict(), indent=2, sort_keys=True)
+    assert report_json(report) == json.dumps(report.as_dict(), indent=2, sort_keys=True)
 
 
 def checked_scan(pres, max_word_length, order_bound, hint=None):
@@ -837,6 +842,19 @@ def test_scan_word_budget_huge_length_is_immediate():
     assert len(report.entries) == 1 and report.witnessed == ()
     assert_json_matches(report)
     assert time.perf_counter() - start < 0.5
+
+
+def test_scan_json_huge_length_with_no_generators_is_immediate(capsys, tmp_path):
+    # the CLI streams one length at a time and stops at the first with no
+    # words, so `< | >` at length 10^12 is one chunk for the empty word
+    from groupcover.cli import main
+    from tests.test_cli import run_within
+
+    path = tmp_path / "trivial.pres"
+    path.write_text("< | >\n")
+    argv = ["scan", str(path), "--max-length", str(10**12), "--bound", "2", "--format", "json"]
+    assert run_within(0.5, argv) == 0
+    assert capsys.readouterr().out == report_json(fa_scan(pres("< | >"), 10**12, 2)) + "\n"
 
 
 def test_scan_report_json(k235):
