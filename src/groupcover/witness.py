@@ -1,12 +1,14 @@
 """Annihilation witnesses: explicit surjections from a presented group onto
 small finite groups that kill a given word.
 
-The target catalog is a fixed, documented family list (cyclic, elementary
-abelian, dihedral, S3, S4, A4, A5, Q8, SL(2,3)); completeness over *all*
-groups of a given order is deliberately not claimed, and a "none <= B"
-outcome is never evidence that no witness exists beyond the bound.  Each
-target is a family member of the group catalog plus its T^ab; its order,
-name and builder come from the family's one row there.
+The targets are the simple groups of order at most MAX_WITNESS_BOUND: C_p
+for each prime p, and A5.  That loses no first witness: if G -> T kills w,
+so does G -> T -> T/M for a maximal normal subgroup M of T, and T/M is
+simple and, when T is not, smaller.  As A5 is the only nonabelian simple
+group of order below 168, a "none <= B" outcome covers every finite group
+of order at most B, and is never evidence that no witness exists beyond the
+bound.  Each target is a family member of the group catalog plus its T^ab;
+its order, name and builder come from the family's one row there.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import chain, count
 from math import gcd
 from operator import attrgetter
 
-from .abelian import AbelianInvariants, prime_factors
+from .abelian import AbelianInvariants, is_prime
 from .catalog import _closed_form, build_entry
 from .classify import FA, classify_fa
 from .config import DEFAULT_SEARCH_BUDGET
@@ -31,10 +33,11 @@ from .words import Word, max_generator, reduced_words, render_word
 
 MAX_WITNESS_BOUND = 128
 # Most words one scan visits.  At this count `scan` on `< a | >` at bound 128
-# (29 999 words) peaks at 64 MiB (ru_maxrss, 17 MiB of it the process with
-# the package imported) and takes about 1 s on 2 vCPU; each word holds its
-# state in all 127 cyclic targets.  With more generators a word costs about
-# 0.4 KiB in JSON (the longest length's texts and chunk) and 0.2 KiB as text.
+# (29 999 words) peaks at 34.5 MiB (ru_maxrss, 17 MiB of it the process with
+# the package imported) and takes about 0.5 s on 2 vCPU, as JSON or as text;
+# each word holds its state in the 31 prime targets.  With more generators a
+# word costs about 0.4 KiB in JSON (the longest length's texts and chunk) and
+# 0.2 KiB as text.
 SCAN_WORD_BUDGET = 3 * 10**4
 
 
@@ -75,14 +78,12 @@ def evaluate_word_direct(group: FiniteGroup, images, word: Word) -> int:
 
 @dataclass(frozen=True, eq=False)
 class WitnessTarget:
-    """A catalog target by its closed forms: order, name, T^ab and T^ab's
-    `_prime_power_counts`.  Its table is built by `build` on the first use
-    of `group`, and kept."""
+    """A catalog target by its closed forms: order, name and T^ab.  Its
+    table is built by `build` on the first use of `group`, and kept."""
 
     order: int
     name: str
     abelian: AbelianInvariants
-    prime_powers: tuple[tuple[int, int], ...]
     build: Callable[[], FiniteGroup] = field(repr=False)
 
     @cached_property
@@ -92,25 +93,17 @@ class WitnessTarget:
 
 @lru_cache(maxsize=1)
 def _catalog() -> tuple[WitnessTarget, ...]:
-    """Every target of order <= MAX_WITNESS_BOUND, sorted by (order, name).
-    An entry is (family, params, T^ab factors), kept when the order its
-    family's catalog row gives is within the bound; the record's name also
-    comes from that row, and its table is built by `build_entry`."""
+    """Every simple target of order <= MAX_WITNESS_BOUND, sorted by (order,
+    name): C_p for each prime p, T^ab = C_p, and A5, T^ab trivial.  An entry
+    is (family, params, T^ab factors); the record's order and name come from
+    its family's catalog row, and its table is built by `build_entry`."""
     bound = MAX_WITNESS_BOUND
-    entries = [("C", (n,), (n,)) for n in range(2, bound + 1)]
-    entries += [("E", (p, k), (p,) * k) for p in (2, 3, 5, 7, 11)
-                for k in range(2, bound.bit_length())]
-    entries += [("D", (n,), (2, 2) if n % 2 == 0 else (2,)) for n in range(3, bound + 1)]
-    entries += [("S", (3,), (2,)), ("S", (4,), (2,)), ("A", (4,), (3,)), ("A", (5,), ()),
-                ("Q8", (), (2, 2)), ("SL", (3,), (3,))]
-    records = []
-    for family, params, factors in entries:
-        order, name = _closed_form(family, params, bound)
-        if order <= bound:
-            records.append(WitnessTarget(
-                order, name, AbelianInvariants(0, factors), _prime_power_counts(factors),
-                partial(build_entry, family, params),
-            ))
+    entries = [("C", (p,), (p,)) for p in range(2, bound + 1) if is_prime(p)] + [("A", (5,), ())]
+    records = (
+        WitnessTarget(*_closed_form(family, params, bound), AbelianInvariants(0, factors),
+                      partial(build_entry, family, params))
+        for family, params, factors in entries
+    )
     return tuple(sorted(records, key=attrgetter("order", "name")))
 
 
@@ -188,16 +181,21 @@ def _surjections_cached(pres, target: WitnessTarget):
     order.  Automorphisms of the target keep relators, surjectivity and
     kills, so the first killing surjection stays.
 
-    A surjection G -> T induces one G^ab -> T^ab, so a target whose T^ab fails
-    `_abelian_surjects` has none and is not searched.  The prune waits while
-    the search could pass its budget (at most 2 n^k nodes), so a refused
-    target never hides the SearchBudgetExceeded the search would raise.
-    Both read the record's closed forms, so the table is built only for a
-    target that is searched."""
+    A surjection G -> T induces one onto each cyclic factor C_e of T^ab, and
+    G^ab = Z^r x C_d1 x ... x C_dk, each d_i dividing the next, maps onto C_e
+    only when r > 0 or e divides some d_i.  A target failing that for some e
+    has no surjection and is not searched: C_p needs r > 0 or p dividing some
+    d_i, and A5 (T^ab trivial) is never refused.  The prune waits while the
+    search could pass its budget (at most 2 n^k nodes), so a refused target
+    never hides the SearchBudgetExceeded the search would raise.  Both read
+    the record's closed forms, so the table is built only for a target that
+    is searched."""
     _refuse_space(target.order, pres.ngens)
     if 2 * target.order**pres.ngens <= DEFAULT_SEARCH_BUDGET:
         source = _source_abelianisation(pres)
-        if source is not None and not _abelian_surjects(source, target.prime_powers):
+        if source is not None and not source.free_rank and any(
+            all(d % e for d in source.factors) for e in target.abelian.factors
+        ):
             return ()
     group = target.group
     return tuple(_surjection_search(pres, group, _orbit_minima(group)))
@@ -210,31 +208,6 @@ def _source_abelianisation(pres):
         return abelian_invariants(pres)
     except SearchBudgetExceeded:
         return None
-
-
-def _prime_power_counts(factors) -> tuple[tuple[int, int], ...]:
-    """(q, the number of `factors` divisible by q) for each prime power
-    q > 1 dividing the last (largest) factor."""
-    counts = []
-    top = factors[-1] if factors else 1
-    for p in prime_factors(top):
-        q = p
-        while top % q == 0:
-            counts.append((q, sum(1 for e in factors if e % q == 0)))
-            q *= p
-    return tuple(counts)
-
-
-def _abelian_surjects(source: AbelianInvariants, counts) -> bool:
-    """Whether Z^r x C_d1 x ... x C_dk (source) maps onto the finite abelian
-    target B whose `_prime_power_counts` are `counts`.  A surjection A -> B
-    maps p^(j-1)A onto p^(j-1)B and so onto its quotient by p^j B, which for
-    every prime p and j >= 1 bounds the number of B's factors divisible by
-    p^j by r plus the number of A's."""
-    return all(
-        need <= source.free_rank + sum(1 for d in source.factors if d % q == 0)
-        for q, need in counts
-    )
 
 
 def _orbit_minima(target: FiniteGroup) -> bytes:

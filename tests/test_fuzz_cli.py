@@ -414,14 +414,15 @@ def test_fuzz_config_with_caps(tmp_path, command, text, tokens, with_caps):
     assert_clean_exit([*command, "--config", str(path), *caps])
 
 
-GENERATORS = ("a", "b", "c")
+GENERATORS = tuple("abcdefghijklmn")
 
 
 @st.composite
-def presentations(draw):
-    """0-3 generators and up to 3 short relators of powers, commutators and
-    equations; sometimes with one character dropped or replaced."""
-    gens = GENERATORS[: draw(st.integers(0, 3))]
+def presentations(draw, ngens=st.integers(0, 3)):
+    """`ngens` generators, 0-3 by default, and up to 3 short relators of
+    powers, commutators and equations; sometimes with one character dropped
+    or replaced."""
+    gens = GENERATORS[: draw(ngens)]
     power = st.builds(
         lambda g, e: g if e == 1 else f"{g}^{e}",
         st.sampled_from(gens), st.integers(-6, 6).filter(bool),
@@ -444,8 +445,8 @@ def presentations(draw):
 # Mostly small lengths; up to 10^4 for one generator, which stays within
 # the word budget, and past it for two or three; 10^12 is refused at once,
 # or with no generators scans the one empty word.  Bounds stay small: at
-# bound 128 a one-generator scan to length 10^4 takes about 1.1 s, which is
-# slow work on good input, not an unbounded path.
+# bound 128 a one-generator scan to length 10^4 takes about 0.2 s (in
+# process, 2 vCPU), which is slow work on good input, not an unbounded path.
 LENGTH = st.one_of(st.integers(0, 6), st.integers(0, 10**4), st.just(10**12))
 BOUND = st.one_of(st.integers(1, 12), st.sampled_from([-1, 0, 129, 10**9]))
 # no hint, or one of the classes `analyze` and `scan` accept
@@ -471,25 +472,35 @@ def test_fuzz_scan(tmp_path, text, length, bound, fmt, hint):
 
 
 @st.composite
-def witness_words(draw):
-    """A short word of powers and commutators over a, b and c, with exponents
-    up to 10^6; sometimes with one character dropped or replaced."""
+def witness_words(draw, gens):
+    """A short word of powers and commutators over the generators, with
+    exponents up to 10^6; sometimes with one character dropped or replaced."""
     power = st.builds(
         lambda g, e: f"{g}^{e}",
-        st.sampled_from(GENERATORS), st.integers(-6, 6) | st.integers(-(10**6), 10**6),
+        st.sampled_from(gens), st.integers(-6, 6) | st.integers(-(10**6), 10**6),
     )
     part = power | st.builds(lambda u, v: f"[{u}, {v}]", power, power)
     text = " ".join(draw(st.lists(part, min_size=1, max_size=4)))
     if draw(st.integers(0, 9)) == 0:
         i = draw(st.integers(0, len(text)))
-        text = text[:i] + draw(st.sampled_from(["", "[", "^", ",", "d"])) + text[i + 1 :]
+        text = text[:i] + draw(st.sampled_from(["", "[", "^", ",", "z"])) + text[i + 1 :]
     return text
 
 
-# Bounds up to 24, plus a few out of range.  In 3500 examples the slowest
-# took 0.19 s, and an exhaustive search over three generators with no
-# quotient up to 24 (< a, b, c | a = [b, c], b = [c, a], c = [a, b] >) takes
-# about 0.1 s: far under half the time limit.
+# Presentations on up to all 14 generators, each with a word over its own
+# generators (over a when it has none).
+WITNESS_CASES = st.integers(0, len(GENERATORS)).flatmap(lambda n: st.tuples(
+    presentations(st.just(n)), witness_words(GENERATORS[: max(n, 1)]),
+))
+# Bounds up to 24, plus a few out of range.  The targets are C_p and A5.
+# With k >= 5 generators and at most 3 relators the maps onto C2 form a space
+# of dimension at least k - 3 >= 2, so one of them kills the word and the
+# search stops at C2, whose 2^k assignments bound the cost.  On 2 vCPU, in
+# 2500 examples the slowest took 0.45 s (14 generators, relator i^4), and a
+# relator over all 14 generators, read at the last depth, takes 0.25 s; at 16
+# generators that case takes 0.9 s.  A search past C2 has at most four
+# generators: an exhaustive one to 24 (< a, b, c, d | a = d, b = d, c = d >)
+# takes 0.01 s.  All stay under half the time limit.
 WITNESS_BOUND = st.one_of(st.integers(1, 24), st.sampled_from([-1, 0, 129, 10**9]))
 
 
@@ -498,8 +509,9 @@ WITNESS_BOUND = st.one_of(st.integers(1, 24), st.sampled_from([-1, 0, 129, 10**9
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-@given(presentations(), witness_words(), WITNESS_BOUND, st.sampled_from(["text", "json"]))
-def test_fuzz_witness(tmp_path, text, word, bound, fmt):
+@given(WITNESS_CASES, WITNESS_BOUND, st.sampled_from(["text", "json"]))
+def test_fuzz_witness(tmp_path, case, bound, fmt):
+    text, word = case
     path = tmp_path / "fuzz.pres"
     path.write_text(text + "\n")
     assert_clean_exit(["witness", str(path), word, "--bound", str(bound), "--format", fmt])
