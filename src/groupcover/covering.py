@@ -131,7 +131,13 @@ def _prime_index_kernels(group: FiniteGroup) -> tuple[int, ...]:
     f(x g_k) = f(x) + a_k.  One step per edge checked and one per element of
     each kernel count against LATTICE_BUDGET, and a prime's kernels are
     refused before any is built.  A walk that misses an element raises
-    NotAGroup."""
+    NotAGroup.
+
+    Each vector is one int, coordinate k times 2^(k w) with 2^(w-1) > n, so
+    an edge costs two int additions and one hash.  A relation coordinate
+    lies in [-(n - 1), n], as the tree is shallower than n, so a bias of
+    2^(w-1) puts each field of a relation in [1, 2^w - 1], with no carry
+    between fields; only the distinct relations are biased and unpacked."""
     t, n = group.table, group.order
     gens = _generators(group)
     r = len(gens)
@@ -147,23 +153,28 @@ def _prime_index_kernels(group: FiniteGroup) -> tuple[int, ...]:
         spent += cost
 
     charge(n * r, f"the walk over {r} generators")
-    vec = [None] * n  # exponent vector of each element's tree word
-    vec[0] = (0,) * r
+    w = n.bit_length() + 1
+    units = [1 << (w * k) for k in range(r)]
+    vec = [0] + [None] * (n - 1)  # packed exponent vector of each element's tree word
     queue = [0]
     tree = []  # (element, parent, generator position) in walk order
-    relations = set()
+    relations = set()  # packed v(x) + e_k - v(x g_k)
     for x in queue:
         vx, row = vec[x], t[x]
         for k, g in enumerate(gens):
             y = row[g]
-            if vec[y] is None:
-                vec[y] = vx[:k] + (vx[k] + 1,) + vx[k + 1:]
+            vy = vec[y]
+            if vy is None:
+                vec[y] = vx + units[k]
                 queue.append(y)
                 tree.append((y, x, k))
             else:
-                relations.add(tuple(a - b + (i == k) for i, (a, b) in enumerate(zip(vx, vec[y]))))
+                relations.add(vx + units[k] - vy)
     if len(queue) < n:
         raise NotAGroup(f"the generators of {group.name} reach {len(queue)} of its {n} elements")
+    half, field = 1 << (w - 1), (1 << w) - 1
+    bias = half * sum(units)  # 2^(w-1) in every field
+    relations = [[((rel + bias) >> (w * k) & field) - half for k in range(r)] for rel in relations]
     masks = []
     for p in prime_factors(n):
         pivots = {}  # pivot column -> row with 1 there and 0 at the other pivots

@@ -793,7 +793,7 @@ def weight_bruteforce(group, cap=None):
     weight = group._cache.get("weight")
     # past the cap the search raises, as the lattice does, cached or not
     if weight is None or group.order > cap:
-        weight = group._cache["weight"] = weight_witness(group, cap)[0]
+        weight = group._cache["weight"] = _weight_search(group, cap)[0]
     return weight
 
 
@@ -808,18 +808,24 @@ def weight_witness(group, cap=None):
     subgroup, or with the same mask as a smaller one, are never in the first
     witness and are dropped.
     """
+    weight, search, reps = _weight_search(group, cap)
+    return weight, (tuple(reps[i] for i in search.first_zero(weight)) if weight else ())
+
+
+def _weight_search(group, cap):
+    """(weight, search, reps): the level search of `weight_witness`, without
+    the witness, and the representative behind each of its masks."""
     if group.order == 1:
-        return 0, ()
+        return 0, None, ()
     cover, containing = _maximal_cover(group, cap)
     full = (1 << len(cover)) - 1
     first_rep = {}  # mask -> smallest representative with it
     for cls in conjugacy_classes(group):  # ascending representatives
         first_rep.setdefault(containing[cls[0]], cls[0])
     del first_rep[full]  # the identity's, in every maximal subgroup
-    masks = list(first_rep)
-    search = _MeetSearch(masks, full, f"weight search of {group.name}")
-    weight = search.reach(len(masks))[1]
+    search = _MeetSearch(list(first_rep), full, f"weight search of {group.name}")
+    weight = search.reach(len(first_rep))[1]
     if weight is None:
         # unreachable for a genuine group: each maximal subgroup misses a class
         raise NotAGroup("class representatives do not normally generate the table")
-    return weight, tuple(first_rep[masks[i]] for i in search.first_zero(weight))
+    return weight, search, list(first_rep.values())

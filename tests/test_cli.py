@@ -234,13 +234,13 @@ def test_finite_s5_weight(capsys):
 )
 def test_finite_searches_the_weight_once(capsys, monkeypatch, flags):
     searched = []
-    search = fingroup.weight_witness
+    search = fingroup._weight_search
 
-    def counted(group, cap=None):
+    def counted(group, cap):
         searched.append(group.name)
         return search(group, cap)
 
-    monkeypatch.setattr(fingroup, "weight_witness", counted)
+    monkeypatch.setattr(fingroup, "_weight_search", counted)
     code, payload = run_json(capsys, "finite", "Q8", *flags)
     assert code == 0
     # --weight reads G^ab; only the harness searches, as the referee

@@ -1,5 +1,5 @@
 import re
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 import hypothesis.strategies as st
 import pytest
@@ -25,7 +25,13 @@ from groupcover import (
     weight_bruteforce,
     weight_from_abelianisation,
 )
-from groupcover.errors import NotAGroup, OrderCapExceeded, SearchBudgetExceeded, TrivialGroup
+from groupcover.errors import (
+    GroupCoverError,
+    NotAGroup,
+    OrderCapExceeded,
+    SearchBudgetExceeded,
+    TrivialGroup,
+)
 
 
 def members(mask):
@@ -493,6 +499,116 @@ def test_verify_walks_the_derived_series_once(monkeypatch):
     assert group._cache["solvable"] is True
 
 
+def prime_index_kernels_tuple_referee(group):
+    """Referee: the kernel walk with each exponent vector a tuple, one tuple
+    built per Cayley-graph edge, as `_prime_index_kernels` ran before its
+    vectors were packed into ints; same charges, messages and errors."""
+    t, n = group.table, group.order
+    gens = fingroup._generators(group)
+    r = len(gens)
+    spent = 0
+
+    def charge(cost, what):
+        nonlocal spent
+        if spent + cost > covering.LATTICE_BUDGET:
+            raise SearchBudgetExceeded(
+                f"prime-index kernels of {group.name} spent {spent} edge checks and kernel "
+                f"steps; {what} would spend {cost} more, past the budget of "
+                f"{covering.LATTICE_BUDGET}"
+            )
+        spent += cost
+
+    charge(n * r, f"the walk over {r} generators")
+    vec = [None] * n
+    vec[0] = (0,) * r
+    queue = [0]
+    tree = []
+    relations = set()
+    for x in queue:
+        vx, row = vec[x], t[x]
+        for k, g in enumerate(gens):
+            y = row[g]
+            if vec[y] is None:
+                vec[y] = vx[:k] + (vx[k] + 1,) + vx[k + 1:]
+                queue.append(y)
+                tree.append((y, x, k))
+            else:
+                relations.add(tuple(a - b + (i == k) for i, (a, b) in enumerate(zip(vx, vec[y]))))
+    if len(queue) < n:
+        raise NotAGroup(f"the generators of {group.name} reach {len(queue)} of its {n} elements")
+    masks = []
+    for p in abelian.prime_factors(n):
+        pivots = {}
+        for rel in relations:
+            row = [c % p for c in rel]
+            for col, b in pivots.items():
+                f = row[col]
+                if f:
+                    row = [(u - f * v) % p for u, v in zip(row, b)]
+            lead = next((i for i, c in enumerate(row) if c), None)
+            if lead is None:
+                continue
+            scale = pow(row[lead], -1, p)
+            row = [c * scale % p for c in row]
+            for col, b in pivots.items():
+                f = b[lead]
+                if f:
+                    pivots[col] = [(u - f * v) % p for u, v in zip(b, row)]
+            pivots[lead] = row
+            if len(pivots) == r:
+                break
+        free = [c for c in range(r) if c not in pivots]
+        count = (p ** len(free) - 1) // (p - 1)
+        charge(count * n, f"the {count} kernels of index {p}")
+        for i, first in enumerate(free):
+            for tail in product(range(p), repeat=len(free) - i - 1):
+                a = [0] * r
+                a[first] = 1
+                for col, v in zip(free[i + 1:], tail):
+                    a[col] = v
+                for col, b in pivots.items():
+                    a[col] = -sum(b[c] * a[c] for c in free) % p
+                value = [0] * n
+                m = 1
+                for y, x, k in tree:
+                    v = value[y] = (value[x] + a[k]) % p
+                    if not v:
+                        m |= 1 << y
+                masks.append(m)
+    return tuple(sorted(masks, key=fingroup._cover_order))
+
+
+def kernel_outcome(kernels, group):
+    """The masks, or the type and text of the package error raised."""
+    try:
+        return kernels(group)
+    except GroupCoverError as exc:
+        return type(exc), str(exc)
+
+
+def kernel_charges(group):
+    """The kernel walk's charges in order: the walk, then each prime's kernels."""
+    n = group.order
+    masks = prime_index_kernels_tuple_referee(group)
+    kernels = [sum(m.bit_count() * p == n for m in masks) for p in abelian.prime_factors(n)]
+    return [n * len(fingroup._generators(group))] + [n * count for count in kernels]
+
+
+def assert_kernels_match_tuple_referee(group, budgets=None):
+    """The packed walk against the tuple walk at each budget: by default 0
+    and each running total of the charges and one step below it, so that
+    every refusal and the full answer are reached."""
+    if budgets is None:
+        totals = list(accumulate(kernel_charges(group)))
+        budgets = sorted({0, *totals, *(b - 1 for b in totals if b)})
+    with pytest.MonkeyPatch.context() as patch:
+        for budget in budgets:
+            patch.setattr(covering, "LATTICE_BUDGET", budget)
+            expected = kernel_outcome(prime_index_kernels_tuple_referee, group)
+            outcome = kernel_outcome(covering._prime_index_kernels, group)
+            assert outcome == expected, (group.name, budget)
+
+
 def assert_kernels_match_lattice(group):
     """The kernel referee against the lattice's maximal members of prime
     index, which for a solvable group are all of its maximal members."""
@@ -507,11 +623,14 @@ def test_kernels_match_lattice_on_catalog(catalog):
     for group in catalog:
         if group.order <= 128:
             assert_kernels_match_lattice(group)
+            assert_kernels_match_tuple_referee(group)
 
 
 @pytest.mark.parametrize("spec", LATTICE_POOL_SPECS + LARGE_SOLVABLE_SPECS)
 def test_kernels_match_lattice_on_benchmark_groups(spec):
-    assert_kernels_match_lattice(group_from_spec(spec))
+    group = group_from_spec(spec)
+    assert_kernels_match_lattice(group)
+    assert_kernels_match_tuple_referee(group)
 
 
 # permutation generators whose tables have three or four greedy generators,
@@ -526,15 +645,33 @@ REDUCTION_CASES = (
 
 @pytest.mark.parametrize("degree, gens", REDUCTION_CASES)
 def test_kernels_match_lattice_when_pivots_are_cleared(degree, gens):
-    assert_kernels_match_lattice(build_from_permutations(degree, gens, cap=1024))
+    group = build_from_permutations(degree, gens, cap=1024)
+    assert_kernels_match_lattice(group)
+    assert_kernels_match_tuple_referee(group)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 6).flatmap(
     lambda n: st.lists(st.permutations(range(n)), max_size=3).map(lambda gens: (n, gens))
-))
-def test_kernels_match_lattice_on_random_permutations(degree_and_gens):
-    assert_kernels_match_lattice(build_from_permutations(*degree_and_gens))
+), st.data())
+def test_kernels_match_lattice_on_random_permutations(degree_and_gens, data):
+    group = build_from_permutations(*degree_and_gens)
+    assert_kernels_match_lattice(group)
+    budget = data.draw(st.integers(0, sum(kernel_charges(group))), label="LATTICE_BUDGET")
+    assert_kernels_match_tuple_referee(group, [budget])
+
+
+# the packing at its edges: one field over a tree of depth 1023, two fields
+# at order 1024, nine fields with 511 kernels, and two primes over six fields
+@pytest.mark.parametrize("spec, fields, kernels", [
+    ("C 1024", 1, 1), ("D 512", 2, 3), ("CxC 32 32", 2, 3), ("E 2 9", 9, 511),
+    ("prod(E 2 5, C 3)", 6, 32),
+])
+def test_kernels_match_tuple_referee_at_the_packing_edges(spec, fields, kernels):
+    group = group_from_spec(spec, cap=1024)
+    assert len(fingroup._generators(group)) == fields
+    assert len(covering._prime_index_kernels(group)) == kernels
+    assert_kernels_match_tuple_referee(group)
 
 
 def test_weight_from_abelianisation_matches_bruteforce(catalog):
