@@ -175,7 +175,8 @@ def _closed_form(family: str, params, bound: int):
     return order(bound, *params), name.format(*params)
 
 
-def default_catalog_spec(order_bound: int = 32) -> CatalogSpec:
+def default_catalog_spec() -> CatalogSpec:
+    order_bound = 32
     entries: list[tuple[str, tuple[int, ...]]] = []
     for n in range(1, order_bound + 1):
         entries.append(("C", (n,)))

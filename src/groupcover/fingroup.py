@@ -8,8 +8,8 @@ A group built from generators is a frame: the right-multiplication column
 of each generator and a spanning tree, elements numbered in BFS order from
 the identity following the given generator order, so constructions are
 reproducible.
-The plain F-A check reads rows, columns and inverses built from the frame;
-only referees and table routes read the n^2 table.
+The F-A check and G^ab read rows, columns and inverses built from the
+frame; only referees, validation and the witness targets read the n^2 table.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ from .snf import mat_det
 # table validation
 
 
-def _check_associativity(table, gens=None):
-    """Light's test: x(gy) = (xg)y for every g in `gens` (default the greedy
-    generators) of the table.  The g that pass are closed under products, so
-    passing for a generating set means associativity on every triple."""
+def _check_associativity(table, gens):
+    """Light's test: x(gy) = (xg)y for every g in `gens` of the table.  The
+    g that pass are closed under products, so passing for a generating set
+    means associativity on every triple."""
     table = tuple(map(tuple, table))  # no copy of rows that are tuples already
-    for g in _greedy_generators(FiniteGroup("table", table)) if gens is None else gens:
+    for g in gens:
         tg = table[g]
         times_g = itemgetter(*tg)
         for x, tx in enumerate(table):
@@ -651,27 +651,28 @@ def abelianisation(group):
 def abelian_invariants_finite(group):
     """Invariant factors of G^ab = G/G' for any finite group, kept in its
     cache: the exponent partitions of the primary components of G^ab, read
-    off the orders of the cosets xG' (the element orders when G' = {e}) and
-    merged.  A power walk that takes |G| steps without reaching G' raises
-    NotAGroup, as `element_orders` does."""
+    off the orders of the cosets xG' (the element orders when G' = {e}),
+    walked along the row of x, and merged.  A walk that takes |G| steps
+    without reaching G' raises NotAGroup, as `element_orders` does."""
     inv = group._cache.get("ab")
     if inv is None:
         derived = derived_subgroup(group)
         if len(derived) == 1:
             orders = group.element_orders()
         else:
-            t, n = group.table, group.order
+            n = group.order
             seen = bytearray(n)
             orders = []
             for x in range(n):
                 if not seen[x]:
+                    row = group.row(x)
                     for s in derived:
-                        seen[t[x][s]] = 1
+                        seen[row[s]] = 1
                     k, y = 1, x
                     while y not in derived:
                         if k >= n:
                             raise NotAGroup(f"powers of element {x} never reach G'")
-                        k, y = k + 1, t[y][x]
+                        k, y = k + 1, row[y]
                     orders.append(k)
         m = len(orders)  # |G/G'|
         per_prime = [(p, _p_component_exponents(orders, p, m)) for p in prime_factors(m)]

@@ -27,39 +27,40 @@ class FiniteGroup:
       parent[x] g_via[x].
 
     `row(x)` (the products x y) and `col(s)` (the products y s) are built
-    along the tree and kept.  `.table` and `.inverse` are built on first
-    read, and the table, once built, replaces the frame."""
+    along the tree and kept.  A frame keeps its rows in one store of
+    `order` slots, filled as `row` reads them; `.table` is that store with
+    its empty slots filled, sharing the rows already built.  A table-born
+    group's row store is its table.  `.inverse` is built on first read."""
 
     __slots__ = ("name", "order", "table", "inverse", "_right", "_tree", "_rows", "_cols", "_cache")
 
     def __init__(self, name, table=None, columns=None, tree=None):
         self.name = str(name)
         self._right, self._tree = columns, tree
-        if columns is None:
-            self.table, self.order = table, len(table)
-        else:
-            self.order = len(tree[0])
+        self.order = len(table if columns is None else tree[0])
         if self.order == 0:
             raise NotAGroup("empty table")
-        identity = {} if columns is None else {0: tuple(range(self.order))}
-        self._rows, self._cols, self._cache = identity, dict(identity), {}
+        self._cols, self._cache = {}, {}
+        if columns is None:
+            self.table = self._rows = table
+        else:
+            self._rows = [None] * self.order
+            self._rows[0] = self._cols[0] = tuple(range(self.order))
 
     def __getattr__(self, name):
         """`table` and `inverse`, built on first read and then kept as plain
-        attributes.  A frame's table is filled in one tree-order pass, the
-        row of p g_k being the row of p read at the row of g_k, as
-        (p g_k) y = p (g_k y); the table then replaces the frame.  A frame's
-        inverses are read off the tree, (p g_k)^-1 = g_k^-1 p^-1, by the
-        inverse of g_k's row, at the latest when the table is built."""
+        attributes.  A frame's table is its row store with the empty slots
+        filled in one tree-order pass, the row of p g_k being the row of p
+        read at the row of g_k, as (p g_k) y = p (g_k y).  A frame's inverses
+        are read off the tree, (p g_k)^-1 = g_k^-1 p^-1, by the inverse of
+        g_k's row."""
         if name == "table":
             parent, via, walk = self._tree
-            times = self._lefts()[1]
-            rows = [tuple(range(self.order))] * self.order
+            times, rows = self._lefts()[1], self._rows
             for x in walk:
-                rows[x] = times[via[x]](rows[parent[x]])
-            self.inverse  # read off the tree, in O(n k), before the table replaces it
-            self.table, self._right, self._tree, self._rows = tuple(rows), None, None, {}
-            del self._cache["lefts"]
+                if rows[x] is None:
+                    rows[x] = times[via[x]](rows[parent[x]])
+            self.table = tuple(rows)
             return self.table
         if name != "inverse":
             raise AttributeError(name)
@@ -92,14 +93,12 @@ class FiniteGroup:
     def row(self, x):
         """The products x y; a frame builds and keeps the rows of x and its
         tree ancestors."""
-        if self._right is None:
-            return self.table[x]
         rows = self._rows
-        r = rows.get(x)
+        r = rows[x]
         if r is None:
             parent, via, _ = self._tree
             times, path = self._lefts()[1], []
-            while x not in rows:
+            while rows[x] is None:
                 path.append(x)
                 x = parent[x]
             r = rows[x]
@@ -129,18 +128,19 @@ class FiniteGroup:
 
     def element_orders(self):
         """Each element's order.  One walk of the powers of an element not yet
-        reached sets its whole cyclic subgroup: ord(x^k) = m / gcd(m, k)."""
+        reached, y -> x y along its row, sets its whole cyclic subgroup:
+        ord(x^k) = m / gcd(m, k)."""
         orders = self._cache.get("orders")
         if orders is None:
-            t, n = self.table, self.order
+            n = self.order
             orders = [0] * n
             for x in range(n):
                 if not orders[x]:
-                    powers = [x]
+                    row, powers = self.row(x), [x]
                     while powers[-1]:
                         if len(powers) >= n:
                             raise NotAGroup(f"powers of element {x} never reach the identity")
-                        powers.append(t[powers[-1]][x])
+                        powers.append(row[powers[-1]])
                     m = len(powers)
                     for k, y in enumerate(powers, 1):
                         orders[y] = m // gcd(m, k)

@@ -521,9 +521,9 @@ def test_finite_large_product_table_stops_at_construction_budget(capsys):
     assert "next product table would spend 5760000 more" in capsys.readouterr().err
 
 
-def test_plain_finite_builds_no_table(capsys, monkeypatch, tmp_path):
-    # F-A reads G^ab and the maximal normal subgroups off rows and columns
-    # built along each group's tree, never off its n^2 table
+@pytest.fixture()
+def tables_built(monkeypatch):
+    """The names of the groups whose n^2 table is built from here on."""
     built = []
     build = fingroup.FiniteGroup.__getattr__
 
@@ -533,21 +533,38 @@ def test_plain_finite_builds_no_table(capsys, monkeypatch, tmp_path):
         return build(group, name)
 
     monkeypatch.setattr(fingroup.FiniteGroup, "__getattr__", spy)
+    return built
+
+
+def test_plain_finite_builds_no_table(capsys, tables_built, tmp_path):
+    # F-A and --weight read G^ab and the maximal normal subgroups off rows
+    # and columns built along each group's tree, never off its n^2 table
     path = tmp_path / "d85.perm"
     reflection = "".join(f"({i} {85 - i})" for i in range(1, 43))
     path.write_text("(" + " ".join(map(str, range(85))) + ")\n" + reflection + "\n")
     caps = ["--caps", "order=1024", "normal=1024"]
     for argv in (["S 6"], ["prod(S 5, E 2 2)"], ["D 95"], [str(path), "--from", "permutations"]):
         assert main(["finite", *argv, *caps]) == 0
-    assert built == []
+        assert main(["finite", *argv, *caps, "--weight"]) == 0
+    assert tables_built == []
+    out = capsys.readouterr().out
     # only the product has a noncyclic abelianisation, C2 x C2 x C2
-    assert capsys.readouterr().out.count("F-A: true") == 1
+    assert out.count("F-A: true") == 2
+    assert out.count("weight: 1\n") == 3 and out.count("weight: 3\n") == 1
 
 
 def test_finite_s7_answers_without_its_table(capsys):
     # S7's table would hold 5040^2 entries; its frame holds two columns
     assert run_within(10, ["finite", "S 7", "--caps", "order=6000", "normal=6000"]) == 0
     assert capsys.readouterr().out == "group: S7 (order 5040)\nF-A: false (uncovered: [1])\n"
+
+
+def test_finite_s7_weight_answers_without_its_table(capsys, tables_built):
+    # G^ab = C2 is read off the rows of the two coset representatives of A7
+    argv = ["finite", "S 7", "--weight", "--caps", "order=6000", "normal=6000"]
+    assert run_within(10, argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "weight: 1"
+    assert tables_built == []
 
 
 @pytest.mark.parametrize(

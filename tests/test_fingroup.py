@@ -456,15 +456,15 @@ def test_generator_associativity_test_agrees_with_naive():
     loop = nonassociative_loop()
     assert not naive_is_group_table(loop)
     with pytest.raises(NotAGroup, match="associativity fails on triple"):
-        _check_associativity(loop)
+        _check_associativity(loop, range(len(loop)))
     cyclic6 = [[(i + j) % 6 for j in range(6)] for i in range(6)]
     for table in (XOR_TABLE, cyclic6, table_product(XOR_TABLE, cyclic6)):
         assert naive_is_group_table(table)
-        _check_associativity(table)
+        _check_associativity(table, range(len(table)))
     loop_c2 = table_product(loop, [[0, 1], [1, 0]])
     assert not naive_is_group_table(loop_c2)
     with pytest.raises(NotAGroup, match="associativity"):
-        _check_associativity(loop_c2)
+        _check_associativity(loop_c2, range(len(loop_c2)))
 
 
 SMALL_TABLES = [g.table for g in build_catalog() if g.order <= 24]
@@ -578,6 +578,7 @@ def test_finite_group_keeps_the_rows_it_is_given():
     rows = ((0, 1), (1, 0))
     g = FiniteGroup("C2", rows)
     assert g.table is rows
+    assert g.row(1) is rows[1]
     assert g.inverse == (0, 1)
 
 
@@ -862,17 +863,39 @@ def structure_read_off(group):
     ]
 
 
+def table_built(group):
+    """Whether the group's n^2 table is built: a frame leaves its `table`
+    slot unset until the table is first read."""
+    try:
+        object.__getattribute__(group, "table")
+    except AttributeError:
+        return False
+    return True
+
+
 def assert_frame_matches_table(group):
     """A group built as a frame against the same group given by its table,
-    the referee: rows, columns and inverses built along the tree, and the
-    structure read off them, build no table; G^ab, which reads it, is
-    compared too."""
-    assert group._right is not None, group.name
-    frame_side = structure_read_off(group)
-    assert group._right is not None, group.name
+    the referee: rows, columns and inverses built along the tree, the
+    structure read off them, and G^ab build no table."""
+    assert not table_built(group), group.name
+    frame_side = [*structure_read_off(group), abelian_invariants_finite(group)]
+    assert not table_built(group), group.name
     referee = FiniteGroup(group.name, group.table)
-    assert frame_side == structure_read_off(referee), group.name
-    assert abelian_invariants_finite(group) == abelian_invariants_finite(referee), group.name
+    assert frame_side == [*structure_read_off(referee), abelian_invariants_finite(referee)], group.name
+
+
+def test_frame_table_holds_the_rows_read_before_it():
+    group = group_from_spec("prod(S 4, C 3)")
+    early = {x: group.row(x) for x in (71, 5, 40)}
+    assert not table_built(group)
+    table = group.table
+    assert all(table[x] is row for x, row in early.items())
+    assert all(group.row(x) is table[x] for x in range(group.order))
+    # the frame outlives its table: columns and inverses still come off the tree
+    assert group._right is not None
+    referee = FiniteGroup(group.name, table)
+    assert group.inverse == referee.inverse
+    assert [group.col(s) for s in range(group.order)] == [referee.col(s) for s in range(group.order)]
 
 
 def test_frames_match_tables_on_the_catalog():

@@ -4,8 +4,9 @@ Every public function and method in `src/groupcover` is referenced from
 somewhere in the package or the benchmark other than its own body, or is a
 named referee kept for the tests to compare against.  Every function the
 benchmark's tracer names still exists, since `bench/test_bench.py` lies
-outside the tier-1 test paths.  And README's list of the package exports
-names what `groupcover/__init__.py` imports, module by module.
+outside the tier-1 test paths.  README's list of the package exports
+names what `groupcover/__init__.py` imports, module by module.  And every
+module parses at the Python floor that `pyproject.toml` declares.
 """
 
 import ast
@@ -13,6 +14,8 @@ import importlib
 import importlib.util
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "groupcover"
@@ -112,6 +115,14 @@ def init_exports():
 
 def test_readme_lists_the_package_exports():
     assert readme_exports() == init_exports()
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    tomllib = pytest.importorskip("tomllib")
+    floor = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["requires-python"]
+    version = tuple(map(int, re.fullmatch(r">=(\d+)\.(\d+)", floor).groups()))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
 
 
 def readme_harness_checks():
